@@ -27,7 +27,6 @@ from marginsim.traces import (
     HostTrace,
     MetricKind,
     SyntheticConfig,
-    TraceSample,
     error_cdf,
     generate_synthetic,
     load_traces,

@@ -94,7 +94,6 @@ class Transition:
 class UpdateStats:
     """What one `store_and_learn` call did."""
 
-    stored: bool = True
     updated: bool = False
     critic_loss: float = math.nan
     actor_q: float = math.nan

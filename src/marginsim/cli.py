@@ -13,6 +13,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from marginsim.agent import AgentPool, DdpgAgent, build_pool
 from marginsim.config import ScenarioConfig, load_scenario
 from marginsim.engine import (
@@ -76,9 +78,9 @@ def cmd_generate(cfg: ScenarioConfig) -> int:
     print(f"hosts: {len(dc.hosts)}  days: {dc.num_days()}  "
           f"step: {dc.step_minutes} min")
     for metric in METRICS:
-        samples = [s for h in dc.hosts for s in h.series[metric]]
-        mean_usage = sum(s.usage for s in samples) / len(samples)
-        under = sum(1 for s in samples if s.usage > s.prediction) / len(samples)
+        series = np.concatenate([h.series[metric] for h in dc.hosts])
+        mean_usage = sum(series["usage"].tolist()) / len(series)
+        under = np.count_nonzero(series["usage"] > series["prediction"]) / len(series)
         print(f"{metric.value}: mean usage {mean_usage:.4f}, "
               f"underestimated on {under:.1%} of steps")
     return 0

@@ -10,7 +10,7 @@ a tiered discount table (the longer the violations, the larger the refund).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from marginsim.errors import DomainError
 from marginsim.traces import MINUTES_PER_DAY, HostSpec
@@ -141,17 +141,3 @@ class DayLedger:
     potential_saving: float
     penalty: float
     net_saving: float
-    per_step_containers: list[int] = field(default_factory=list, repr=False)
-
-    def validate(self, model: CostModel, step_minutes: int) -> None:
-        if self.day_index < 0:
-            raise DomainError(f"day_index must be >= 0, got {self.day_index}")
-        if self.violation_minutes % step_minutes != 0:
-            raise DomainError(
-                f"violation_minutes {self.violation_minutes} not a multiple of {step_minutes}")
-        settled = settle_day(model, self.per_step_containers,
-                             self.violation_minutes, step_minutes)
-        if (settled.potential_saving != self.potential_saving
-                or settled.penalty != self.penalty
-                or settled.net_saving != self.net_saving):
-            raise DomainError(f"{self.host_id} day {self.day_index}: ledger does not re-settle")

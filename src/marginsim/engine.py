@@ -58,18 +58,6 @@ class SimulationConfig:
                 f"got {self.reward_attribution!r}")
 
 
-@dataclass(frozen=True)
-class StepOutcome:
-    """Everything decided at one (host, step)."""
-
-    host_id: str
-    step_index: int
-    margins: dict[MetricKind, float]
-    nb_containers: int
-    violated: bool
-    effective_errors: dict[MetricKind, float]
-
-
 @dataclass
 class StepLogRow:
     """Per-step training aggregates across hosts and metrics."""
@@ -82,8 +70,11 @@ class StepLogRow:
 
 @dataclass
 class RunResult:
+    """Settled host-days and every margin chosen: `margins[i, j, r]` is the
+    margin of host `dc.hosts[i]` on metric `METRICS[j]` at step `start_step + r`."""
+
     ledgers: list[DayLedger]
-    outcomes: list[StepOutcome]
+    margins: np.ndarray
     start_step: int
     step_log: list[StepLogRow] = field(default_factory=list)
 
@@ -103,16 +94,6 @@ def reward_scale_for(dc: Datacenter, cost: CostModel, step_minutes: int) -> floa
     """Normalization constant: one step's earnings on the roomiest empty host."""
     best = max(containers_fitting(cost, h.spec, 1.0, 1.0) for h in dc.hosts)
     return cost.price_per_minute * step_minutes * max(best, 1)
-
-
-def _window(history: list[float], size: int) -> tuple[float, ...]:
-    if len(history) >= size:
-        return tuple(history[-size:])
-    return (0.0,) * (size - len(history)) + tuple(history)
-
-
-def _state_vector(window: tuple[float, ...]) -> np.ndarray:
-    return np.clip(np.asarray(window, dtype=float), -1.0, 1.0)
 
 
 def run(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
@@ -137,11 +118,12 @@ def run(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
     if set(strategies) != set(METRICS):
         raise DomainError("need exactly one strategy per metric")
 
-    learned = {m for m, s in strategies.items() if isinstance(s, LearnedMargin)}
-    for m in learned:
-        if strategies[m].explore != (sim.mode == "train"):
+    strats = [strategies[m] for m in METRICS]
+    learned = [j for j, strat in enumerate(strats) if isinstance(strat, LearnedMargin)]
+    for j in learned:
+        if strats[j].explore != (sim.mode == "train"):
             raise DomainError(
-                f"{m.value}: learned strategy exploration must match the mode")
+                f"{METRICS[j].value}: learned strategy exploration must match the mode")
     if sim.mode == "train" and not learned:
         raise DomainError("train mode requires at least one learned strategy")
 
@@ -149,132 +131,105 @@ def run(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
     ts = sim.step_minutes
     ppm = cost.price_per_minute
     hosts = dc.hosts
-    usage = {(h.spec.host_id, m): np.array([s.usage for s in h.series[m]])
-             for h in hosts for m in METRICS}
-    pred = {(h.spec.host_id, m): np.array([s.prediction for s in h.series[m]])
-            for h in hosts for m in METRICS}
-
-    errors: dict[tuple[str, MetricKind], list[float]] = {
-        (h.spec.host_id, m): [] for h in hosts for m in METRICS}
-    usage_hist: dict[tuple[str, MetricKind], list[float]] = {
-        (h.spec.host_id, m): [] for h in hosts for m in METRICS}
-    last_margin: dict[tuple[str, MetricKind], float] = {
-        (h.spec.host_id, m): 0.0 for h in hosts for m in METRICS}
+    start = lo * spd
+    usage = np.array([[h.series[m]["usage"][start:hi * spd] for m in METRICS] for h in hosts])
+    pred = np.array([[h.series[m]["prediction"][start:hi * spd] for m in METRICS]
+                     for h in hosts])
+    # Histories front-padded with `pad` zeros: metric j's window ending at
+    # range step r-1 is entries [first[j] + r, pad + r).
+    sizes = [strat.window_size for strat in strats]
+    pad = max(sizes)
+    first = [pad - size for size in sizes]
+    zeros = np.zeros((len(hosts), 2, pad))
+    error_hist = np.concatenate([zeros, usage - pred], axis=2)
+    states = np.clip(error_hist, -1.0, 1.0)
+    error_rows = error_hist.tolist()
+    usage_rows = np.concatenate([zeros, usage], axis=2).tolist()
+    usage_now, pred_now = usage.tolist(), pred.tolist()
+    margins = np.zeros(usage.shape)
 
     ledgers: list[DayLedger] = []
-    outcomes: list[StepOutcome] = []
     step_log: list[StepLogRow] = []
 
     for day in range(lo, hi):
-        day_minutes = {h.spec.host_id: 0 for h in hosts}
-        day_containers = {h.spec.host_id: [] for h in hosts}
-        day_rewards = {h.spec.host_id: [] for h in hosts}
-        day_violated = {h.spec.host_id: [] for h in hosts}
-        day_margins: list[list[float]] = []
-        # (state, action, next_state) per (host, metric) for deferred storage
-        day_transitions = {(h.spec.host_id, m): [] for h in hosts for m in learned}
+        day_start = (day - lo) * spd
+        day_minutes = [0] * len(hosts)
+        day_containers = [[] for _ in hosts]
+        day_violated = [[] for _ in hosts]
 
-        for k in range(spd):
-            t = day * spd + k
-            step_margins: list[float] = []
-            for host in hosts:
+        for r in range(day_start, day_start + spd):
+            for i, host in enumerate(hosts):
                 hid = host.spec.host_id
-                margins: dict[MetricKind, float] = {}
-                states: dict[MetricKind, np.ndarray] = {}
-                for m in METRICS:
-                    strat = strategies[m]
-                    err_win = _window(errors[(hid, m)], strat.window_size)
-                    use_win = _window(usage_hist[(hid, m)], strat.window_size)
-                    obs = Observation(hid, m, err_win, use_win, last_margin[(hid, m)])
-                    margins[m] = strat.select(obs)
-                    if m in learned:
-                        states[m] = _state_vector(err_win)
-                u_cpu = usage[(hid, MetricKind.CPU)][t]
-                p_cpu = pred[(hid, MetricKind.CPU)][t]
-                u_ram = usage[(hid, MetricKind.RAM)][t]
-                p_ram = pred[(hid, MetricKind.RAM)][t]
-                nb = containers_fitting(
-                    cost, host.spec,
-                    1.0 - p_cpu - margins[MetricKind.CPU],
-                    1.0 - p_ram - margins[MetricKind.RAM])
-                eff = {MetricKind.CPU: p_cpu + margins[MetricKind.CPU] - u_cpu,
-                       MetricKind.RAM: p_ram + margins[MetricKind.RAM] - u_ram}
-                violated = eff[MetricKind.CPU] < 0 or eff[MetricKind.RAM] < 0
-                day_minutes[hid] = accumulate_violation(day_minutes[hid], violated, ts)
-                day_containers[hid].append(nb)
-                day_rewards[hid].append(nb * ppm * ts)
-                day_violated[hid].append(violated)
-                for m in METRICS:
-                    u = usage[(hid, m)][t]
-                    p = pred[(hid, m)][t]
-                    errors[(hid, m)].append(float(u - p))
-                    usage_hist[(hid, m)].append(float(u))
-                    last_margin[(hid, m)] = margins[m]
-                    step_margins.append(margins[m])
-                if sim.mode == "train":
-                    for m in learned:
-                        next_state = _state_vector(
-                            _window(errors[(hid, m)], strategies[m].window_size))
-                        day_transitions[(hid, m)].append(
-                            (states[m], margins[m], next_state))
-                outcomes.append(StepOutcome(hid, t, margins, nb, violated, eff))
-            day_margins.append(step_margins)
+                picked = [
+                    strat.select(Observation(
+                        hid, METRICS[j], tuple(error_rows[i][j][first[j] + r:pad + r]),
+                        tuple(usage_rows[i][j][first[j] + r:pad + r]),
+                        float(margins[i, j, r - 1]) if r else 0.0))
+                    for j, strat in enumerate(strats)]
+                margins[i, :, r] = picked
+                m_cpu, m_ram = picked
+                u_cpu, u_ram = usage_now[i][0][r], usage_now[i][1][r]
+                p_cpu, p_ram = pred_now[i][0][r], pred_now[i][1][r]
+                nb = containers_fitting(cost, host.spec, 1.0 - p_cpu - m_cpu,
+                                        1.0 - p_ram - m_ram)
+                violated = p_cpu + m_cpu - u_cpu < 0 or p_ram + m_ram - u_ram < 0
+                day_minutes[i] = accumulate_violation(day_minutes[i], violated, ts)
+                day_containers[i].append(nb)
+                day_violated[i].append(violated)
 
-        penalties = {}
-        for host in hosts:
-            hid = host.spec.host_id
-            settled = settle_day(cost, day_containers[hid], day_minutes[hid], ts)
-            penalties[hid] = settled.penalty
-            ledgers.append(DayLedger(hid, day, day_minutes[hid],
+        penalties = []
+        for i, host in enumerate(hosts):
+            settled = settle_day(cost, day_containers[i], day_minutes[i], ts)
+            penalties.append(settled.penalty)
+            ledgers.append(DayLedger(host.spec.host_id, day, day_minutes[i],
                                      settled.potential_saving, settled.penalty,
-                                     settled.net_saving, day_containers[hid]))
+                                     settled.net_saving))
 
         if sim.mode == "train":
-            final_rewards = _attribute_rewards(
-                sim.reward_attribution, day_rewards, day_violated, penalties)
+            rewards = [_attribute_rewards(sim.reward_attribution,
+                                          [nb * ppm * ts for nb in day_containers[i]],
+                                          day_violated[i], penalties[i])
+                       for i in range(len(hosts))]
             for k in range(spd):
+                r = day_start + k
                 losses: list[float] = []
-                rewards_k: list[float] = []
-                for host in hosts:
-                    hid = host.spec.host_id
-                    rewards_k.append(final_rewards[hid][k])
-                    for m in learned:
-                        state, action, next_state = day_transitions[(hid, m)][k]
-                        stats = strategies[m].pool.agent_for(hid).store_and_learn(
-                            Transition(state, action, final_rewards[hid][k], next_state))
+                for i, host in enumerate(hosts):
+                    for j in learned:
+                        agent = strats[j].pool.agent_for(host.spec.host_id)
+                        stats = agent.store_and_learn(Transition(
+                            states[i, j, first[j] + r:pad + r], margins[i, j, r],
+                            rewards[i][k], states[i, j, first[j] + r + 1:pad + r + 1]))
                         if stats.updated:
                             losses.append(stats.critic_loss)
                 step_log.append(StepLogRow(
-                    day * spd + k,
+                    start + r,
                     float(np.mean(losses)) if losses else math.nan,
-                    float(np.mean(rewards_k)),
-                    float(np.mean(day_margins[k]))))
+                    float(np.mean([host_rewards[k] for host_rewards in rewards])),
+                    # ravel copies in selection order, so the sum runs in that order
+                    float(np.mean(margins[:, :, r].ravel()))))
 
-    return RunResult(ledgers, outcomes, lo * spd, step_log)
+    return RunResult(ledgers, margins, start, step_log)
 
 
-def _attribute_rewards(attribution: str, day_rewards, day_violated, penalties):
-    """Fold each host's settled penalty back into its per-step rewards.
+def _attribute_rewards(attribution: str, rewards: list[float], violated: list[bool],
+                       penalty: float) -> list[float]:
+    """Fold a host-day's settled penalty back into its per-step rewards.
 
     violation_spread divides the penalty equally over the steps that
     violated (their choices caused it); day_end_lump subtracts the whole
     penalty from the final step, leaving earlier rewards untouched.  Either
     way a day's rewards sum to its net saving.
     """
-    final = {}
-    for hid, rewards in day_rewards.items():
-        rewards = list(rewards)
-        penalty = penalties[hid]
-        if penalty > 0:
-            if attribution == "violation_spread":
-                violated_idx = [k for k, v in enumerate(day_violated[hid]) if v]
-                share = penalty / len(violated_idx)
-                for k in violated_idx:
-                    rewards[k] -= share
-            else:
-                rewards[-1] -= penalty
-        final[hid] = rewards
-    return final
+    rewards = list(rewards)
+    if penalty > 0:
+        if attribution == "violation_spread":
+            violated_idx = [k for k, v in enumerate(violated) if v]
+            share = penalty / len(violated_idx)
+            for k in violated_idx:
+                rewards[k] -= share
+        else:
+            rewards[-1] -= penalty
+    return rewards
 
 
 @dataclass

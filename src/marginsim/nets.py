@@ -55,10 +55,6 @@ class DenseNet:
     def input_dim(self) -> int:
         return self.layers[0].weights.shape[1]
 
-    @property
-    def output_dim(self) -> int:
-        return self.layers[-1].weights.shape[0]
-
     def dims(self) -> list[int]:
         return [self.input_dim] + [layer.weights.shape[0] for layer in self.layers]
 

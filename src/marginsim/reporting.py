@@ -14,10 +14,12 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from marginsim.costs import CostModel, DayLedger
-from marginsim.engine import ComparisonTable, RunResult, SimulationConfig, StepLogRow
+from marginsim.engine import METRICS, ComparisonTable, RunResult, SimulationConfig, StepLogRow
 from marginsim.errors import DomainError
-from marginsim.traces import Datacenter, MetricKind, error_cdf
+from marginsim.traces import MINUTES_PER_DAY, Datacenter, MetricKind, error_cdf
 
 
 def nearest_rank(sorted_values: list[float], pct: float) -> float:
@@ -58,9 +60,9 @@ class EvaluationReport:
     host_totals: dict[str, Totals]
     totals: Totals
     margin_summaries: list[MarginSummary]
-    margin_series: dict[tuple[str, MetricKind], list[tuple[int, float]]]
+    # margins by step, from the first step of `day_range`
+    margin_series: dict[tuple[str, MetricKind], np.ndarray]
     error_cdfs: dict[str, dict[str, list[tuple[float, float]]]]
-    step_log: list[StepLogRow]
 
 
 def margin_summary(host_id: str, metric: MetricKind, margins: list[float]) -> MarginSummary:
@@ -91,25 +93,18 @@ def build_report(strategy: str, dc: Datacenter, cost: CostModel,
         grand[1] += sums[hid][1]
         grand[2] += sums[hid][2]
 
-    series: dict[tuple[str, MetricKind], list[tuple[int, float]]] = {
-        (hid, m): [] for hid in host_order for m in (MetricKind.CPU, MetricKind.RAM)}
-    for outcome in result.outcomes:
-        for m, margin in outcome.margins.items():
-            series[(outcome.host_id, m)].append((outcome.step_index, margin))
-    summaries = [
-        margin_summary(hid, m, [margin for _, margin in series[(hid, m)]])
-        for hid in host_order for m in (MetricKind.CPU, MetricKind.RAM)
-    ]
+    series = {(hid, m): result.margins[i, j]
+              for i, hid in enumerate(host_order) for j, m in enumerate(METRICS)}
+    summaries = [margin_summary(hid, m, values.tolist()) for (hid, m), values in series.items()]
 
     spd = dc.steps_per_day
     lo, hi = sim.day_range
     cdfs = {
         m.value: error_cdf(dc, m, start_step=lo * spd, end_step=hi * spd)
-        for m in (MetricKind.CPU, MetricKind.RAM)
+        for m in METRICS
     }
     return EvaluationReport(strategy, sim.day_range, sim.step_minutes, result.ledgers,
-                            host_totals, Totals(*grand), summaries, series, cdfs,
-                            result.step_log)
+                            host_totals, Totals(*grand), summaries, series, cdfs)
 
 
 LEDGER_HEADER = ["host", "day", "violation_min", "potential", "penalty", "net"]
@@ -140,9 +135,10 @@ def write_report_files(report: EvaluationReport, outdir: str | Path) -> list[Pat
     with margins_path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(MARGIN_HEADER)
-        for (hid, metric), points in report.margin_series.items():
-            for step, margin in points:
-                writer.writerow([hid, metric.value, step, repr(margin)])
+        start = report.day_range[0] * (MINUTES_PER_DAY // report.step_minutes)
+        for (hid, metric), margins in report.margin_series.items():
+            writer.writerows([hid, metric.value, step, repr(margin)]
+                             for step, margin in enumerate(margins.tolist(), start=start))
     written.append(margins_path)
 
     for metric_value, by_host in report.error_cdfs.items():

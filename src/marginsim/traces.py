@@ -3,13 +3,15 @@
 All usage and prediction values are fractions of a host's capacity in
 [0, 1].  Series are sampled on a fixed grid of `step_minutes` (3 by
 default, so 480 steps per day) and always cover a whole number of days.
+Each (host, metric) series is one SERIES_DTYPE array whose position is
+the step index.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -25,21 +27,17 @@ class MetricKind(Enum):
     RAM = "ram"
 
 
-@dataclass(frozen=True)
-class TraceSample:
-    """One step of one metric on one host."""
+# One step of one metric on one host; a series is a (T,) array of these,
+# indexed by step.
+SERIES_DTYPE = np.dtype([("usage", np.float64), ("prediction", np.float64)])
 
-    step_index: int
-    usage: float
-    prediction: float
 
-    def validate(self) -> None:
-        if self.step_index < 0:
-            raise DomainError(f"step_index must be >= 0, got {self.step_index}")
-        if not (0.0 <= self.usage <= 1.0):
-            raise DomainError(f"usage must be in [0, 1], got {self.usage}")
-        if not (0.0 <= self.prediction <= 1.0):
-            raise DomainError(f"prediction must be in [0, 1], got {self.prediction}")
+def make_series(usage, prediction) -> np.ndarray:
+    """A series array from equal-length usage and prediction sequences."""
+    series = np.empty(len(usage), SERIES_DTYPE)
+    series["usage"] = usage
+    series["prediction"] = prediction
+    return series
 
 
 @dataclass(frozen=True)
@@ -61,10 +59,10 @@ class HostSpec:
 
 @dataclass
 class HostTrace:
-    """A host's capacity plus one series per metric, equal lengths."""
+    """A host's capacity plus one SERIES_DTYPE array per metric, equal lengths."""
 
     spec: HostSpec
-    series: dict[MetricKind, list[TraceSample]]
+    series: dict[MetricKind, np.ndarray]
 
     def num_steps(self) -> int:
         return len(next(iter(self.series.values())))
@@ -73,23 +71,29 @@ class HostTrace:
         self.spec.validate()
         if set(self.series) != {MetricKind.CPU, MetricKind.RAM}:
             raise TraceSchemaError(f"{self.spec.host_id}: need exactly one series per metric")
-        lengths = {metric: len(samples) for metric, samples in self.series.items()}
+        for metric, series in self.series.items():
+            if not (isinstance(series, np.ndarray) and series.dtype == SERIES_DTYPE
+                    and series.ndim == 1):
+                raise TraceSchemaError(
+                    f"{self.spec.host_id}/{metric.value}: series must be a 1-d "
+                    f"{SERIES_DTYPE} array")
+        lengths = {metric: len(series) for metric, series in self.series.items()}
         if len(set(lengths.values())) != 1:
             raise TraceSchemaError(f"{self.spec.host_id}: ragged series lengths {lengths}")
         n = self.num_steps()
         if n == 0 or n % steps_per_day != 0:
             raise TraceSchemaError(
                 f"{self.spec.host_id}: series length {n} is not a positive whole number "
-                f"of days ({steps_per_day} steps per day)"
-            )
-        for metric, samples in self.series.items():
-            for i, sample in enumerate(samples):
-                sample.validate()
-                if sample.step_index != i:
-                    raise TraceSchemaError(
-                        f"{self.spec.host_id}/{metric.value}: step {sample.step_index} "
-                        f"at position {i}; steps must be contiguous from 0"
-                    )
+                f"of days ({steps_per_day} steps per day)")
+        for metric, series in self.series.items():
+            for name in SERIES_DTYPE.names:
+                values = series[name]
+                outside = ~((values >= 0.0) & (values <= 1.0))  # NaN is outside too
+                if outside.any():
+                    step = int(np.argmax(outside))
+                    raise DomainError(
+                        f"{self.spec.host_id}/{metric.value}: {name} must be in [0, 1], "
+                        f"got {values[step]} at step {step}")
 
 
 @dataclass
@@ -109,12 +113,6 @@ class Datacenter:
 
     def num_days(self) -> int:
         return self.num_steps() // self.steps_per_day
-
-    def host(self, host_id: str) -> HostTrace:
-        for h in self.hosts:
-            if h.spec.host_id == host_id:
-                return h
-        raise KeyError(host_id)
 
     def validate(self) -> None:
         if MINUTES_PER_DAY % self.step_minutes != 0:
@@ -195,15 +193,13 @@ def generate_synthetic(config: SyntheticConfig) -> Datacenter:
         host_rng = np.random.default_rng(np.random.SeedSequence([config.seed, host_idx]))
         phase = host_rng.uniform(0.0, 2.0 * math.pi)
         spec = HostSpec(f"host-{host_idx}", config.host_cpu_cores, config.host_ram_gb)
-        series: dict[MetricKind, list[TraceSample]] = {}
+        series = {}
         for metric_idx, metric in enumerate((MetricKind.CPU, MetricKind.RAM)):
             rng = np.random.default_rng(
                 np.random.SeedSequence([config.seed, host_idx, metric_idx]))
             usage = _usage_series(config, steps_per_day, grid, phase, rng)
             prediction = _prediction_series(config, usage, rng)
-            series[metric] = [
-                TraceSample(int(t), float(usage[t]), float(prediction[t])) for t in grid
-            ]
+            series[metric] = make_series(usage, prediction)
         hosts.append(HostTrace(spec, series))
     dc = Datacenter("synthetic", hosts, config.step_minutes)
     dc.validate()
@@ -250,9 +246,9 @@ def write_traces(dc: Datacenter, path: str | Path) -> None:
         writer.writerow(TRACE_HEADER)
         for host in sorted(dc.hosts, key=lambda h: h.spec.host_id):
             for metric in (MetricKind.CPU, MetricKind.RAM):
-                for s in host.series[metric]:
-                    writer.writerow([host.spec.host_id, metric.value, s.step_index,
-                                     repr(s.usage), repr(s.prediction)])
+                writer.writerows(
+                    [host.spec.host_id, metric.value, step, repr(usage), repr(prediction)]
+                    for step, (usage, prediction) in enumerate(host.series[metric].tolist()))
 
 
 def write_capacities(specs: list[HostSpec], path: str | Path) -> None:
@@ -301,10 +297,11 @@ def load_traces(path: str | Path, capacities: dict[str, HostSpec],
     """Parse a trace CSV into a validated Datacenter.
 
     Every host in the file must have a HostSpec in `capacities`; extra
-    capacity entries are ignored.  Rows may arrive in any order.
+    capacity entries are ignored.  Rows may arrive in any order, but each
+    (host, metric) must cover steps 0..n-1 without a gap.
     """
     path = Path(path)
-    per_host: dict[str, dict[MetricKind, dict[int, TraceSample]]] = {}
+    per_host: dict[str, dict[MetricKind, dict[int, tuple[float, float]]]] = {}
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -324,17 +321,21 @@ def load_traces(path: str | Path, capacities: dict[str, HostSpec],
             except ValueError:
                 raise TraceParseError(path, no, f"unknown metric {metric_text!r}") from None
             try:
-                sample = TraceSample(int(step_text), float(usage_text), float(pred_text))
-                sample.validate()
-            except (ValueError, DomainError) as exc:
+                step, usage, prediction = int(step_text), float(usage_text), float(pred_text)
+            except ValueError as exc:
                 raise TraceParseError(path, no, str(exc)) from exc
+            if step < 0:
+                raise TraceParseError(path, no, f"step must be >= 0, got {step}")
+            for name, value in (("usage", usage), ("prediction", prediction)):
+                if not (0.0 <= value <= 1.0):
+                    raise TraceParseError(path, no, f"{name} must be in [0, 1], got {value}")
             if host_id not in capacities:
                 raise ConfigError(f"{path}:{no}: host {host_id!r} has no capacity entry")
             steps = per_host.setdefault(host_id, {}).setdefault(metric, {})
-            if sample.step_index in steps:
+            if step in steps:
                 raise TraceSchemaError(
-                    f"{path}:{no}: duplicate sample {host_id}/{metric.value}/{sample.step_index}")
-            steps[sample.step_index] = sample
+                    f"{path}:{no}: duplicate sample {host_id}/{metric.value}/{step}")
+            steps[step] = (usage, prediction)
 
     if not per_host:
         raise TraceSchemaError(f"{path}: no data rows")
@@ -342,8 +343,13 @@ def load_traces(path: str | Path, capacities: dict[str, HostSpec],
     for host_id in sorted(per_host):
         series = {}
         for metric, by_step in per_host[host_id].items():
-            ordered = [by_step[i] for i in sorted(by_step)]
-            series[metric] = ordered
+            # n distinct non-negative steps are 0..n-1 exactly when none below n is missing.
+            missing = next((i for i in range(len(by_step)) if i not in by_step), None)
+            if missing is not None:
+                raise TraceSchemaError(
+                    f"{path}: {host_id}/{metric.value} is missing step {missing}; "
+                    f"steps must be contiguous from 0")
+            series[metric] = np.array([by_step[i] for i in range(len(by_step))], SERIES_DTYPE)
         hosts.append(HostTrace(capacities[host_id], series))
     dc = Datacenter(name or path.stem, hosts, step_minutes)
     dc.validate()
@@ -361,8 +367,10 @@ def error_cdf(dc: Datacenter, metric: MetricKind,
     """
     out: dict[str, list[tuple[float, float]]] = {}
     for host in dc.hosts:
-        samples = host.series[metric][start_step:end_step]
-        errors = sorted(s.usage - s.prediction for s in samples if s.usage > s.prediction)
+        series = host.series[metric][start_step:end_step]
+        usage, prediction = series["usage"], series["prediction"]
+        under = usage > prediction
+        errors = sorted((usage[under] - prediction[under]).tolist())
         points: list[tuple[float, float]] = []
         total = len(errors)
         for i, e in enumerate(errors, start=1):

@@ -25,7 +25,7 @@ from marginsim.costs import CostModel, discount_for
 from marginsim.engine import SimulationConfig, compare_strategies, run, train_test_split
 from marginsim.nets import DenseNet, backward
 from marginsim.strategies import FixedMargin, StrategySpec
-from marginsim.traces import Datacenter, HostSpec, HostTrace, MetricKind, TraceSample
+from marginsim.traces import Datacenter, HostSpec, HostTrace, MetricKind, make_series
 
 CPU, RAM = MetricKind.CPU, MetricKind.RAM
 SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "benchmark.cfg"
@@ -117,8 +117,7 @@ def random_dc(rng, name, num_hosts, num_days, step_minutes):
             usage = rng.uniform(0.0, 1.0, steps).tolist()
             pred = np.clip(rng.uniform(0.0, 1.0, steps)
                            + rng.normal(0.0, 0.15, steps), 0.0, 1.0).tolist()
-            series[metric] = [TraceSample(i, usage[i], pred[i])
-                              for i in range(steps)]
+            series[metric] = make_series(usage, pred)
             raw[spec.host_id][metric] = (usage, pred)
         hosts.append(HostTrace(spec, series))
     return Datacenter(name, hosts, step_minutes=step_minutes), raw

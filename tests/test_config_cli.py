@@ -3,6 +3,7 @@
 import csv
 import math
 
+import numpy as np
 import pytest
 
 from marginsim.cli import main
@@ -324,7 +325,9 @@ capacity_file = {tmp_path / "out" / "capacities.csv"}
         loaded_dc = load_scenario(csv_path).build_datacenter()
         assert [h.spec for h in loaded_dc.hosts] == [h.spec for h in synthetic_dc.hosts]
         for a, b in zip(loaded_dc.hosts, synthetic_dc.hosts):
-            assert a.series == b.series
+            assert a.series.keys() == b.series.keys()
+            for m in a.series:
+                assert np.array_equal(a.series[m], b.series[m])
 
 
 class TestTrainEvaluateCommands:

@@ -14,6 +14,7 @@ from marginsim.costs import (
     DEFAULT_DISCOUNT_TIERS,
     CostModel,
     DayLedger,
+    DaySettlement,
     accumulate_violation,
     containers_fitting,
     discount_for,
@@ -201,17 +202,24 @@ class TestViolationClock:
 
 
 class TestDayLedger:
+    """A ledger re-settles: settle_day on the day's counts reproduces it."""
+
+    @staticmethod
+    def resettles(ledger, counts):
+        return settle_day(MODEL, counts, ledger.violation_minutes, 3) == DaySettlement(
+            ledger.potential_saving, ledger.penalty, ledger.net_saving)
+
     def test_validate_round_trip(self):
         counts = [3] * 480
         settled = settle_day(MODEL, counts, 30, 3)
         ledger = DayLedger("h0", 2, 30, settled.potential_saving, settled.penalty,
-                           settled.net_saving, counts)
-        ledger.validate(MODEL, 3)
+                           settled.net_saving)
+        assert ledger.violation_minutes % 3 == 0
+        assert self.resettles(ledger, counts)
 
     def test_validate_catches_tampering(self):
         counts = [3] * 480
         settled = settle_day(MODEL, counts, 30, 3)
         ledger = DayLedger("h0", 2, 30, settled.potential_saving, settled.penalty,
-                           settled.net_saving + 1e-9, counts)
-        with pytest.raises(DomainError):
-            ledger.validate(MODEL, 3)
+                           settled.net_saving + 1e-9)
+        assert not self.resettles(ledger, counts)

@@ -1,5 +1,6 @@
 """Simulator tests against handcrafted traces and a straight-line oracle."""
 
+import csv
 import math
 
 import numpy as np
@@ -18,10 +19,12 @@ from marginsim.engine import (
     _attribute_rewards,
 )
 from marginsim.errors import DomainError
-from marginsim.reporting import build_report, nearest_rank
+from marginsim.reporting import build_report, nearest_rank, write_report_files
 from marginsim.strategies import (
     ErrorFeedbackMargin,
     FixedMargin,
+    LearnedMargin,
+    MarginStrategy,
     RandomMargin,
     StrategySpec,
 )
@@ -30,8 +33,8 @@ from marginsim.traces import (
     HostSpec,
     HostTrace,
     MetricKind,
-    TraceSample,
     generate_synthetic,
+    make_series,
     SyntheticConfig,
 )
 
@@ -44,8 +47,7 @@ def make_dc(host_series, step_minutes=96, cpu=32, ram=128.0):
     for hid in sorted(host_series):
         series = {}
         for m, (usage, pred) in host_series[hid].items():
-            series[m] = [TraceSample(i, float(u), float(p))
-                         for i, (u, p) in enumerate(zip(usage, pred))]
+            series[m] = make_series(usage, pred)
         hosts.append(HostTrace(HostSpec(hid, cpu, ram), series))
     return Datacenter("test", hosts, step_minutes)
 
@@ -147,7 +149,6 @@ class TestRunBasics:
         result = run(dc, CostModel(), sim_for(dc), fixed(0.0))
         assert all(l.violation_minutes == 0 for l in result.ledgers)
         assert all(l.penalty == 0.0 for l in result.ledgers)
-        assert not any(o.violated for o in result.outcomes)
 
     def test_total_underprediction_worst_tier(self):
         dc = flat_dc(1.0, 0.0, days=1)
@@ -175,7 +176,7 @@ class TestRunBasics:
         result = run(dc, CostModel(), sim, fixed(0.0))
         assert result.start_step == 15
         assert [l.day_index for l in result.ledgers] == [1]
-        assert {o.step_index for o in result.outcomes} == set(range(15, 30))
+        assert result.margins.shape == (1, 2, 15)
 
     def test_day_range_beyond_trace(self):
         dc = flat_dc(0.5, 0.5, days=2)
@@ -218,12 +219,13 @@ class TestBruteForceOracle:
         result = run(dc, cost, sim_for(dc),
                      {CPU: FixedMargin(0.10), RAM: FixedMargin(0.05)})
         assert len(result.ledgers) == 6
+        specs = {h.spec.host_id: h.spec for h in dc.hosts}
         for ledger in result.ledgers:
             traces = {m: tuple(arr[ledger.day_index * 15:(ledger.day_index + 1) * 15]
                                for arr in series[ledger.host_id][m])
                       for m in (CPU, RAM)}
             expect = brute_force_host_day(
-                cost, dc.host(ledger.host_id).spec, traces, margins, 96)
+                cost, specs[ledger.host_id], traces, margins, 96)
             assert ledger.potential_saving == expect[0]
             assert ledger.penalty == expect[1]
             assert ledger.net_saving == expect[2]
@@ -238,7 +240,7 @@ class TestBruteForceOracle:
         a = run(dc, CostModel(), sim, strategies())
         b = run(dc, CostModel(), sim, strategies())
         assert a.ledgers == b.ledgers
-        assert a.outcomes == b.outcomes
+        assert np.array_equal(a.margins, b.margins)
 
 
 class TestCausality:
@@ -256,12 +258,101 @@ class TestCausality:
             dc = make_dc(series)
             strategies = {CPU: ErrorFeedbackMargin(), RAM: ErrorFeedbackMargin()}
             result = run(dc, CostModel(), sim_for(dc), strategies)
-            return [o.margins[CPU] for o in result.outcomes]
+            return result.margins[0, 0].tolist()
 
         base = margins_for(usage)
         perturbed = margins_for(bumped)
         assert base[:t_star + 1] == perturbed[:t_star + 1]
         assert base[t_star + 1] != perturbed[t_star + 1]
+
+
+class Recording(MarginStrategy):
+    """Keeps every Observation it receives and the margin it answered."""
+
+    def __init__(self, window):
+        self.window_size = window
+        self.seen = []
+        self.answers = []
+
+    def select(self, obs):
+        self.seen.append(obs)
+        self.answers.append(0.01 * (len(self.seen) % 7))
+        return self.answers[-1]
+
+
+class RecordingLearned(LearnedMargin):
+    def __init__(self, pool, explore):
+        super().__init__(pool, explore)
+        self.seen = []
+
+    def select(self, obs):
+        self.seen.append(obs)
+        return super().select(obs)
+
+
+def padded_window(values, t, start, size):
+    """The `size` values before step t, zero-front-padded back to `start`."""
+    past = list(values[max(start, t - size):t])
+    return tuple([0.0] * (size - len(past)) + past)
+
+
+class TestWindowParity:
+    """Windows and last margins match a direct reading of the trace."""
+
+    START, STEPS = 15, 30  # day_range (1, 3) at 15 steps per day
+
+    def build(self):
+        cfg = SyntheticConfig(seed=13, num_hosts=2, num_days=3, step_minutes=96,
+                              spike_prob_per_step=0.05)
+        return generate_synthetic(cfg)
+
+    def test_windows_and_last_margin(self):
+        dc = self.build()
+        strategies = {CPU: Recording(3), RAM: Recording(7)}
+        sim = SimulationConfig(seed=1, day_range=(1, 3), step_minutes=96)
+        result = run(dc, CostModel(), sim, strategies)
+        hosts = len(dc.hosts)
+        for j, metric in enumerate((CPU, RAM)):
+            strat = strategies[metric]
+            assert len(strat.seen) == self.STEPS * hosts
+            for n, obs in enumerate(strat.seen):
+                r, i = divmod(n, hosts)
+                t = self.START + r
+                series = dc.hosts[i].series[metric]
+                errors = (series["usage"] - series["prediction"]).tolist()
+                assert (obs.host_id, obs.metric) == (dc.hosts[i].spec.host_id, metric)
+                assert obs.error_window == padded_window(
+                    errors, t, self.START, strat.window_size)
+                assert obs.usage_window == padded_window(
+                    series["usage"].tolist(), t, self.START, strat.window_size)
+                assert obs.last_margin == (strat.answers[n - hosts] if r else 0.0)
+                assert result.margins[i, j, r] == strat.answers[n]
+
+    def test_train_next_state_is_next_steps_state(self):
+        dc = self.build()
+        host_ids = [h.spec.host_id for h in dc.hosts]
+        ddpg = DdpgConfig(window=3, batch_size=4, warmup_steps=4, replay_capacity=64,
+                          steps_per_day=15, per_host_agents=True)
+        pool = build_pool(ddpg, CPU, host_ids, 5, 0.01)
+        stored = {hid: [] for hid in host_ids}
+        for hid, agent in pool.items():
+            def record(transition, hid=hid, learn=agent.store_and_learn):
+                stored[hid].append(transition)
+                return learn(transition)
+            agent.store_and_learn = record
+        strategies = {CPU: RecordingLearned(pool, explore=True), RAM: Recording(7)}
+        sim = SimulationConfig(seed=1, day_range=(1, 3), step_minutes=96, mode="train")
+        result = run(dc, CostModel(), sim, strategies)
+        for i, hid in enumerate(host_ids):
+            seen = [obs for obs in strategies[CPU].seen if obs.host_id == hid]
+            transitions = stored[hid]
+            assert len(seen) == len(transitions) == self.STEPS
+            for k, transition in enumerate(transitions):
+                assert np.array_equal(transition.state,
+                                      np.clip(seen[k].error_window, -1.0, 1.0))
+                assert transition.action == result.margins[i, 0, k]
+                if k + 1 < self.STEPS:
+                    assert np.array_equal(transition.next_state, transitions[k + 1].state)
 
 
 class TestConservation:
@@ -303,37 +394,36 @@ class TestConservation:
 
 class TestRewardAttribution:
     def test_violation_spread_splits_penalty(self):
-        rewards = {"h": [1.0, 1.0, 1.0, 1.0]}
-        violated = {"h": [False, True, False, True]}
-        out = _attribute_rewards("violation_spread", rewards, violated, {"h": 0.8})
-        assert out["h"] == [1.0, 0.6, 1.0, 0.6]
+        rewards = [1.0, 1.0, 1.0, 1.0]
+        violated = [False, True, False, True]
+        out = _attribute_rewards("violation_spread", rewards, violated, 0.8)
+        assert out == [1.0, 0.6, 1.0, 0.6]
 
     def test_day_end_lump_hits_last_step(self):
-        rewards = {"h": [1.0, 1.0, 1.0]}
-        violated = {"h": [True, False, False]}
-        out = _attribute_rewards("day_end_lump", rewards, violated, {"h": 0.9})
-        assert out["h"] == [1.0, 1.0, pytest.approx(0.1)]
+        rewards = [1.0, 1.0, 1.0]
+        violated = [True, False, False]
+        out = _attribute_rewards("day_end_lump", rewards, violated, 0.9)
+        assert out == [1.0, 1.0, pytest.approx(0.1)]
 
     def test_zero_penalty_untouched(self):
-        rewards = {"h": [0.5, 0.5]}
-        out = _attribute_rewards("violation_spread", rewards,
-                                 {"h": [False, False]}, {"h": 0.0})
-        assert out["h"] == [0.5, 0.5]
+        rewards = [0.5, 0.5]
+        out = _attribute_rewards("violation_spread", rewards, [False, False], 0.0)
+        assert out == [0.5, 0.5]
 
     @given(seed=st.integers(0, 5000))
     @settings(max_examples=25, deadline=None)
     def test_rewards_sum_to_net(self, seed):
         rng = np.random.default_rng(seed)
         n = 10
-        rewards = {"h": list(rng.uniform(0, 1, size=n))}
-        violated = {"h": list(rng.uniform(size=n) < 0.4)}
-        if not any(violated["h"]):
-            violated["h"][0] = True
+        rewards = list(rng.uniform(0, 1, size=n))
+        violated = list(rng.uniform(size=n) < 0.4)
+        if not any(violated):
+            violated[0] = True
         penalty = float(rng.uniform(0, 2))
-        total = sum(rewards["h"])
+        total = sum(rewards)
         for mode in ("violation_spread", "day_end_lump"):
-            out = _attribute_rewards(mode, rewards, violated, {"h": penalty})
-            assert sum(out["h"]) == pytest.approx(total - penalty, rel=1e-12)
+            out = _attribute_rewards(mode, rewards, violated, penalty)
+            assert sum(out) == pytest.approx(total - penalty, rel=1e-12)
 
 
 class TestTrainMode:
@@ -443,17 +533,23 @@ class TestReportIntegrity:
         assert report.totals.net == sum(
             report.host_totals[h.spec.host_id].net for h in dc.hosts)
 
-    def test_margin_series_complete(self):
+    def test_margin_series_complete(self, tmp_path):
         dc, report, result = self.build_report()
-        for (hid, metric), points in report.margin_series.items():
-            assert [s for s, _ in points] == list(range(960))
-            assert all(v == 0.08 for _, v in points)
+        for (hid, metric), values in report.margin_series.items():
+            assert len(values) == 960
+            assert all(v == 0.08 for v in values)
+        write_report_files(report, tmp_path)
+        with (tmp_path / "margins.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for hid, metric in report.margin_series:
+            steps = [int(r["step"]) for r in rows
+                     if (r["host"], r["metric"]) == (hid, metric.value)]
+            assert steps == list(range(960))
 
     def test_percentiles_recompute(self):
         dc, report, _ = self.build_report()
         for summary in report.margin_summaries:
-            points = report.margin_series[(summary.host_id, summary.metric)]
-            values = sorted(v for _, v in points)
+            values = sorted(report.margin_series[(summary.host_id, summary.metric)].tolist())
             n = len(values)
             assert summary.minimum == values[0]
             assert summary.median == values[max(1, math.ceil(0.5 * n)) - 1]

@@ -13,18 +13,18 @@ from marginsim.traces import (
     HostTrace,
     MetricKind,
     SyntheticConfig,
-    TraceSample,
     error_cdf,
     generate_synthetic,
     load_capacities,
     load_traces,
+    make_series,
     write_capacities,
     write_traces,
 )
 
 
 def flat_series(n, usage, prediction):
-    return [TraceSample(i, usage, prediction) for i in range(n)]
+    return make_series([usage] * n, [prediction] * n)
 
 
 def make_dc(num_hosts=2, steps=480, usage=0.3, prediction=0.3):
@@ -42,12 +42,11 @@ class TestValidation:
         make_dc().validate()
 
     def test_sample_ranges(self):
-        with pytest.raises(DomainError):
-            TraceSample(0, 1.2, 0.5).validate()
-        with pytest.raises(DomainError):
-            TraceSample(0, 0.5, -0.1).validate()
-        with pytest.raises(DomainError):
-            TraceSample(-1, 0.5, 0.5).validate()
+        for field, value in (("usage", 1.2), ("prediction", -0.1), ("usage", math.nan)):
+            dc = make_dc()
+            dc.hosts[0].series[MetricKind.CPU][field][7] = value
+            with pytest.raises(DomainError, match="step 7"):
+                dc.validate()
 
     def test_partial_day_rejected(self):
         dc = make_dc(steps=470)
@@ -63,13 +62,6 @@ class TestValidation:
     def test_missing_metric_rejected(self):
         dc = make_dc()
         del dc.hosts[0].series[MetricKind.RAM]
-        with pytest.raises(TraceSchemaError):
-            dc.validate()
-
-    def test_non_contiguous_steps_rejected(self):
-        dc = make_dc()
-        series = dc.hosts[0].series[MetricKind.CPU]
-        series[5] = TraceSample(99, 0.3, 0.3)
         with pytest.raises(TraceSchemaError):
             dc.validate()
 
@@ -95,14 +87,15 @@ class TestSynthetic:
         for ha, hb in zip(a.hosts, b.hosts):
             assert ha.spec == hb.spec
             for m in MetricKind:
-                assert ha.series[m] == hb.series[m]
+                assert np.array_equal(ha.series[m], hb.series[m])
 
     def test_seed_changes_trace(self):
         base = SyntheticConfig(seed=11, num_hosts=1, num_days=1)
         other = SyntheticConfig(seed=12, num_hosts=1, num_days=1)
         a = generate_synthetic(base)
         b = generate_synthetic(other)
-        assert a.hosts[0].series[MetricKind.CPU] != b.hosts[0].series[MetricKind.CPU]
+        assert not np.array_equal(a.hosts[0].series[MetricKind.CPU],
+                                  b.hosts[0].series[MetricKind.CPU])
 
     def test_shape_and_validity(self):
         cfg = SyntheticConfig(seed=5, num_hosts=4, num_days=3, spike_prob_per_step=0.02)
@@ -122,8 +115,8 @@ class TestSynthetic:
                               prediction_bias=0.0, prediction_noise_sigma=0.0)
         dc = generate_synthetic(cfg)
         series = dc.hosts[0].series[MetricKind.CPU]
-        usage = np.array([s.usage for s in series])
-        pred = np.array([s.prediction for s in series])
+        usage = series["usage"]
+        pred = series["prediction"]
         w = cfg.smoothing_window
         for t in range(1, len(series)):
             window = usage[max(0, t - w):t]
@@ -140,9 +133,9 @@ class TestSynthetic:
                               noise_ar_coeff=0.5, spike_prob_per_step=0.0,
                               prediction_bias=0.0, prediction_noise_sigma=0.05)
         dc = generate_synthetic(cfg)
-        errors = np.array([
-            s.usage - s.prediction
-            for h in dc.hosts for m in MetricKind for s in h.series[m]
+        errors = np.concatenate([
+            h.series[m]["usage"] - h.series[m]["prediction"]
+            for h in dc.hosts for m in MetricKind
         ])
         assert abs(errors.std() - 0.05) / 0.05 < 0.15
 
@@ -169,7 +162,7 @@ class TestCsvRoundTrip:
         assert [h.spec for h in loaded.hosts] == [h.spec for h in dc.hosts]
         for a, b in zip(loaded.hosts, dc.hosts):
             for m in MetricKind:
-                assert a.series[m] == b.series[m]
+                assert np.array_equal(a.series[m], b.series[m])
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         cfg = SyntheticConfig(seed=9, num_hosts=2, num_days=1)
@@ -196,11 +189,12 @@ class TestCsvRoundTrip:
 
     def test_out_of_range_value_names_line(self, tmp_path):
         p = tmp_path / "t.csv"
-        p.write_text("host_id,metric,step,usage,prediction\nh0,cpu,0,1.5,0.5\n")
         caps = {"h0": HostSpec("h0", 8, 64.0)}
-        with pytest.raises(TraceParseError) as err:
-            load_traces(p, caps, 3)
-        assert ":2:" in str(err.value)
+        for row in ("h0,cpu,0,1.5,0.5", "h0,cpu,-1,0.5,0.5"):
+            p.write_text(f"host_id,metric,step,usage,prediction\n{row}\n")
+            with pytest.raises(TraceParseError) as err:
+                load_traces(p, caps, 3)
+            assert ":2:" in str(err.value)
 
     def test_missing_capacity_entry(self, tmp_path):
         cfg = SyntheticConfig(seed=9, num_hosts=1, num_days=1)
@@ -227,6 +221,20 @@ class TestCsvRoundTrip:
         with pytest.raises(TraceSchemaError):
             load_traces(p, caps, 3)
 
+    def test_missing_step_names_file_host_metric_and_step(self, tmp_path):
+        rows = ["host_id,metric,step,usage,prediction"]
+        for m in ("cpu", "ram"):
+            rows += [f"h0,{m},{i},0.5,0.5" for i in range(480) if (m, i) != ("cpu", 5)]
+        p = tmp_path / "gap.csv"
+        p.write_text("\n".join(rows) + "\n")
+        caps = {"h0": HostSpec("h0", 8, 64.0)}
+        with pytest.raises(TraceSchemaError) as err:
+            load_traces(p, caps, 3)
+        message = str(err.value)
+        assert str(p) in message
+        assert "h0/cpu" in message
+        assert "missing step 5" in message
+
     def test_capacity_file_errors(self, tmp_path):
         p = tmp_path / "caps.csv"
         p.write_text("host_id,cpu_cores\nh0,8\n")
@@ -246,10 +254,8 @@ class TestCsvRoundTrip:
 
 class TestErrorCdf:
     def test_hand_counted(self):
-        samples = [TraceSample(0, 0.5, 0.4),   # error 0.1
-                   TraceSample(1, 0.5, 0.4),   # error 0.1
-                   TraceSample(2, 0.8, 0.5),   # error 0.3
-                   TraceSample(3, 0.2, 0.4)]   # negative, excluded
+        samples = make_series([0.5, 0.5, 0.8, 0.2],   # errors 0.1, 0.1, 0.3 and
+                              [0.4, 0.4, 0.5, 0.4])   # a negative one, excluded
         host = HostTrace(HostSpec("h0", 8, 64.0),
                          {MetricKind.CPU: samples,
                           MetricKind.RAM: flat_series(4, 0.2, 0.4)})
@@ -273,7 +279,8 @@ class TestErrorCdf:
         cdf = error_cdf(dc, MetricKind.CPU)
         for host in dc.hosts:
             hid = host.spec.host_id
-            errors = [s.usage - s.prediction for s in host.series[MetricKind.CPU]]
+            series = host.series[MetricKind.CPU]
+            errors = (series["usage"] - series["prediction"]).tolist()
             positive = [e for e in errors if e > 0]
             brute = sum(1 for e in positive if e <= 0.05) / len(positive)
             assert abs(brute - 0.69) < 0.05
@@ -284,7 +291,7 @@ class TestErrorCdf:
         st.floats(min_value=0, max_value=1, allow_nan=False),
         st.floats(min_value=0, max_value=1, allow_nan=False)), min_size=1, max_size=50))
     def test_monotone_cdf(self, pairs):
-        samples = [TraceSample(i, u, p) for i, (u, p) in enumerate(pairs)]
+        samples = make_series([u for u, _ in pairs], [p for _, p in pairs])
         host = HostTrace(HostSpec("h0", 8, 64.0),
                          {MetricKind.CPU: samples, MetricKind.RAM: samples})
         dc = Datacenter("t", [host], 3)
