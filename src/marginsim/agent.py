@@ -120,16 +120,25 @@ class OuProcess:
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring buffer with uniform sampling (with replacement)."""
+    """Fixed-capacity ring buffer with uniform sampling (with replacement).
+
+    Each transition is one row of `rows`: state, action, next state, one
+    spare column, reward.  `states`, `actions`, `next_states` and `rewards`
+    are column views of `rows`.  Sampling gathers whole rows, so a batch
+    already holds the critic's (state, action) input, and its next state and
+    spare column become the target critic's input (see `Batch`).
+    """
 
     def __init__(self, capacity: int, state_dim: int, seed: int):
         if capacity < 1:
             raise DomainError("capacity must be >= 1")
         self.capacity = capacity
-        self.states = np.zeros((capacity, state_dim))
-        self.actions = np.zeros(capacity)
-        self.rewards = np.zeros(capacity)
-        self.next_states = np.zeros((capacity, state_dim))
+        self.state_dim = state_dim
+        self.rows = np.zeros((capacity, 2 * state_dim + 3))
+        self.states = self.rows[:, :state_dim]
+        self.actions = self.rows[:, state_dim]
+        self.next_states = self.rows[:, state_dim + 1:2 * state_dim + 1]
+        self.rewards = self.rows[:, -1]
         self.size = 0
         self.insert_pos = 0
         self.rng = np.random.default_rng(seed)
@@ -143,12 +152,33 @@ class ReplayBuffer:
         self.insert_pos = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
-    def sample(self, n: int):
+    def sample(self, n: int) -> "Batch":
         if self.size == 0:
             raise DomainError("cannot sample from an empty buffer")
         idx = self.rng.integers(0, self.size, size=n)
-        return (self.states[idx], self.actions[idx], self.rewards[idx],
-                self.next_states[idx])
+        return Batch(self.rows[idx], self.state_dim)
+
+
+class Batch:
+    """Replay rows drawn by `ReplayBuffer.sample`, laid out like its `rows`.
+
+    Unpacks to (states, actions, rewards, next_states); all are views into
+    `rows`.  `critic_in` is the (n, window + 1) (state, action) block and
+    `target_in` the (n, window + 1) (next state, spare) block.
+    """
+
+    def __init__(self, rows: np.ndarray, state_dim: int):
+        w = state_dim
+        self.rows = rows
+        self.critic_in = rows[:, :w + 1]
+        self.target_in = rows[:, w + 1:2 * w + 2]
+        self.states = rows[:, :w]
+        self.actions = rows[:, w]
+        self.next_states = rows[:, w + 1:2 * w + 1]
+        self.rewards = rows[:, -1]
+
+    def __iter__(self):
+        return iter((self.states, self.actions, self.rewards, self.next_states))
 
 
 def squash(raw):
@@ -226,7 +256,7 @@ class DdpgAgent:
         self.store_calls += 1
         if self.replay.size >= max(self.config.batch_size, self.config.warmup_steps):
             batch = self.replay.sample(self.config.batch_size)
-            if all(np.isfinite(part).all() for part in batch):
+            if np.isfinite(batch.rows).all():
                 try:
                     stats.critic_loss, stats.actor_q = self._update(batch)
                     stats.updated = True
@@ -239,42 +269,53 @@ class DdpgAgent:
             clone_into(self.critic, self.target_critic)
         return stats
 
-    def _update(self, batch) -> tuple[float, float]:
-        states, actions, rewards, next_states = batch
-        targets = self._critic_targets(rewards, next_states)
-        critic_in = np.hstack([states, actions[:, None]])
-        q = self.critic.forward(critic_in)[:, 0]
-        loss, dq = self.loss_fn(targets, q)
-        critic_grads, _ = backward(self.critic, critic_in, dq[:, None])
-        adam_step(self.critic, self.critic_opt, critic_grads)
-        actor_grads, mean_q = self._actor_gradients(states)
-        ascent = [(-dw, -db) for dw, db in actor_grads]
-        adam_step(self.actor, self.actor_opt, ascent)
+    def _update(self, batch: Batch) -> tuple[float, float]:
+        """One critic then one actor step on `batch`: five forward passes,
+        each reused by the backward pass and the statistics that need it.
+
+        Overwrites the batch's spare and action columns.
+        """
+        targets = self._critic_targets(batch)
+        critic_in = batch.critic_in
+        trace = self.critic.forward_trace(critic_in)
+        loss, dq = self.loss_fn(targets, trace[-1][:, 0])
+        critic_grads, _ = backward(self.critic, critic_in, dq[:, None], trace)
+        adam_step(self.critic, self.critic_opt, critic_grads.vector)
+        # The critic step is done with critic_in; its action column now
+        # takes the policy's actions.
+        actor_grads, mean_q = self._actor_gradients(critic_in)
+        adam_step(self.actor, self.actor_opt, -actor_grads.vector)
         return loss, mean_q
 
-    def _critic_targets(self, rewards, next_states) -> np.ndarray:
-        raw_next = self.target_actor.forward(next_states)
-        next_actions = np.clip(squash(raw_next), 0.0, MARGIN_MAX)
-        q_next = self.target_critic.forward(np.hstack([next_states, next_actions]))[:, 0]
-        return rewards + self.config.discount * q_next
+    def _critic_targets(self, batch: Batch) -> np.ndarray:
+        raw_next = self.target_actor.forward(batch.next_states)
+        target_in = batch.target_in
+        np.clip(squash(raw_next), 0.0, MARGIN_MAX, out=target_in[:, -1:])
+        q_next = self.target_critic.forward(target_in)[:, 0]
+        return batch.rewards + self.config.discount * q_next
 
-    def _actor_gradients(self, states):
-        """Gradients of mean Q(s, policy(s)) w.r.t. actor parameters.
+    def _actor_gradients(self, critic_in):
+        """Gradients of mean Q(s, policy(s)) w.r.t. actor parameters, and
+        that mean.
 
+        `critic_in` is an (n, window + 1) array whose first columns are the
+        states; its last column is overwritten with the policy's actions.
         The chain runs through the critic's action input and the logistic
         squash; the upper clamp gates the gradient to zero where it binds,
         matching finite differences of the applied action exactly.
         """
+        states = critic_in[:, :-1]
         n = states.shape[0]
-        raw = self.actor.forward(states)
-        sig = squash(raw)
-        policy_actions = np.clip(sig, 0.0, MARGIN_MAX)
-        critic_in = np.hstack([states, policy_actions])
-        _, input_grad = backward(self.critic, critic_in, np.full((n, 1), 1.0 / n))
+        actor_trace = self.actor.forward_trace(states)
+        sig = squash(actor_trace[-1])
+        np.clip(sig, 0.0, MARGIN_MAX, out=critic_in[:, -1:])
+        critic_trace = self.critic.forward_trace(critic_in)
+        _, input_grad = backward(self.critic, critic_in, np.full((n, 1), 1.0 / n),
+                                 critic_trace)
         gate = (sig <= MARGIN_MAX).astype(float)
         d_raw = input_grad[:, -1:] * sig * (1.0 - sig) * gate
-        grads, _ = backward(self.actor, states, d_raw)
-        mean_q = float(self.critic.forward(critic_in)[:, 0].mean())
+        grads, _ = backward(self.actor, states, d_raw, actor_trace)
+        mean_q = float(critic_trace[-1][:, 0].mean())
         return grads, mean_q
 
     def save(self, path: str | Path) -> None:

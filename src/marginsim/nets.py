@@ -3,7 +3,9 @@
 Everything is float64 numpy.  Forward accepts a single input vector or a
 batch matrix (rows are samples); `backward` returns exact reverse-mode
 gradients of sum(output * upstream) together with the gradient w.r.t. the
-input, so callers choose the loss by choosing the upstream term.  Parameters
+input, so callers choose the loss by choosing the upstream term.  Each
+network keeps its parameters in one flat vector with per-layer views, so the
+Adam step and target copies are whole-vector operations.  Parameters
 serialize to a self-describing text format whose decimal literals round-trip
 float64 exactly.
 """
@@ -36,8 +38,22 @@ class Layer:
                 f"{self.weights.shape[0]} output units")
 
 
+def as_batch(x) -> np.ndarray:
+    """`x` as a 2-D float64 array; a vector becomes one row.  A 2-D float64
+    array is returned as it is, without a copy."""
+    if isinstance(x, np.ndarray) and x.ndim == 2 and x.dtype == np.float64:
+        return x
+    return np.atleast_2d(np.asarray(x, dtype=float))
+
+
 class DenseNet:
-    """A stack of fully connected layers."""
+    """A stack of fully connected layers.
+
+    All parameters live in one flat float64 vector, `params`: layer by
+    layer, each layer's weights (row-major) and then its bias.  Each layer's
+    `weights` (out, in) and `bias` (out,) are views into it, so in-place
+    edits of either are edits of `params`.
+    """
 
     def __init__(self, layers: list[Layer]):
         if not layers:
@@ -49,14 +65,31 @@ class DenseNet:
                     f"previous output width {prev.weights.shape[0]}")
         for layer in layers:
             layer.validate()
-        self.layers = layers
+        self.shapes = [layer.weights.shape for layer in layers]
+        self.params = np.empty(sum(out * inp + out for out, inp in self.shapes))
+        self.layers = []
+        for (weights, bias), layer in zip(self.views(self.params), layers):
+            weights[...] = layer.weights
+            bias[...] = layer.bias
+            self.layers.append(Layer(weights, bias, layer.activation))
+
+    def views(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """One (weights, bias) pair of views per layer into a flat vector
+        laid out like `params`."""
+        pairs = []
+        start = 0
+        for out, inp in self.shapes:
+            stop = start + out * inp
+            pairs.append((flat[start:stop].reshape(out, inp), flat[stop:stop + out]))
+            start = stop + out
+        return pairs
 
     @property
     def input_dim(self) -> int:
-        return self.layers[0].weights.shape[1]
+        return self.shapes[0][1]
 
     def dims(self) -> list[int]:
-        return [self.input_dim] + [layer.weights.shape[0] for layer in self.layers]
+        return [self.input_dim] + [out for out, _ in self.shapes]
 
     def activations(self) -> list[str]:
         return [layer.activation for layer in self.layers]
@@ -77,52 +110,66 @@ class DenseNet:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Output for a vector (in,) -> (out,) or a batch (n, in) -> (n, out)."""
-        acts, _ = self.forward_trace(x)
-        return acts[-1] if x.ndim == 2 else acts[-1][0]
+        out = self.forward_trace(x)[-1]
+        return out if x.ndim == 2 else out[0]
 
-    def forward_trace(self, x: np.ndarray):
-        """Forward pass keeping intermediates; returns (activations, preacts).
+    def forward_trace(self, x: np.ndarray) -> list[np.ndarray]:
+        """Forward pass keeping every layer's activation, input first.
 
-        activations[0] is the (possibly promoted to 2-D) input; both lists
-        are in batch form regardless of the input's shape.
+        The input is promoted to a (1, in) batch if it is a vector; every
+        activation is in batch form.  `backward` takes this list to reuse
+        the pass instead of rerunning it.
         """
-        a = np.atleast_2d(np.asarray(x, dtype=float))
+        a = as_batch(x)
         if a.shape[1] != self.input_dim:
             raise DomainError(f"input width {a.shape[1]}, network expects {self.input_dim}")
         acts = [a]
-        preacts = []
         for layer in self.layers:
-            z = a @ layer.weights.T + layer.bias
-            preacts.append(z)
-            a = np.maximum(z, 0.0) if layer.activation == "relu" else z
+            a = a @ layer.weights.T
+            a += layer.bias
+            if layer.activation == "relu":
+                np.maximum(a, 0.0, out=a)
             acts.append(a)
-        return acts, preacts
+        return acts
 
 
-def backward(net: DenseNet, x: np.ndarray, upstream: np.ndarray):
+class Gradients(list):
+    """One (dW, db) pair per layer, all views into `vector`, a flat vector
+    laid out like `DenseNet.params`."""
+
+    def __init__(self, net: DenseNet, vector: np.ndarray):
+        super().__init__(net.views(vector))
+        self.vector = vector
+
+
+def backward(net: DenseNet, x: np.ndarray, upstream: np.ndarray, trace=None):
     """Exact gradients of sum(output * upstream) w.r.t. parameters and input.
 
-    Returns (grads, input_grad) where grads is one (dW, db) pair per layer.
-    ReLU uses subgradient 0 at 0.  Batch inputs sum gradients over the batch;
-    divide upstream by the batch size first to get means.
+    Returns (grads, input_grad) where grads is a `Gradients`, one (dW, db)
+    pair per layer.  `trace` is `net.forward_trace(x)` when the caller has
+    already run it with the current parameters; without it, that pass runs
+    here.  ReLU uses subgradient 0 at 0.  Batch inputs sum gradients over
+    the batch; divide upstream by the batch size first to get means.
     """
-    single = np.asarray(x).ndim == 1
-    acts, preacts = net.forward_trace(x)
-    g = np.atleast_2d(np.asarray(upstream, dtype=float))
+    acts = net.forward_trace(x) if trace is None else trace
+    g = as_batch(upstream)
     if g.shape != acts[-1].shape:
         raise DomainError(f"upstream shape {g.shape} does not match output {acts[-1].shape}")
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(net.layers)
+    grads = Gradients(net, np.empty(net.params.size))
     for k in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[k]
         if layer.activation == "relu":
-            g = g * (preacts[k] > 0.0)
-        grads[k] = (g.T @ acts[k], g.sum(axis=0))
+            g = g * (acts[k + 1] > 0.0)
+        dw, db = grads[k]
+        np.matmul(g.T, acts[k], out=dw)
+        np.add.reduce(g, axis=0, out=db)
         g = g @ layer.weights
-    return grads, (g[0] if single else g)
+    return grads, (g if np.ndim(x) == 2 else g[0])
 
 
 class AdamState:
-    """Adam moments for one network (beta1=0.9, beta2=0.999, eps=1e-8)."""
+    """Adam moments for one network (beta1=0.9, beta2=0.999, eps=1e-8),
+    flat vectors laid out like `DenseNet.params`."""
 
     def __init__(self, net: DenseNet, learning_rate: float):
         if learning_rate <= 0:
@@ -132,46 +179,51 @@ class AdamState:
         self.beta2 = 0.999
         self.eps = 1e-8
         self.step_count = 0
-        self.m = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in net.layers]
-        self.v = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in net.layers]
+        self.m = np.zeros_like(net.params)
+        self.v = np.zeros_like(net.params)
 
 
 def adam_step(net: DenseNet, state: AdamState, grads) -> None:
-    """One bias-corrected Adam update in place; rejects non-finite gradients."""
-    if len(grads) != len(net.layers):
-        raise DomainError(f"got {len(grads)} gradient pairs for {len(net.layers)} layers")
-    for (dw, db), layer in zip(grads, net.layers):
-        if dw.shape != layer.weights.shape or db.shape != layer.bias.shape:
-            raise DomainError("gradient shapes do not match the network")
-        if not (np.isfinite(dw).all() and np.isfinite(db).all()):
-            raise NonFiniteGradientError("non-finite gradient; update rejected")
+    """One bias-corrected Adam update in place; rejects non-finite gradients.
+
+    `grads` is a flat vector laid out like `net.params`, or one (dW, db)
+    pair per layer.
+    """
+    if isinstance(grads, np.ndarray):
+        grad = grads
+        if grad.shape != net.params.shape:
+            raise DomainError(f"gradient vector shape {grad.shape} does not match "
+                              f"{net.params.size} parameters")
+    else:
+        if len(grads) != len(net.layers):
+            raise DomainError(f"got {len(grads)} gradient pairs for {len(net.layers)} layers")
+        for (dw, db), layer in zip(grads, net.layers):
+            if np.shape(dw) != layer.weights.shape or np.shape(db) != layer.bias.shape:
+                raise DomainError("gradient shapes do not match the network")
+        grad = np.concatenate([np.ravel(part) for pair in grads for part in pair])
+    if not np.isfinite(grad).all():
+        raise NonFiniteGradientError("non-finite gradient; update rejected")
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
-    scale1 = 1.0 - b1 ** t
-    scale2 = 1.0 - b2 ** t
-    for i, ((dw, db), layer) in enumerate(zip(grads, net.layers)):
-        for grad, param, m, v in ((dw, layer.weights, state.m[i][0], state.v[i][0]),
-                                  (db, layer.bias, state.m[i][1], state.v[i][1])):
-            m *= b1
-            m += (1.0 - b1) * grad
-            v *= b2
-            v += (1.0 - b2) * grad * grad
-            param -= state.learning_rate * (m / scale1) / (np.sqrt(v / scale2) + state.eps)
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * grad
+    v *= b2
+    v += (1.0 - b2) * grad * grad
+    net.params -= (state.learning_rate * (m / (1.0 - b1 ** t))
+                   / (np.sqrt(v / (1.0 - b2 ** t)) + state.eps))
 
 
 def clone_into(source: DenseNet, target: DenseNet) -> None:
     """Hard-copy source parameters into target (by value)."""
-    if source.dims() != target.dims() or source.activations() != target.activations():
+    if source.shapes != target.shapes or source.activations() != target.activations():
         raise DomainError("cannot copy between different architectures")
-    for src, dst in zip(source.layers, target.layers):
-        dst.weights[...] = src.weights
-        dst.bias[...] = src.bias
+    target.params[...] = source.params
 
 
 def clone_net(source: DenseNet) -> DenseNet:
-    layers = [Layer(l.weights.copy(), l.bias.copy(), l.activation) for l in source.layers]
-    return DenseNet(layers)
+    return DenseNet(source.layers)
 
 
 def mae_loss(targets: np.ndarray, predictions: np.ndarray):
@@ -254,7 +306,6 @@ def load_network(fh) -> DenseNet:
     if next_line("end marker") != "end":
         raise CheckpointError("missing 'end' marker")
     net = DenseNet(layers)
-    for layer in net.layers:
-        if not (np.isfinite(layer.weights).all() and np.isfinite(layer.bias).all()):
-            raise CheckpointError("non-finite parameter in checkpoint")
+    if not np.isfinite(net.params).all():
+        raise CheckpointError("non-finite parameter in checkpoint")
     return net

@@ -11,6 +11,9 @@ fresh sweep of every fixed margin from 0% to 20%.
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -244,6 +247,27 @@ def test_criterion_5_pipeline_rerun_is_byte_identical(benchmark_run, tmp_path_fa
         assert first.keys() == second.keys()
         for rel in first:
             assert first[rel] == second[rel], f"{rel} differs between reruns"
+
+
+def test_smoke_pipeline_output_is_independent_of_hash_seed(tmp_path):
+    # Criterion 5 reruns in one process, so it cannot see output that
+    # depends on Python's per-process string hash (set iteration order);
+    # this runs the pipeline in two processes with different hash seeds.
+    script = SCENARIO.parent.parent / "scripts" / "run_benchmark.py"
+    trees = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"hashseed{hash_seed}"
+        done = subprocess.run(
+            [sys.executable, str(script), str(SCENARIO.parent / "smoke.cfg"),
+             "--output-dir", str(out), "--clean"],
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+            capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr[-2000:]
+        trees.append(tree_bytes(out))
+    assert trees[0].keys() == trees[1].keys()
+    assert "training_log.csv" in trees[0]
+    for rel in trees[0]:
+        assert trees[0][rel] == trees[1][rel], f"{rel} depends on PYTHONHASHSEED"
 
 
 # --- criterion 6: trained policy ranks where it should --------------------

@@ -20,6 +20,7 @@ from marginsim.agent import (
     build_pool,
 )
 from marginsim.errors import CheckpointError, DomainError
+from marginsim.nets import clone_into
 from marginsim.seeds import subseed
 from marginsim.strategies import MARGIN_MAX
 from marginsim.traces import MetricKind
@@ -34,6 +35,11 @@ def tiny_config(**overrides):
 
 def random_states(seed, n, window):
     return np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, window))
+
+
+def with_action_column(states):
+    """The (n, window + 1) critic input `_actor_gradients` fills in."""
+    return np.hstack([states, np.full((states.shape[0], 1), np.nan)])
 
 
 class TestConfig:
@@ -256,7 +262,7 @@ class TestActorGradient:
     def test_matches_finite_differences(self, seed):
         agent = DdpgAgent.create(tiny_config(), seed=100 + seed)
         states = random_states(200 + seed, 4, 4)
-        analytic, _ = agent._actor_gradients(states)
+        analytic, _ = agent._actor_gradients(with_action_column(states))
 
         def objective():
             raw = agent.actor.forward(states)
@@ -285,11 +291,156 @@ class TestActorGradient:
     def test_mean_q_reported(self):
         agent = DdpgAgent.create(tiny_config(), seed=27)
         states = random_states(28, 8, 4)
-        _, mean_q = agent._actor_gradients(states)
+        _, mean_q = agent._actor_gradients(with_action_column(states))
         raw = agent.actor.forward(states)
         act = np.clip(1.0 / (1.0 + np.exp(-raw)), 0.0, MARGIN_MAX)
         q = agent.critic.forward(np.hstack([states, act]))[:, 0]
         assert mean_q == pytest.approx(float(q.mean()), rel=1e-12)
+
+
+# A straight-line reference of the batch update, sharing no code with the
+# agent: per-layer arrays, a forward pass wherever one is needed (eight per
+# update), backward passes that rerun their forward, per-tensor Adam, and
+# contiguous critic inputs built with hstack.
+
+def ref_forward(layers, x):
+    acts, preacts = [x], []
+    for w, b, activation in layers:
+        z = acts[-1] @ w.T + b
+        preacts.append(z)
+        acts.append(np.maximum(z, 0.0) if activation == "relu" else z)
+    return acts, preacts
+
+
+def ref_backward(layers, x, upstream):
+    acts, preacts = ref_forward(layers, x)
+    g = upstream
+    grads = [None] * len(layers)
+    for k in range(len(layers) - 1, -1, -1):
+        w, _, activation = layers[k]
+        if activation == "relu":
+            g = g * (preacts[k] > 0.0)
+        grads[k] = (g.T @ acts[k], g.sum(axis=0))
+        g = g @ w
+    return grads, g
+
+
+class RefAdam:
+    def __init__(self, layers, lr):
+        self.lr, self.t = lr, 0
+        self.m = [(np.zeros_like(w), np.zeros_like(b)) for w, b, _ in layers]
+        self.v = [(np.zeros_like(w), np.zeros_like(b)) for w, b, _ in layers]
+
+    def step(self, layers, grads):
+        self.t += 1
+        s1, s2 = 1.0 - 0.9 ** self.t, 1.0 - 0.999 ** self.t
+        for i, (w, b, _) in enumerate(layers):
+            for j, param in enumerate((w, b)):
+                grad, m, v = grads[i][j], self.m[i][j], self.v[i][j]
+                m *= 0.9
+                m += (1.0 - 0.9) * grad
+                v *= 0.999
+                v += (1.0 - 0.999) * grad * grad
+                param -= self.lr * (m / s1) / (np.sqrt(v / s2) + 1e-8)
+
+
+class RefLearner:
+    def __init__(self, agent):
+        def copy(net):
+            return [(l.weights.copy(), l.bias.copy(), l.activation) for l in net.layers]
+
+        self.actor, self.critic = copy(agent.actor), copy(agent.critic)
+        self.target_actor = copy(agent.target_actor)
+        self.target_critic = copy(agent.target_critic)
+        lr = agent.config.learning_rate
+        self.actor_opt, self.critic_opt = RefAdam(self.actor, lr), RefAdam(self.critic, lr)
+        self.discount = agent.config.discount
+        self.loss = agent.config.critic_loss
+        self.gate_bound = self.gate_open = 0
+
+    def hard_copy(self):
+        for dst, src in ((self.target_actor, self.actor), (self.target_critic, self.critic)):
+            for (dw, db, _), (sw, sb, _) in zip(dst, src):
+                dw[...] = sw
+                db[...] = sb
+
+    def update(self, states, actions, rewards, next_states):
+        def squash(raw):
+            return 1.0 / (1.0 + np.exp(-raw))
+
+        raw_next = ref_forward(self.target_actor, next_states)[0][-1]
+        next_actions = np.clip(squash(raw_next), 0.0, MARGIN_MAX)
+        target_in = np.hstack([next_states, next_actions])
+        q_next = ref_forward(self.target_critic, target_in)[0][-1][:, 0]
+        targets = rewards + self.discount * q_next
+        critic_in = np.hstack([states, actions[:, None]])
+        q = ref_forward(self.critic, critic_in)[0][-1][:, 0]
+        diff = q - targets
+        if self.loss == "mse":
+            loss, dq = float((diff * diff).mean()), 2.0 * diff / diff.size
+        else:
+            loss, dq = float(np.abs(diff).mean()), np.sign(diff) / diff.size
+        grads, _ = ref_backward(self.critic, critic_in, dq[:, None])
+        self.critic_opt.step(self.critic, grads)
+
+        n = states.shape[0]
+        sig = squash(ref_forward(self.actor, states)[0][-1])
+        self.gate_bound += int((sig > MARGIN_MAX).sum())
+        self.gate_open += int((sig <= MARGIN_MAX).sum())
+        policy_in = np.hstack([states, np.clip(sig, 0.0, MARGIN_MAX)])
+        _, input_grad = ref_backward(self.critic, policy_in, np.full((n, 1), 1.0 / n))
+        gate = (sig <= MARGIN_MAX).astype(float)
+        d_raw = input_grad[:, -1:] * sig * (1.0 - sig) * gate
+        actor_grads, _ = ref_backward(self.actor, states, d_raw)
+        mean_q = float(ref_forward(self.critic, policy_in)[0][-1][:, 0].mean())
+        self.actor_opt.step(self.actor, [(-dw, -db) for dw, db in actor_grads])
+        return loss, mean_q
+
+
+def packed(arrays):
+    return b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
+
+
+class TestLeanUpdateParity:
+    """The agent's update equals the straight-line reference byte for byte."""
+
+    @pytest.mark.parametrize("critic_loss", ["mse", "mae"])
+    def test_matches_reference_exactly(self, critic_loss):
+        config = tiny_config(batch_size=16, replay_capacity=256, discount=0.9,
+                             learning_rate=0.01, critic_loss=critic_loss)
+        agent = DdpgAgent.create(config, seed=40)
+        # Start the policy near the clamp so some rows have sig > MARGIN_MAX.
+        agent.actor.layers[-1].bias[:] = 4.6
+        ref = RefLearner(agent)
+        rng = np.random.default_rng(41)
+
+        def add_transition():
+            agent.replay.add(Transition(rng.uniform(-1, 1, size=4),
+                                        float(rng.uniform(0, MARGIN_MAX)),
+                                        float(rng.normal()), rng.uniform(-1, 1, size=4)))
+
+        for _ in range(40):
+            add_transition()
+        for i in range(50):
+            add_transition()
+            batch = agent.replay.sample(config.batch_size)
+            parts = [np.array(part) for part in batch]
+            assert agent._update(batch) == ref.update(*parts)
+            if i % 10 == 9:
+                clone_into(agent.actor, agent.target_actor)
+                clone_into(agent.critic, agent.target_critic)
+                ref.hard_copy()
+            for net, layers in ((agent.actor, ref.actor), (agent.critic, ref.critic),
+                                (agent.target_actor, ref.target_actor),
+                                (agent.target_critic, ref.target_critic)):
+                assert packed([net.params]) == packed(
+                    a for w, b, _ in layers for a in (w, b))
+            for opt, ref_opt in ((agent.actor_opt, ref.actor_opt),
+                                 (agent.critic_opt, ref.critic_opt)):
+                assert opt.step_count == ref_opt.t
+                assert packed([opt.m]) == packed(a for pair in ref_opt.m for a in pair)
+                assert packed([opt.v]) == packed(a for pair in ref_opt.v for a in pair)
+        assert ref.gate_bound > 0 and ref.gate_open > 0
 
 
 class TestCheckpoint:

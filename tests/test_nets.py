@@ -7,6 +7,7 @@ finite differences, so the analytic backprop is verified independently.
 
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -357,3 +358,104 @@ class TestCheckpoint:
         body = buf.getvalue().rsplit("end\n", 1)[0]
         with pytest.raises(CheckpointError):
             load_network(io.StringIO(body))
+
+
+class TestFlatParameters:
+    """Parameters and Adam moments are flat vectors with per-layer views."""
+
+    def test_layers_are_views_of_params(self):
+        net = small_net(40, dims=(5, 7, 3, 1), activations=("relu", "relu", "linear"))
+        start = 0
+        for layer in net.layers:
+            assert np.shares_memory(layer.weights, net.params)
+            assert np.shares_memory(layer.bias, net.params)
+            stop = start + layer.weights.size
+            assert np.array_equal(net.params[start:stop], layer.weights.ravel())
+            assert np.array_equal(net.params[stop:stop + layer.bias.size], layer.bias)
+            start = stop + layer.bias.size
+        assert start == net.params.size
+        net.layers[1].weights[0, 2] = 7.5
+        net.params[-1] = -2.5
+        assert 7.5 in net.params
+        assert net.layers[-1].bias[-1] == -2.5
+
+    def test_constructor_copies_its_layers(self):
+        weights = np.eye(3)
+        net = DenseNet([Layer(weights, np.zeros(3), "linear")])
+        weights[0, 0] = 5.0
+        assert net.layers[0].weights[0, 0] == 1.0
+
+    def test_clones_copy_by_value(self):
+        src = small_net(41)
+        dup = clone_net(src)
+        dst = small_net(42)
+        clone_into(src, dst)
+        for other in (dup, dst):
+            assert not np.shares_memory(other.params, src.params)
+            assert other.params.tobytes() == src.params.tobytes()
+        before = src.params.copy()
+        src.params += 1.0
+        for other in (dup, dst):
+            assert other.params.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("flat", [True, False])
+    def test_non_finite_gradient_changes_nothing(self, flat):
+        net = small_net(43)
+        state = AdamState(net, 0.01)
+        rng = np.random.default_rng(44)
+        for _ in range(3):
+            adam_step(net, state, rng.normal(size=net.params.size))
+        snapshot = [a.tobytes() for a in (net.params, state.m, state.v)]
+        bad = rng.normal(size=net.params.size)
+        bad[-1] = math.inf
+        with pytest.raises(NonFiniteGradientError):
+            adam_step(net, state, bad if flat else net.views(bad))
+        assert state.step_count == 3
+        assert [a.tobytes() for a in (net.params, state.m, state.v)] == snapshot
+
+    def test_flat_and_per_layer_gradients_step_alike(self):
+        rng = np.random.default_rng(45)
+        grads = [rng.normal(size=small_net(46).params.size) for _ in range(4)]
+        nets = [small_net(46), small_net(46)]
+        states = [AdamState(net, 0.01) for net in nets]
+        for grad in grads:
+            adam_step(nets[0], states[0], grad)
+            adam_step(nets[1], states[1], nets[1].views(grad))
+        assert nets[0].params.tobytes() == nets[1].params.tobytes()
+        assert states[0].m.tobytes() == states[1].m.tobytes()
+        assert states[0].v.tobytes() == states[1].v.tobytes()
+
+    def test_wrong_gradient_size_rejected(self):
+        net = small_net(47)
+        with pytest.raises(DomainError):
+            adam_step(net, AdamState(net, 0.01), np.zeros(net.params.size + 1))
+
+    def test_backward_reuses_a_given_trace(self):
+        net = small_net(48)
+        x = np.random.default_rng(49).normal(size=(6, 5))
+        upstream = np.full((6, 1), 0.5)
+        fresh, fresh_input = backward(net, x, upstream)
+        reused, reused_input = backward(net, x, upstream, net.forward_trace(x))
+        assert reused.vector.tobytes() == fresh.vector.tobytes()
+        assert reused_input.tobytes() == fresh_input.tobytes()
+        for (dw, db), (vw, vb) in zip(fresh, net.views(fresh.vector)):
+            assert np.shares_memory(dw, fresh.vector) and np.array_equal(dw, vw)
+            assert np.shares_memory(db, fresh.vector) and np.array_equal(db, vb)
+
+    def test_save_load_save_same_text(self):
+        net = small_net(50, dims=(6, 8, 8, 1), activations=("relu", "relu", "linear"))
+        first = io.StringIO()
+        save_network(net, first)
+        second = io.StringIO()
+        save_network(load_network(io.StringIO(first.getvalue())), second)
+        assert second.getvalue() == first.getvalue()
+
+    def test_older_checkpoint_loads_and_resaves_byte_identical(self):
+        # Written by the per-layer-array implementation that preceded flat
+        # parameters: a [4, 6, 3, 1] net after five Adam steps.
+        text = (Path(__file__).parent / "data" / "densenet_v1.txt").read_text()
+        net = load_network(io.StringIO(text))
+        assert net.dims() == [4, 6, 3, 1]
+        out = io.StringIO()
+        save_network(net, out)
+        assert out.getvalue() == text
