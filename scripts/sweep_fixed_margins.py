@@ -20,6 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from marginsim.config import load_scenario
 from marginsim.engine import SimulationConfig, compare_strategies, train_test_split
+from marginsim.fileio import atomic_write
 from marginsim.strategies import StrategySpec
 
 
@@ -54,7 +55,7 @@ def main(argv=None) -> int:
               f"{row.penalty:>12.4f} {row.net:>12.4f}{mark}")
 
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
+        with atomic_write(args.csv) as fh:
             writer = csv.writer(fh)
             writer.writerow(["margin", "potential", "penalty", "net"])
             for row in table.rows:

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from marginsim.errors import CheckpointError, DomainError, NonFiniteGradientError
+from marginsim.fileio import atomic_write
 from marginsim.nets import (
     AdamState,
     DenseNet,
@@ -279,7 +280,7 @@ class DdpgAgent:
         critic_in = batch.critic_in
         trace = self.critic.forward_trace(critic_in)
         loss, dq = self.loss_fn(targets, trace[-1][:, 0])
-        critic_grads, _ = backward(self.critic, critic_in, dq[:, None], trace)
+        critic_grads, _ = backward(self.critic, critic_in, dq[:, None], trace, inputs=False)
         adam_step(self.critic, self.critic_opt, critic_grads.vector)
         # The critic step is done with critic_in; its action column now
         # takes the policy's actions.
@@ -311,19 +312,17 @@ class DdpgAgent:
         np.clip(sig, 0.0, MARGIN_MAX, out=critic_in[:, -1:])
         critic_trace = self.critic.forward_trace(critic_in)
         _, input_grad = backward(self.critic, critic_in, np.full((n, 1), 1.0 / n),
-                                 critic_trace)
+                                 critic_trace, params=False)
         gate = (sig <= MARGIN_MAX).astype(float)
         d_raw = input_grad[:, -1:] * sig * (1.0 - sig) * gate
-        grads, _ = backward(self.actor, states, d_raw, actor_trace)
+        grads, _ = backward(self.actor, states, d_raw, actor_trace, inputs=False)
         mean_q = float(critic_trace[-1][:, 0].mean())
         return grads, mean_q
 
     def save(self, path: str | Path) -> None:
         """Write the agent (config echo, reward scale, noise state, all four
         networks; replay contents are deliberately excluded) atomically."""
-        path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
-        with tmp.open("w") as fh:
+        with atomic_write(path) as fh:
             fh.write("ddpg-agent v1\n")
             c = self.config
             fh.write(f"window {c.window}\n")
@@ -345,7 +344,6 @@ class DdpgAgent:
                               ("target_critic", self.target_critic)):
                 fh.write(f"net {name}\n")
                 save_network(net, fh)
-        tmp.replace(path)
 
     @classmethod
     def load(cls, path: str | Path, config: DdpgConfig) -> "DdpgAgent":

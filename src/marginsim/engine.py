@@ -259,7 +259,7 @@ def compare_strategies(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
     both metrics.  Ratios are taken against `baseline` (default: the first
     spec's label).
     """
-    from marginsim.reporting import build_report
+    from marginsim.reporting import ErrorCdfs, build_report
 
     if sim.mode != "evaluate":
         raise DomainError("compare_strategies only runs in evaluate mode")
@@ -272,6 +272,7 @@ def compare_strategies(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
     if baseline not in labels:
         raise DomainError(f"baseline {baseline!r} is not among {labels}")
 
+    error_cdfs = ErrorCdfs.for_range(dc, sim.day_range)
     reports = {}
     for spec in specs:
         strategies = {
@@ -279,7 +280,7 @@ def compare_strategies(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
             for m in METRICS
         }
         result = run(dc, cost, sim, strategies)
-        reports[spec.label] = build_report(spec.label, dc, cost, sim, result)
+        reports[spec.label] = build_report(spec.label, dc, cost, sim, result, error_cdfs)
 
     base = reports[baseline].totals
     rows = []

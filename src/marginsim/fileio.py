@@ -1,0 +1,31 @@
+"""Atomic output files.
+
+Every file the package writes goes through `atomic_write`, so a run that
+fails or is killed mid-write leaves either the previous file or none, never
+a truncated one.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import os
+from pathlib import Path
+
+
+@contextlib.contextmanager
+def atomic_write(path: str | Path):
+    """Open `path` for text writing via a sibling `<name>.tmp` file.
+
+    The temporary file replaces `path` only when the block exits normally;
+    if the block raises, it is deleted and `path` is left as it was.  Line
+    endings are written as given (no newline translation).
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

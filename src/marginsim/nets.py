@@ -142,28 +142,35 @@ class Gradients(list):
         self.vector = vector
 
 
-def backward(net: DenseNet, x: np.ndarray, upstream: np.ndarray, trace=None):
+def backward(net: DenseNet, x: np.ndarray, upstream: np.ndarray, trace=None,
+             *, params: bool = True, inputs: bool = True):
     """Exact gradients of sum(output * upstream) w.r.t. parameters and input.
 
     Returns (grads, input_grad) where grads is a `Gradients`, one (dW, db)
-    pair per layer.  `trace` is `net.forward_trace(x)` when the caller has
-    already run it with the current parameters; without it, that pass runs
-    here.  ReLU uses subgradient 0 at 0.  Batch inputs sum gradients over
-    the batch; divide upstream by the batch size first to get means.
+    pair per layer.  `params=False` or `inputs=False` skips that half of the
+    work and returns None in its place; the half computed is unchanged.
+    `trace` is `net.forward_trace(x)` when the caller has already run it
+    with the current parameters; without it, that pass runs here.  ReLU
+    uses subgradient 0 at 0.  Batch inputs sum gradients over the batch;
+    divide upstream by the batch size first to get means.
     """
     acts = net.forward_trace(x) if trace is None else trace
     g = as_batch(upstream)
     if g.shape != acts[-1].shape:
         raise DomainError(f"upstream shape {g.shape} does not match output {acts[-1].shape}")
-    grads = Gradients(net, np.empty(net.params.size))
+    grads = Gradients(net, np.empty(net.params.size)) if params else None
     for k in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[k]
         if layer.activation == "relu":
             g = g * (acts[k + 1] > 0.0)
-        dw, db = grads[k]
-        np.matmul(g.T, acts[k], out=dw)
-        np.add.reduce(g, axis=0, out=db)
-        g = g @ layer.weights
+        if params:
+            dw, db = grads[k]
+            np.matmul(g.T, acts[k], out=dw)
+            np.add.reduce(g, axis=0, out=db)
+        if k or inputs:
+            g = g @ layer.weights
+    if not inputs:
+        return grads, None
     return grads, (g if np.ndim(x) == 2 else g[0])
 
 

@@ -9,9 +9,11 @@ be compared byte for byte.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,7 @@ import numpy as np
 from marginsim.costs import CostModel, DayLedger
 from marginsim.engine import METRICS, ComparisonTable, RunResult, SimulationConfig, StepLogRow
 from marginsim.errors import DomainError
+from marginsim.fileio import atomic_write
 from marginsim.traces import MINUTES_PER_DAY, Datacenter, MetricKind, error_cdf
 
 
@@ -51,6 +54,47 @@ class MarginSummary:
     outliers: list[float]
 
 
+@dataclass(eq=False)
+class ErrorCdfs:
+    """Prediction-error CDFs over one day range: by metric value, then host.
+
+    They depend only on the trace and the range, so one instance serves
+    every strategy's report of an evaluate run.  Its report.json member and
+    its cdf_*.csv bodies are encoded on first use and then reused.
+    """
+
+    by_metric: dict[str, dict[str, list[tuple[float, float]]]]
+
+    @classmethod
+    def for_range(cls, dc: Datacenter, day_range: tuple[int, int]) -> "ErrorCdfs":
+        spd = dc.steps_per_day
+        lo, hi = day_range
+        return cls({m.value: error_cdf(dc, m, start_step=lo * spd, end_step=hi * spd)
+                    for m in METRICS})
+
+    @cached_property
+    def json_member(self) -> str:
+        """The `"error_cdf": {...}` member as `json.dump(indent=1)` writes it
+        one level inside report.json.  Streamed, so no chunk list is held."""
+        buf = io.StringIO()
+        for chunk in json.JSONEncoder(indent=1).iterencode({"error_cdf": self.by_metric}):
+            buf.write(chunk)
+        return buf.getvalue()[3:-2]  # strip the wrapping "{\n " and "\n}"
+
+    @cached_property
+    def csv_bodies(self) -> dict[str, str]:
+        """cdf_<metric>.csv contents by metric value, hosts in sorted order."""
+        bodies = {}
+        for metric, by_host in self.by_metric.items():
+            buf = io.StringIO()
+            writer = csv.writer(buf)
+            writer.writerow(CDF_HEADER)
+            for hid in sorted(by_host):
+                writer.writerows([hid, repr(err), repr(prob)] for err, prob in by_host[hid])
+            bodies[metric] = buf.getvalue()
+        return bodies
+
+
 @dataclass
 class EvaluationReport:
     strategy: str
@@ -62,7 +106,7 @@ class EvaluationReport:
     margin_summaries: list[MarginSummary]
     # margins by step, from the first step of `day_range`
     margin_series: dict[tuple[str, MetricKind], np.ndarray]
-    error_cdfs: dict[str, dict[str, list[tuple[float, float]]]]
+    error_cdfs: ErrorCdfs
 
 
 def margin_summary(host_id: str, metric: MetricKind, margins: list[float]) -> MarginSummary:
@@ -78,7 +122,10 @@ def margin_summary(host_id: str, metric: MetricKind, margins: list[float]) -> Ma
 
 
 def build_report(strategy: str, dc: Datacenter, cost: CostModel,
-                 sim: SimulationConfig, result: RunResult) -> EvaluationReport:
+                 sim: SimulationConfig, result: RunResult,
+                 error_cdfs: ErrorCdfs) -> EvaluationReport:
+    """`error_cdfs` is `ErrorCdfs.for_range(dc, sim.day_range)`, built once
+    and shared by every report over that range."""
     host_order = [h.spec.host_id for h in dc.hosts]
     sums = {hid: [0.0, 0.0, 0.0] for hid in host_order}
     for ledger in result.ledgers:
@@ -96,15 +143,8 @@ def build_report(strategy: str, dc: Datacenter, cost: CostModel,
     series = {(hid, m): result.margins[i, j]
               for i, hid in enumerate(host_order) for j, m in enumerate(METRICS)}
     summaries = [margin_summary(hid, m, values.tolist()) for (hid, m), values in series.items()]
-
-    spd = dc.steps_per_day
-    lo, hi = sim.day_range
-    cdfs = {
-        m.value: error_cdf(dc, m, start_step=lo * spd, end_step=hi * spd)
-        for m in METRICS
-    }
     return EvaluationReport(strategy, sim.day_range, sim.step_minutes, result.ledgers,
-                            host_totals, Totals(*grand), summaries, series, cdfs)
+                            host_totals, Totals(*grand), summaries, series, error_cdfs)
 
 
 LEDGER_HEADER = ["host", "day", "violation_min", "potential", "penalty", "net"]
@@ -122,7 +162,7 @@ def write_report_files(report: EvaluationReport, outdir: str | Path) -> list[Pat
     written = []
 
     ledger_path = outdir / "ledger.csv"
-    with ledger_path.open("w", newline="") as fh:
+    with atomic_write(ledger_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(LEDGER_HEADER)
         for led in report.ledgers:
@@ -132,31 +172,40 @@ def write_report_files(report: EvaluationReport, outdir: str | Path) -> list[Pat
     written.append(ledger_path)
 
     margins_path = outdir / "margins.csv"
-    with margins_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MARGIN_HEADER)
+    with atomic_write(margins_path) as fh:
+        csv.writer(fh).writerow(MARGIN_HEADER)
         start = report.day_range[0] * (MINUTES_PER_DAY // report.step_minutes)
         for (hid, metric), margins in report.margin_series.items():
-            writer.writerows([hid, metric.value, step, repr(margin)]
-                             for step, margin in enumerate(margins.tolist(), start=start))
+            # Only the host id can need quoting; step and repr(margin) never do.
+            prefix = _csv_prefix([hid, metric.value])
+            fh.write("".join([f"{prefix}{step},{margin!r}\r\n"
+                              for step, margin in enumerate(margins.tolist(), start=start)]))
     written.append(margins_path)
 
-    for metric_value, by_host in report.error_cdfs.items():
+    for metric_value, body in report.error_cdfs.csv_bodies.items():
         cdf_path = outdir / f"cdf_{metric_value}.csv"
-        with cdf_path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CDF_HEADER)
-            for hid in sorted(by_host):
-                for err, prob in by_host[hid]:
-                    writer.writerow([hid, repr(err), repr(prob)])
+        with atomic_write(cdf_path) as fh:
+            fh.write(body)
         written.append(cdf_path)
 
+    # The error_cdf member goes last, spliced in after the rest of the object.
+    head = json.dumps(_report_dict(report), indent=1)
     report_path = outdir / "report.json"
-    with report_path.open("w") as fh:
-        json.dump(_report_dict(report), fh, indent=1)
-        fh.write("\n")
+    with atomic_write(report_path) as fh:
+        fh.write(head[:-2])  # up to the closing "\n}"
+        fh.write(",\n ")
+        fh.write(report.error_cdfs.json_member)
+        fh.write("\n}\n")
     written.append(report_path)
     return written
+
+
+def _csv_prefix(fields: list[str]) -> str:
+    """`fields` as csv.writer writes them at the start of a row, through the
+    delimiter before the next field."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(fields)
+    return buf.getvalue()[:-2] + ","
 
 
 def _report_dict(report: EvaluationReport) -> dict:
@@ -188,16 +237,11 @@ def _report_dict(report: EvaluationReport) -> dict:
             }
             for s in report.margin_summaries
         ],
-        "error_cdf": {
-            metric: {hid: [[e, p] for e, p in points] for hid, points in by_host.items()}
-            for metric, by_host in report.error_cdfs.items()
-        },
     }
 
 
 def write_training_log(step_log: list[StepLogRow], path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(TRAINING_LOG_HEADER)
         for row in step_log:
@@ -206,8 +250,7 @@ def write_training_log(step_log: list[StepLogRow], path: str | Path) -> None:
 
 
 def write_comparison(table: ComparisonTable, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(COMPARISON_HEADER)
         for row in table.rows:

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from marginsim.errors import ConfigError, DomainError, TraceParseError, TraceSchemaError
+from marginsim.fileio import atomic_write
 
 MINUTES_PER_DAY = 1440
 
@@ -240,8 +241,7 @@ CAPACITY_HEADER = ["host_id", "cpu_cores", "ram_gb"]
 
 def write_traces(dc: Datacenter, path: str | Path) -> None:
     """Write the datacenter's series as CSV rows sorted by host, metric, step."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
         for host in sorted(dc.hosts, key=lambda h: h.spec.host_id):
@@ -252,8 +252,7 @@ def write_traces(dc: Datacenter, path: str | Path) -> None:
 
 
 def write_capacities(specs: list[HostSpec], path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(CAPACITY_HEADER)
         for spec in sorted(specs, key=lambda s: s.host_id):

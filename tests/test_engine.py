@@ -1,6 +1,7 @@
 """Simulator tests against handcrafted traces and a straight-line oracle."""
 
 import csv
+import json
 import math
 
 import numpy as np
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 
 from marginsim.agent import DdpgConfig, build_pool
 from marginsim.costs import CostModel
+from marginsim import reporting
 from marginsim.engine import (
+    METRICS,
     SimulationConfig,
     compare_strategies,
     reward_scale_for,
@@ -19,7 +22,7 @@ from marginsim.engine import (
     _attribute_rewards,
 )
 from marginsim.errors import DomainError
-from marginsim.reporting import build_report, nearest_rank, write_report_files
+from marginsim.reporting import ErrorCdfs, build_report, nearest_rank, write_report_files
 from marginsim.strategies import (
     ErrorFeedbackMargin,
     FixedMargin,
@@ -521,7 +524,8 @@ class TestReportIntegrity:
         cost = CostModel()
         sim = SimulationConfig(seed=6, day_range=(0, 2), step_minutes=3)
         result = run(dc, cost, sim, fixed(0.08))
-        return dc, build_report("fixed:0.08", dc, cost, sim, result), result
+        cdfs = ErrorCdfs.for_range(dc, sim.day_range)
+        return dc, build_report("fixed:0.08", dc, cost, sim, result, cdfs), result
 
     def test_totals_are_exact_sums(self):
         dc, report, result = self.build_report()
@@ -557,12 +561,122 @@ class TestReportIntegrity:
 
     def test_error_cdf_probabilities(self):
         dc, report, _ = self.build_report()
-        for metric_block in report.error_cdfs.values():
+        for metric_block in report.error_cdfs.by_metric.values():
             for points in metric_block.values():
                 probs = [p for _, p in points]
                 assert probs == sorted(probs)
                 if probs:
                     assert probs[-1] == pytest.approx(1.0)
+
+
+def reference_report_files(report, outdir):
+    """Straight-line writer of a report's files: one csv.writer row per line
+    and one json.dump of the whole report dict, error CDFs included."""
+    outdir.mkdir(parents=True)
+    with (outdir / "ledger.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["host", "day", "violation_min", "potential", "penalty", "net"])
+        for led in report.ledgers:
+            writer.writerow([led.host_id, led.day_index, led.violation_minutes,
+                             repr(led.potential_saving), repr(led.penalty),
+                             repr(led.net_saving)])
+    with (outdir / "margins.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["host", "metric", "step", "margin"])
+        start = report.day_range[0] * (1440 // report.step_minutes)
+        for (hid, metric), margins in report.margin_series.items():
+            for i, margin in enumerate(margins):
+                writer.writerow([hid, metric.value, start + i, repr(float(margin))])
+    for metric, by_host in report.error_cdfs.by_metric.items():
+        with (outdir / f"cdf_{metric}.csv").open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["host", "error", "cum_prob"])
+            for hid in sorted(by_host):
+                for err, prob in by_host[hid]:
+                    writer.writerow([hid, repr(err), repr(prob)])
+
+    def totals(t):
+        return {"potential": t.potential, "penalty": t.penalty, "net": t.net}
+
+    full = {
+        "strategy": report.strategy,
+        "day_range": list(report.day_range),
+        "step_minutes": report.step_minutes,
+        "totals": totals(report.totals),
+        "host_totals": {hid: totals(t) for hid, t in report.host_totals.items()},
+        "ledger": [{"host": led.host_id, "day": led.day_index,
+                    "violation_minutes": led.violation_minutes,
+                    "potential": led.potential_saving, "penalty": led.penalty,
+                    "net": led.net_saving} for led in report.ledgers],
+        "margin_summary": [{"host": s.host_id, "metric": s.metric.value, "min": s.minimum,
+                            "median": s.median, "p75": s.p75, "outliers": s.outliers}
+                           for s in report.margin_summaries],
+        "error_cdf": {metric: {hid: [[e, p] for e, p in points]
+                               for hid, points in by_host.items()}
+                      for metric, by_host in report.error_cdfs.by_metric.items()},
+    }
+    with (outdir / "report.json").open("w") as fh:
+        json.dump(full, fh, indent=1)
+        fh.write("\n")
+
+
+class TestReportBytes:
+    """write_report_files against the straight-line reference writer."""
+
+    def test_report_files_match_reference(self, tmp_path):
+        rng = np.random.default_rng(5)
+        steps = 3 * 15
+        odd_id = 'rack "7",b'
+        series = {
+            # never underestimated: its CDFs are empty
+            "calm": {m: (np.full(steps, 0.2), np.full(steps, 0.4)) for m in (CPU, RAM)},
+            **{hid: {m: (rng.uniform(0.0, 1.0, steps), rng.uniform(0.0, 1.0, steps))
+                     for m in (CPU, RAM)} for hid in ("alpha", odd_id)},
+        }
+        # hosts out of id order: the CDF files sort them, report.json does not
+        dc = make_dc(series)
+        dc = Datacenter("test", dc.hosts[::-1], dc.step_minutes)
+        sim = SimulationConfig(seed=3, day_range=(1, 3), step_minutes=96)
+        table = compare_strategies(dc, CostModel(), sim,
+                                   [StrategySpec.parse("fixed:0.05"),
+                                    StrategySpec.parse("feedback:0.02")])
+        cdfs = table.reports["fixed:0.05"].error_cdfs.by_metric
+        assert all(cdfs[m.value]["calm"] == [] for m in METRICS)
+        assert all(cdfs[m.value][odd_id] for m in METRICS)
+        summaries = [s for r in table.reports.values() for s in r.margin_summaries]
+        assert any(s.outliers for s in summaries)
+        assert any(not s.outliers for s in summaries)
+
+        for label, report in table.reports.items():
+            got, want = tmp_path / "got" / label, tmp_path / "want" / label
+            written = write_report_files(report, got)
+            reference_report_files(report, want)
+            names = sorted(p.name for p in want.iterdir())
+            assert sorted(p.name for p in written) == names
+            assert sorted(p.name for p in got.iterdir()) == names
+            for name in names:
+                assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+
+class TestSharedErrorCdfs:
+    @pytest.mark.parametrize("labels", [["fixed:0.05"],
+                                        ["fixed:0.05", "scavenger", "random", "feedback"]])
+    def test_one_error_cdf_call_per_metric(self, monkeypatch, labels):
+        dc = flat_dc(0.5, 0.4, days=2, hosts=2)
+        calls = []
+        original = reporting.error_cdf
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(reporting, "error_cdf", counted)
+        sim = SimulationConfig(seed=1, day_range=(0, 2), step_minutes=96)
+        table = compare_strategies(dc, CostModel(), sim,
+                                   [StrategySpec.parse(label) for label in labels])
+        assert sorted(calls, key=METRICS.index) == list(METRICS)
+        shared = table.reports[labels[0]].error_cdfs
+        assert all(report.error_cdfs is shared for report in table.reports.values())
 
 
 class TestNearestRank:

@@ -442,6 +442,17 @@ class TestFlatParameters:
             assert np.shares_memory(dw, fresh.vector) and np.array_equal(dw, vw)
             assert np.shares_memory(db, fresh.vector) and np.array_equal(db, vb)
 
+    def test_backward_halves_match_the_full_pass(self):
+        net = small_net(51)
+        x = np.random.default_rng(52).normal(size=(6, 5))
+        upstream = np.full((6, 1), 0.5)
+        grads, input_grad = backward(net, x, upstream)
+        params_only, none_input = backward(net, x, upstream, inputs=False)
+        none_params, input_only = backward(net, x, upstream, params=False)
+        assert none_input is None and none_params is None
+        assert params_only.vector.tobytes() == grads.vector.tobytes()
+        assert input_only.tobytes() == input_grad.tobytes()
+
     def test_save_load_save_same_text(self):
         net = small_net(50, dims=(6, 8, 8, 1), activations=("relu", "relu", "linear"))
         first = io.StringIO()
