@@ -19,6 +19,7 @@ from marginsim.errors import CheckpointError, DomainError, NonFiniteGradientErro
 from marginsim.fileio import atomic_write
 from marginsim.nets import (
     AdamState,
+    Buffers,
     DenseNet,
     adam_step,
     backward,
@@ -135,7 +136,10 @@ class ReplayBuffer:
             raise DomainError("capacity must be >= 1")
         self.capacity = capacity
         self.state_dim = state_dim
-        self.rows = np.zeros((capacity, 2 * state_dim + 3))
+        # Not zero-filled: once the allocator serves an array this size from
+        # reused heap memory, zero-filling makes all of it resident, and only
+        # rows `add` has written are ever read.
+        self.rows = np.empty((capacity, 2 * state_dim + 3))
         self.states = self.rows[:, :state_dim]
         self.actions = self.rows[:, state_dim]
         self.next_states = self.rows[:, state_dim + 1:2 * state_dim + 1]
@@ -150,6 +154,7 @@ class ReplayBuffer:
         self.actions[i] = transition.action
         self.rewards[i] = transition.reward
         self.next_states[i] = transition.next_state
+        self.rows[i, -2] = 0.0  # the spare column
         self.insert_pos = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
@@ -208,6 +213,11 @@ class DdpgAgent:
         self.target_critic = clone_net(critic)
         self.actor_opt = AdamState(actor, config.learning_rate)
         self.critic_opt = AdamState(critic, config.learning_rate)
+        # The update's workspace; each target net shares its online twin's.
+        # Nothing in it refers back to the agent, so a dropped agent is freed
+        # at once rather than by the cycle collector.
+        self.actor_buffers = Buffers(actor)
+        self.critic_buffers = Buffers(critic)
         self.reward_scale = reward_scale
         self.replay = ReplayBuffer(config.replay_capacity, config.window,
                                    subseed(seed, "replay"))
@@ -271,28 +281,38 @@ class DdpgAgent:
         return stats
 
     def _update(self, batch: Batch) -> tuple[float, float]:
-        """One critic then one actor step on `batch`: five forward passes,
-        each reused by the backward pass and the statistics that need it.
+        """One critic then one actor step on `batch`: three forward passes
+        (five when `discount` is non-zero), each reused by the backward pass
+        and the statistics that need it.  Activations and gradients go into
+        the agent's buffers.
 
         Overwrites the batch's spare and action columns.
         """
         targets = self._critic_targets(batch)
         critic_in = batch.critic_in
-        trace = self.critic.forward_trace(critic_in)
+        trace = self.critic.forward_trace(critic_in, self.critic_buffers)
         loss, dq = self.loss_fn(targets, trace[-1][:, 0])
-        critic_grads, _ = backward(self.critic, critic_in, dq[:, None], trace, inputs=False)
+        critic_grads, _ = backward(self.critic, critic_in, dq[:, None], trace, inputs=False,
+                                   buffers=self.critic_buffers)
         adam_step(self.critic, self.critic_opt, critic_grads.vector)
         # The critic step is done with critic_in; its action column now
         # takes the policy's actions.
         actor_grads, mean_q = self._actor_gradients(critic_in)
-        adam_step(self.actor, self.actor_opt, -actor_grads.vector)
+        adam_step(self.actor, self.actor_opt, np.negative(actor_grads.vector,
+                                                          out=actor_grads.vector))
         return loss, mean_q
 
     def _critic_targets(self, batch: Batch) -> np.ndarray:
-        raw_next = self.target_actor.forward(batch.next_states)
+        """rewards + discount * Q'(s', policy'(s')).  At discount 0 that is the
+        rewards themselves, exactly: a stored reward is never -0.0 and the
+        target nets and their inputs are finite, so the target pass is
+        skipped."""
+        if not self.config.discount:
+            return batch.rewards
+        raw_next = self.target_actor.forward(batch.next_states, self.actor_buffers)
         target_in = batch.target_in
         np.clip(squash(raw_next), 0.0, MARGIN_MAX, out=target_in[:, -1:])
-        q_next = self.target_critic.forward(target_in)[:, 0]
+        q_next = self.target_critic.forward(target_in, self.critic_buffers)[:, 0]
         return batch.rewards + self.config.discount * q_next
 
     def _actor_gradients(self, critic_in):
@@ -303,19 +323,21 @@ class DdpgAgent:
         states; its last column is overwritten with the policy's actions.
         The chain runs through the critic's action input and the logistic
         squash; the upper clamp gates the gradient to zero where it binds,
-        matching finite differences of the applied action exactly.
+        matching finite differences of the applied action exactly.  The
+        gradients live in the agent's buffers until the next update.
         """
         states = critic_in[:, :-1]
         n = states.shape[0]
-        actor_trace = self.actor.forward_trace(states)
+        actor_trace = self.actor.forward_trace(states, self.actor_buffers)
         sig = squash(actor_trace[-1])
         np.clip(sig, 0.0, MARGIN_MAX, out=critic_in[:, -1:])
-        critic_trace = self.critic.forward_trace(critic_in)
+        critic_trace = self.critic.forward_trace(critic_in, self.critic_buffers)
         _, input_grad = backward(self.critic, critic_in, np.full((n, 1), 1.0 / n),
-                                 critic_trace, params=False)
+                                 critic_trace, params=False, buffers=self.critic_buffers)
         gate = (sig <= MARGIN_MAX).astype(float)
         d_raw = input_grad[:, -1:] * sig * (1.0 - sig) * gate
-        grads, _ = backward(self.actor, states, d_raw, actor_trace, inputs=False)
+        grads, _ = backward(self.actor, states, d_raw, actor_trace, inputs=False,
+                            buffers=self.actor_buffers)
         mean_q = float(critic_trace[-1][:, 0].mean())
         return grads, mean_q
 

@@ -280,7 +280,7 @@ def compare_strategies(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
             for m in METRICS
         }
         result = run(dc, cost, sim, strategies)
-        reports[spec.label] = build_report(spec.label, dc, cost, sim, result, error_cdfs)
+        reports[spec.label] = build_report(spec.label, dc, sim, result, error_cdfs)
 
     base = reports[baseline].totals
     rows = []

@@ -108,24 +108,28 @@ class DenseNet:
             layers.append(Layer(weights, np.zeros(fan_out), act))
         return cls(layers)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, buffers: Buffers | None = None) -> np.ndarray:
         """Output for a vector (in,) -> (out,) or a batch (n, in) -> (n, out)."""
-        out = self.forward_trace(x)[-1]
+        out = self.forward_trace(x, buffers)[-1]
         return out if x.ndim == 2 else out[0]
 
-    def forward_trace(self, x: np.ndarray) -> list[np.ndarray]:
+    def forward_trace(self, x: np.ndarray, buffers: Buffers | None = None) -> list[np.ndarray]:
         """Forward pass keeping every layer's activation, input first.
 
         The input is promoted to a (1, in) batch if it is a vector; every
         activation is in batch form.  `backward` takes this list to reuse
-        the pass instead of rerunning it.
+        the pass instead of rerunning it.  With `buffers`, the activations
+        are written into its arrays; without, they are fresh.
         """
         a = as_batch(x)
         if a.shape[1] != self.input_dim:
             raise DomainError(f"input width {a.shape[1]}, network expects {self.input_dim}")
+        outs = buffers.fit(a.shape[0]).acts if buffers is not None else None
         acts = [a]
-        for layer in self.layers:
-            a = a @ layer.weights.T
+        for k, layer in enumerate(self.layers):
+            # `@` when there is no buffer: it allocates the same array as
+            # `out=None` would, without the keyword's cost on `act`'s path.
+            a = a @ layer.weights.T if outs is None else np.matmul(a, layer.weights.T, out=outs[k])
             a += layer.bias
             if layer.activation == "relu":
                 np.maximum(a, 0.0, out=a)
@@ -142,33 +146,66 @@ class Gradients(list):
         self.vector = vector
 
 
+class Buffers:
+    """Reusable arrays for `forward_trace` and `backward` of one architecture.
+
+    Per layer: the activation, the ReLU mask, the masked upstream gradient
+    and the gradient w.r.t. the layer's input, all with the row count of
+    the last batch (a batch with another row count reallocates them); plus
+    one `Gradients`.  Every call that uses the buffers overwrites what the
+    previous one returned in them.
+    """
+
+    def __init__(self, net: DenseNet):
+        self.shapes = list(net.shapes)
+        self.grads = Gradients(net, np.empty(net.params.size))
+        self.rows = None
+
+    def fit(self, rows: int) -> "Buffers":
+        if rows != self.rows:
+            self.rows = rows
+            self.acts = [np.empty((rows, out)) for out, _ in self.shapes]
+            self.masks = [np.empty((rows, out), dtype=bool) for out, _ in self.shapes]
+            self.deltas = [np.empty((rows, out)) for out, _ in self.shapes]
+            self.inputs = [np.empty((rows, inp)) for _, inp in self.shapes]
+        return self
+
+
 def backward(net: DenseNet, x: np.ndarray, upstream: np.ndarray, trace=None,
-             *, params: bool = True, inputs: bool = True):
+             *, params: bool = True, inputs: bool = True, buffers: Buffers | None = None):
     """Exact gradients of sum(output * upstream) w.r.t. parameters and input.
 
     Returns (grads, input_grad) where grads is a `Gradients`, one (dW, db)
     pair per layer.  `params=False` or `inputs=False` skips that half of the
     work and returns None in its place; the half computed is unchanged.
     `trace` is `net.forward_trace(x)` when the caller has already run it
-    with the current parameters; without it, that pass runs here.  ReLU
-    uses subgradient 0 at 0.  Batch inputs sum gradients over the batch;
-    divide upstream by the batch size first to get means.
+    with the current parameters; without it, that pass runs here.  With
+    `buffers`, every result and intermediate is written into its arrays;
+    without, they are fresh.  ReLU uses subgradient 0 at 0.  Batch inputs
+    sum gradients over the batch; divide upstream by the batch size first
+    to get means.
     """
-    acts = net.forward_trace(x) if trace is None else trace
+    acts = net.forward_trace(x, buffers) if trace is None else trace
     g = as_batch(upstream)
     if g.shape != acts[-1].shape:
         raise DomainError(f"upstream shape {g.shape} does not match output {acts[-1].shape}")
-    grads = Gradients(net, np.empty(net.params.size)) if params else None
+    if buffers is None:
+        grads = Gradients(net, np.empty(net.params.size)) if params else None
+        masks = deltas = ins = [None] * len(net.layers)
+    else:
+        buffers.fit(g.shape[0])
+        grads = buffers.grads if params else None
+        masks, deltas, ins = buffers.masks, buffers.deltas, buffers.inputs
     for k in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[k]
         if layer.activation == "relu":
-            g = g * (acts[k + 1] > 0.0)
+            g = np.multiply(g, np.greater(acts[k + 1], 0.0, out=masks[k]), out=deltas[k])
         if params:
             dw, db = grads[k]
             np.matmul(g.T, acts[k], out=dw)
             np.add.reduce(g, axis=0, out=db)
         if k or inputs:
-            g = g @ layer.weights
+            g = np.matmul(g, layer.weights, out=ins[k])
     if not inputs:
         return grads, None
     return grads, (g if np.ndim(x) == 2 else g[0])
@@ -176,7 +213,8 @@ def backward(net: DenseNet, x: np.ndarray, upstream: np.ndarray, trace=None,
 
 class AdamState:
     """Adam moments for one network (beta1=0.9, beta2=0.999, eps=1e-8),
-    flat vectors laid out like `DenseNet.params`."""
+    flat vectors laid out like `DenseNet.params`, plus two scratch vectors
+    of that size for `adam_step`."""
 
     def __init__(self, net: DenseNet, learning_rate: float):
         if learning_rate <= 0:
@@ -188,13 +226,16 @@ class AdamState:
         self.step_count = 0
         self.m = np.zeros_like(net.params)
         self.v = np.zeros_like(net.params)
+        self.scratch = (np.empty_like(net.params), np.empty_like(net.params))
 
 
 def adam_step(net: DenseNet, state: AdamState, grads) -> None:
     """One bias-corrected Adam update in place; rejects non-finite gradients.
 
     `grads` is a flat vector laid out like `net.params`, or one (dW, db)
-    pair per layer.
+    pair per layer.  The update is
+    params -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps),
+    evaluated in that order in the state's scratch vectors.
     """
     if isinstance(grads, np.ndarray):
         grad = grads
@@ -214,12 +255,18 @@ def adam_step(net: DenseNet, state: AdamState, grads) -> None:
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
     m, v = state.m, state.v
+    step, denom = state.scratch
     m *= b1
-    m += (1.0 - b1) * grad
+    m += np.multiply(1.0 - b1, grad, out=step)
     v *= b2
-    v += (1.0 - b2) * grad * grad
-    net.params -= (state.learning_rate * (m / (1.0 - b1 ** t))
-                   / (np.sqrt(v / (1.0 - b2 ** t)) + state.eps))
+    np.multiply(1.0 - b2, grad, out=step)
+    v += np.multiply(step, grad, out=step)
+    np.divide(m, 1.0 - b1 ** t, out=step)
+    np.multiply(state.learning_rate, step, out=step)
+    np.divide(v, 1.0 - b2 ** t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    net.params -= np.divide(step, denom, out=step)
 
 
 def clone_into(source: DenseNet, target: DenseNet) -> None:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from marginsim.costs import CostModel, DayLedger
+from marginsim.costs import DayLedger
 from marginsim.engine import METRICS, ComparisonTable, RunResult, SimulationConfig, StepLogRow
 from marginsim.errors import DomainError
 from marginsim.fileio import atomic_write
@@ -121,9 +121,8 @@ def margin_summary(host_id: str, metric: MetricKind, margins: list[float]) -> Ma
     return MarginSummary(host_id, metric, ordered[0], nearest_rank(ordered, 50), q3, outliers)
 
 
-def build_report(strategy: str, dc: Datacenter, cost: CostModel,
-                 sim: SimulationConfig, result: RunResult,
-                 error_cdfs: ErrorCdfs) -> EvaluationReport:
+def build_report(strategy: str, dc: Datacenter, sim: SimulationConfig,
+                 result: RunResult, error_cdfs: ErrorCdfs) -> EvaluationReport:
     """`error_cdfs` is `ErrorCdfs.for_range(dc, sim.day_range)`, built once
     and shared by every report over that range."""
     host_order = [h.spec.host_id for h in dc.hosts]

@@ -6,7 +6,9 @@ verified without reusing any implementation code.
 """
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -179,6 +181,16 @@ class TestReplayBuffer:
         assert np.all(rewards == 1.5)
         assert np.all(next_states == t.next_state)
 
+    def test_add_writes_every_column(self):
+        # Rows are not initialised; a stored row holds only what `add`
+        # wrote, the spare column included.
+        buf = ReplayBuffer(capacity=4, state_dim=3, seed=19)
+        buf.rows[...] = np.nan
+        buf.add(self.transition(1.0, window=3))
+        rows = buf.sample(3).rows
+        assert np.isfinite(rows).all()
+        assert (rows[:, -2] == 0.0).all()
+
 
 class TestLearning:
     @staticmethod
@@ -241,6 +253,22 @@ class TestLearning:
         assert not stats.updated
         for layer, prev in zip(agent.critic.layers, before):
             assert np.array_equal(layer.weights, prev)
+
+    def test_dropped_agent_is_freed_without_the_cycle_collector(self):
+        # A reference cycle through the update buffers would keep every
+        # dropped agent, and its buffers, alive until a collection runs.
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            agent = DdpgAgent.create(tiny_config(), seed=29)
+            stats = self.feed(agent, np.random.default_rng(30), 12, lambda s, a: 1.0)
+            assert sum(st.updated for st in stats) == 5
+            ref = weakref.ref(agent)
+            del agent
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_target_copy_period(self):
         # target_update_days=2 and steps_per_day=16 give a period of 32
@@ -404,9 +432,14 @@ def packed(arrays):
 class TestLeanUpdateParity:
     """The agent's update equals the straight-line reference byte for byte."""
 
-    @pytest.mark.parametrize("critic_loss", ["mse", "mae"])
-    def test_matches_reference_exactly(self, critic_loss):
-        config = tiny_config(batch_size=16, replay_capacity=256, discount=0.9,
+    @pytest.mark.parametrize("critic_loss,discount", [
+        pytest.param("mse", 0.9, id="mse"),
+        pytest.param("mae", 0.9, id="mae"),
+        pytest.param("mse", 0.0, id="mse-discount0"),
+        pytest.param("mae", 0.0, id="mae-discount0"),
+    ])
+    def test_matches_reference_exactly(self, critic_loss, discount):
+        config = tiny_config(batch_size=16, replay_capacity=256, discount=discount,
                              learning_rate=0.01, critic_loss=critic_loss)
         agent = DdpgAgent.create(config, seed=40)
         # Start the policy near the clamp so some rows have sig > MARGIN_MAX.

@@ -525,7 +525,7 @@ class TestReportIntegrity:
         sim = SimulationConfig(seed=6, day_range=(0, 2), step_minutes=3)
         result = run(dc, cost, sim, fixed(0.08))
         cdfs = ErrorCdfs.for_range(dc, sim.day_range)
-        return dc, build_report("fixed:0.08", dc, cost, sim, result, cdfs), result
+        return dc, build_report("fixed:0.08", dc, sim, result, cdfs), result
 
     def test_totals_are_exact_sums(self):
         dc, report, result = self.build_report()

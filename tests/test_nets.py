@@ -15,6 +15,7 @@ import pytest
 from marginsim.errors import CheckpointError, DomainError, NonFiniteGradientError
 from marginsim.nets import (
     AdamState,
+    Buffers,
     DenseNet,
     Layer,
     adam_step,
@@ -452,6 +453,41 @@ class TestFlatParameters:
         assert none_input is None and none_params is None
         assert params_only.vector.tobytes() == grads.vector.tobytes()
         assert input_only.tobytes() == input_grad.tobytes()
+
+    @pytest.mark.parametrize("dims,activations", [
+        ((5, 7, 3, 1), ("relu", "relu", "linear")),
+        ((5, 4, 2), ("linear", "relu")),
+    ])
+    def test_buffered_passes_match_fresh_ones(self, dims, activations):
+        # Row counts change between calls, so the buffers are reallocated
+        # and then reused; nothing returned without buffers is overwritten.
+        net = small_net(53, dims=dims, activations=activations)
+        buffers = Buffers(net)
+        rng = np.random.default_rng(54)
+        kept = []
+        for rows in (6, 9, 9, 6):
+            x = rng.normal(size=(rows, dims[0]))
+            upstream = rng.normal(size=(rows, dims[-1]))
+            upstream_bytes = upstream.tobytes()
+            fresh_acts = net.forward_trace(x)
+            fresh_grads, fresh_input = backward(net, x, upstream)
+            fresh = [*fresh_acts, fresh_grads.vector, fresh_input]
+            kept.append((fresh, [a.tobytes() for a in fresh]))
+
+            acts = net.forward_trace(x, buffers)
+            grads, input_grad = backward(net, x, upstream, acts, buffers=buffers)
+            assert [a.tobytes() for a in acts] == [a.tobytes() for a in fresh_acts]
+            assert grads.vector.tobytes() == fresh_grads.vector.tobytes()
+            assert input_grad.tobytes() == fresh_input.tobytes()
+            assert grads is buffers.grads and input_grad is buffers.inputs[0]
+            assert all(a is b for a, b in zip(acts[1:], buffers.acts))
+            rerun, rerun_input = backward(net, x, upstream, buffers=buffers)
+            assert rerun.vector.tobytes() == fresh_grads.vector.tobytes()
+            assert rerun_input.tobytes() == fresh_input.tobytes()
+            assert net.forward(x, buffers).tobytes() == fresh_acts[-1].tobytes()
+            assert upstream.tobytes() == upstream_bytes
+        for arrays, snapshot in kept:
+            assert [a.tobytes() for a in arrays] == snapshot
 
     def test_save_load_save_same_text(self):
         net = small_net(50, dims=(6, 8, 8, 1), activations=("relu", "relu", "linear"))
