@@ -36,7 +36,7 @@ def main(argv=None) -> int:
 
     cfg = load_scenario(args.scenario)
     dc = cfg.build_datacenter()
-    train_range, test_range = train_test_split(dc, cfg.ddpg.train_fraction)
+    train_range, test_range = train_test_split(dc, cfg.train_fraction)
     day_range = train_range if args.train_split else test_range
 
     specs = [StrategySpec.parse(f"fixed:{pct / 100:g}")

@@ -10,7 +10,7 @@ hard target-network copies on a fixed period.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -36,11 +36,14 @@ from marginsim.traces import MINUTES_PER_DAY
 
 ACTOR_HIDDEN = (16, 16)
 CRITIC_HIDDEN = (32, 32)
+SHARED = "shared"  # the scope of an agent that serves every host
 
 
 @dataclass(frozen=True)
 class DdpgConfig:
-    """Hyperparameters; the defaults are the ones used throughout the tests."""
+    """Agent hyperparameters: exactly the fields a checkpoint stores, in
+    checkpoint order.  Each default is the scenario file's `[ddpg]` default;
+    a scenario sets `steps_per_day` from its step length."""
 
     window: int = 10
     learning_rate: float = 0.001
@@ -54,8 +57,6 @@ class DdpgConfig:
     target_update_days: int = 10
     steps_per_day: int = MINUTES_PER_DAY // 3
     critic_loss: str = "mae"
-    train_fraction: float = 0.8
-    per_host_agents: bool = False
 
     def validate(self) -> None:
         if self.window < 1:
@@ -78,8 +79,10 @@ class DdpgConfig:
             raise DomainError("target_update_days and steps_per_day must be >= 1")
         if self.critic_loss not in ("mae", "mse"):
             raise DomainError(f"critic_loss must be 'mae' or 'mse', got {self.critic_loss}")
-        if not (0.0 < self.train_fraction < 1.0):
-            raise DomainError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+
+
+# Parsers for `DdpgConfig`'s field annotations, from checkpoint text.
+_FIELD_TYPES = {"int": int, "float": float, "str": str}
 
 
 @dataclass(frozen=True)
@@ -342,23 +345,13 @@ class DdpgAgent:
         return grads, mean_q
 
     def save(self, path: str | Path) -> None:
-        """Write the agent (config echo, reward scale, noise state, all four
-        networks; replay contents are deliberately excluded) atomically."""
+        """Write the agent (its config, one field a line; reward scale, noise
+        state, all four networks; replay contents are deliberately excluded)
+        atomically."""
         with atomic_write(path) as fh:
             fh.write("ddpg-agent v1\n")
-            c = self.config
-            fh.write(f"window {c.window}\n")
-            fh.write(f"learning_rate {c.learning_rate!r}\n")
-            fh.write(f"discount {c.discount!r}\n")
-            fh.write(f"replay_capacity {c.replay_capacity}\n")
-            fh.write(f"batch_size {c.batch_size}\n")
-            fh.write(f"warmup_steps {c.warmup_steps}\n")
-            fh.write(f"ou_theta {c.ou_theta!r}\n")
-            fh.write(f"ou_mu {c.ou_mu!r}\n")
-            fh.write(f"ou_sigma {c.ou_sigma!r}\n")
-            fh.write(f"target_update_days {c.target_update_days}\n")
-            fh.write(f"steps_per_day {c.steps_per_day}\n")
-            fh.write(f"critic_loss {c.critic_loss}\n")
+            for f in fields(self.config):
+                fh.write(f"{f.name} {getattr(self.config, f.name)}\n")
             fh.write(f"reward_scale {self.reward_scale!r}\n")
             fh.write(f"ou_state {self.noise.state!r}\n")
             for name, net in (("actor", self.actor), ("critic", self.critic),
@@ -383,37 +376,21 @@ class DdpgAgent:
             header = fh.readline().rstrip("\n")
             if header != "ddpg-agent v1":
                 raise CheckpointError(f"{path}: bad agent header {header!r}")
-            fields = {}
-            for key in ("window", "learning_rate", "discount", "replay_capacity",
-                        "batch_size", "warmup_steps", "ou_theta", "ou_mu", "ou_sigma",
-                        "target_update_days", "steps_per_day", "critic_loss",
-                        "reward_scale", "ou_state"):
+            parse = {f.name: _FIELD_TYPES[f.type] for f in fields(DdpgConfig)}
+            parse.update(reward_scale=float, ou_state=float)
+            values = {}
+            for key, convert in parse.items():
                 line = fh.readline().rstrip("\n")
                 parts = line.split(" ", 1)
                 if len(parts) != 2 or parts[0] != key:
                     raise CheckpointError(f"{path}: expected field {key!r}, got {line!r}")
-                fields[key] = parts[1]
-            try:
-                stored = DdpgConfig(
-                    window=int(fields["window"]),
-                    learning_rate=float(fields["learning_rate"]),
-                    discount=float(fields["discount"]),
-                    replay_capacity=int(fields["replay_capacity"]),
-                    batch_size=int(fields["batch_size"]),
-                    warmup_steps=int(fields["warmup_steps"]),
-                    ou_theta=float(fields["ou_theta"]),
-                    ou_mu=float(fields["ou_mu"]),
-                    ou_sigma=float(fields["ou_sigma"]),
-                    target_update_days=int(fields["target_update_days"]),
-                    steps_per_day=int(fields["steps_per_day"]),
-                    critic_loss=fields["critic_loss"],
-                    train_fraction=config.train_fraction,
-                    per_host_agents=config.per_host_agents,
-                )
-                reward_scale = float(fields["reward_scale"])
-                ou_state = float(fields["ou_state"])
-            except ValueError as exc:
-                raise CheckpointError(f"{path}: bad field value: {exc}") from exc
+                try:
+                    values[key] = convert(parts[1])
+                except ValueError as exc:
+                    raise CheckpointError(f"{path}: bad field value: {exc}") from exc
+            reward_scale = values.pop("reward_scale")
+            ou_state = values.pop("ou_state")
+            stored = DdpgConfig(**values)
             if stored.window != config.window:
                 raise CheckpointError(
                     f"{path}: checkpoint window {stored.window} does not match "
@@ -427,7 +404,10 @@ class DdpgAgent:
                     nets[name] = load_network(fh)
                 except CheckpointError as exc:
                     raise CheckpointError(f"{path}: {name}: {exc}") from exc
-        agent = cls(stored, nets["actor"], nets["critic"], reward_scale, seed=0)
+        try:
+            agent = cls(stored, nets["actor"], nets["critic"], reward_scale, seed=0)
+        except (DomainError, CheckpointError) as exc:
+            raise CheckpointError(f"{path}: {exc}") from exc
         clone_into(nets["target_actor"], agent.target_actor)
         clone_into(nets["target_critic"], agent.target_critic)
         agent.noise.state = ou_state
@@ -435,13 +415,14 @@ class DdpgAgent:
 
 
 class AgentPool:
-    """The agents serving one metric: a single shared one, or one per host."""
+    """The agents serving one metric, by scope: a single shared one
+    (scope `SHARED`), or one per host (scope: the host id)."""
 
-    def __init__(self, agents: dict[str, DdpgAgent], shared: bool):
+    def __init__(self, agents: dict[str, DdpgAgent]):
         if not agents:
             raise DomainError("agent pool cannot be empty")
         self.agents = agents
-        self.shared = shared
+        self.shared = list(agents) == [SHARED]
         windows = {a.config.window for a in agents.values()}
         if len(windows) != 1:
             raise DomainError("agents in one pool must share a window size")
@@ -449,7 +430,7 @@ class AgentPool:
 
     def agent_for(self, host_id: str) -> DdpgAgent:
         if self.shared:
-            return self.agents["shared"]
+            return self.agents[SHARED]
         try:
             return self.agents[host_id]
         except KeyError:
@@ -459,16 +440,12 @@ class AgentPool:
         return self.agents.items()
 
 
-def build_pool(config: DdpgConfig, metric, host_ids: list[str], root_seed: int,
+def build_pool(config: DdpgConfig, metric, scopes: list[str], root_seed: int,
                reward_scale: float) -> AgentPool:
-    """Fresh agents for `metric`, seeded from the scenario seed by name."""
-    if config.per_host_agents:
-        agents = {
-            host_id: DdpgAgent.create(
-                config, subseed(root_seed, "agent", metric.value, host_id), reward_scale)
-            for host_id in host_ids
-        }
-        return AgentPool(agents, shared=False)
-    agent = DdpgAgent.create(config, subseed(root_seed, "agent", metric.value, "shared"),
-                             reward_scale)
-    return AgentPool({"shared": agent}, shared=True)
+    """Fresh agents for `metric`, one per scope, seeded from the scenario
+    seed by metric and scope."""
+    return AgentPool({
+        scope: DdpgAgent.create(config, subseed(root_seed, "agent", metric.value, scope),
+                                reward_scale)
+        for scope in scopes
+    })

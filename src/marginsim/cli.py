@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from marginsim.agent import AgentPool, DdpgAgent, build_pool
+from marginsim.agent import SHARED, AgentPool, DdpgAgent, build_pool
 from marginsim.config import ScenarioConfig, load_scenario
 from marginsim.engine import (
     METRICS,
@@ -32,7 +32,7 @@ from marginsim.reporting import (
     write_report_files,
     write_training_log,
 )
-from marginsim.traces import MetricKind, write_capacities, write_traces
+from marginsim.traces import Datacenter, MetricKind, write_capacities, write_traces
 
 
 def main(argv=None) -> int:
@@ -86,8 +86,13 @@ def cmd_generate(cfg: ScenarioConfig) -> int:
     return 0
 
 
+def agent_scopes(cfg: ScenarioConfig, dc: Datacenter) -> list[str]:
+    """One agent per host, or one shared agent, for each learned metric."""
+    return [h.spec.host_id for h in dc.hosts] if cfg.per_host_agents else [SHARED]
+
+
 def checkpoint_path(checkpoint_dir: Path, metric: MetricKind, scope: str) -> Path:
-    if scope == "shared":
+    if scope == SHARED:
         return checkpoint_dir / f"agent_{metric.value}.ckpt"
     return checkpoint_dir / f"agent_{metric.value}__{scope}.ckpt"
 
@@ -99,10 +104,10 @@ def cmd_train(cfg: ScenarioConfig) -> int:
         raise ConfigError(
             f"{cfg.path}: nothing to train; bind at least one metric to 'releaser' "
             f"in [strategies]")
-    train_range, test_range = train_test_split(dc, cfg.ddpg.train_fraction)
+    train_range, test_range = train_test_split(dc, cfg.train_fraction)
     scale = reward_scale_for(dc, cfg.cost, cfg.step_minutes)
-    host_ids = [h.spec.host_id for h in dc.hosts]
-    pools = {m: build_pool(cfg.ddpg, m, host_ids, cfg.seed, scale) for m in learned}
+    scopes = agent_scopes(cfg, dc)
+    pools = {m: build_pool(cfg.ddpg, m, scopes, cfg.seed, scale) for m in learned}
     strategies = {
         m: cfg.bindings[m].build(m, cfg.seed, pool=pools.get(m), explore=True)
         for m in METRICS
@@ -130,35 +135,28 @@ def cmd_train(cfg: ScenarioConfig) -> int:
 
 
 def load_pools(cfg: ScenarioConfig, checkpoint_dir: Path,
-               host_ids: list[str]) -> dict[MetricKind, AgentPool]:
+               scopes: list[str]) -> dict[MetricKind, AgentPool]:
     pools = {}
     for metric in METRICS:
-        if cfg.ddpg.per_host_agents:
-            agents = {}
-            for host_id in host_ids:
-                path = checkpoint_path(checkpoint_dir, metric, host_id)
-                if not path.is_file():
-                    raise CheckpointError(f"missing checkpoint {path}")
-                agents[host_id] = DdpgAgent.load(path, cfg.ddpg)
-            pools[metric] = AgentPool(agents, shared=False)
-        else:
-            path = checkpoint_path(checkpoint_dir, metric, "shared")
+        agents = {}
+        for scope in scopes:
+            path = checkpoint_path(checkpoint_dir, metric, scope)
             if not path.is_file():
                 raise CheckpointError(
                     f"missing checkpoint {path}; run 'marginsim train' first")
-            pools[metric] = AgentPool({"shared": DdpgAgent.load(path, cfg.ddpg)},
-                                      shared=True)
+            agents[scope] = DdpgAgent.load(path, cfg.ddpg)
+        pools[metric] = AgentPool(agents)
     return pools
 
 
 def cmd_evaluate(cfg: ScenarioConfig, checkpoint_override: str | None) -> int:
     dc = cfg.build_datacenter()
-    _, test_range = train_test_split(dc, cfg.ddpg.train_fraction)
+    _, test_range = train_test_split(dc, cfg.train_fraction)
     pools = None
     if any(spec.kind == "releaser" for spec in cfg.compare):
         checkpoint_dir = (Path(checkpoint_override) if checkpoint_override
                           else cfg.checkpoint_dir)
-        pools = load_pools(cfg, checkpoint_dir, [h.spec.host_id for h in dc.hosts])
+        pools = load_pools(cfg, checkpoint_dir, agent_scopes(cfg, dc))
     sim = SimulationConfig(seed=cfg.seed, day_range=test_range, mode="evaluate",
                            step_minutes=cfg.step_minutes)
     table = compare_strategies(dc, cfg.cost, sim, cfg.compare, pools=pools,

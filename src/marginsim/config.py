@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, Field, dataclass, fields
 from pathlib import Path
 
 from marginsim.agent import DdpgConfig
-from marginsim.costs import DEFAULT_DISCOUNT_TIERS, CostModel
+from marginsim.costs import CostModel
 from marginsim.engine import REWARD_ATTRIBUTIONS
 from marginsim.errors import ConfigError, DomainError
 from marginsim.seeds import subseed
@@ -29,24 +29,14 @@ from marginsim.traces import (
     load_traces,
 )
 
-_SCHEMA = {
-    "scenario": {"name", "seed", "output_dir"},
-    "trace": {"source", "step_minutes", "trace_file", "capacity_file"},
-    "synthetic": {"num_hosts", "num_days", "base_load", "daily_amplitude",
-                  "noise_ar_coeff", "noise_sigma", "spike_prob_per_step",
-                  "spike_magnitude", "prediction_bias", "prediction_noise_sigma",
-                  "smoothing_window", "cpu_cores", "ram_gb"},
-    "cost": {"price_per_hour", "container_cpu", "container_ram_gb", "discount_tiers"},
-    "strategies": {"cpu", "ram", "compare", "baseline"},
-    "ddpg": {"window", "learning_rate", "discount", "replay_capacity", "batch_size",
-             "warmup_steps", "ou_theta", "ou_mu", "ou_sigma", "target_update_days",
-             "critic_loss", "train_fraction", "per_host_agents", "reward_attribution"},
-}
-
 
 @dataclass
 class ScenarioConfig:
-    """Validated contents of one scenario file."""
+    """Validated contents of one scenario file.
+
+    The run settings at the end are `[ddpg]` keys that configure the run
+    rather than the agent, so a checkpoint does not store them.
+    """
 
     path: Path
     name: str
@@ -62,7 +52,9 @@ class ScenarioConfig:
     compare: list[StrategySpec]
     baseline: str | None
     ddpg: DdpgConfig
-    reward_attribution: str = "violation_spread"
+    train_fraction: float = 0.8
+    per_host_agents: bool = False
+    reward_attribution: str = REWARD_ATTRIBUTIONS[0]
 
     @property
     def checkpoint_dir(self) -> Path:
@@ -79,6 +71,32 @@ class ScenarioConfig:
             return dc
         capacities = load_capacities(self.capacity_file)
         return load_traces(self.trace_file, capacities, self.step_minutes, name=self.name)
+
+
+# Sections read field by field from a dataclass: each field is one key,
+# typed by its annotation, required when it has no default.
+_DATACLASS_SECTIONS = {"synthetic": SyntheticConfig, "cost": CostModel, "ddpg": DdpgConfig}
+_RUN_SETTINGS = ("train_fraction", "per_host_agents", "reward_attribution")  # on ScenarioConfig
+_KEYS = {"host_cpu_cores": "cpu_cores", "host_ram_gb": "ram_gb"}  # field -> key
+_DERIVED = {"seed", "step_minutes", "steps_per_day"}  # set from other keys
+_PARSERS = {"int": "integer", "float": "number", "str": "text", "bool": "boolean"}
+
+
+def _section_fields(section: str) -> list[tuple[str, Field]]:
+    """(key, dataclass field) for each key of a dataclass-backed section."""
+    found = [f for f in fields(_DATACLASS_SECTIONS[section]) if f.name not in _DERIVED]
+    if section == "ddpg":
+        found += [f for f in fields(ScenarioConfig) if f.name in _RUN_SETTINGS]
+    return [(_KEYS.get(f.name, f.name), f) for f in found]
+
+
+_SCHEMA = {
+    "scenario": {"name", "seed", "output_dir"},
+    "trace": {"source", "step_minutes", "trace_file", "capacity_file"},
+    "strategies": {"cpu", "ram", "compare", "baseline"},
+    **{section: {key for key, _ in _section_fields(section)}
+       for section in _DATACLASS_SECTIONS},
+}
 
 
 def load_scenario(path: str | Path, output_override: str | Path | None = None,
@@ -110,7 +128,8 @@ def load_scenario(path: str | Path, output_override: str | Path | None = None,
     source = view.text("trace", "source", default="synthetic")
     if source not in ("synthetic", "csv"):
         raise ConfigError(f"{path}: trace.source must be 'synthetic' or 'csv', got {source!r}")
-    step_minutes = view.integer("trace", "step_minutes", default=3)
+    step_minutes = view.integer("trace", "step_minutes",
+                                default=SyntheticConfig.step_minutes)
     if step_minutes <= 0 or 1440 % step_minutes != 0:
         raise ConfigError(f"{path}: trace.step_minutes must divide 1440, got {step_minutes}")
 
@@ -129,39 +148,11 @@ def load_scenario(path: str | Path, output_override: str | Path | None = None,
             if parser.has_option("trace", key):
                 raise ConfigError(
                     f"{path}: trace.{key} only applies when trace.source = csv")
-        synthetic = SyntheticConfig(
-            seed=subseed(seed, "trace"),
-            num_hosts=view.integer("synthetic", "num_hosts", required=True),
-            num_days=view.integer("synthetic", "num_days", required=True),
-            base_load=view.number("synthetic", "base_load", default=0.35),
-            daily_amplitude=view.number("synthetic", "daily_amplitude", default=0.15),
-            noise_ar_coeff=view.number("synthetic", "noise_ar_coeff", default=0.8),
-            noise_sigma=view.number("synthetic", "noise_sigma", default=0.02),
-            spike_prob_per_step=view.number("synthetic", "spike_prob_per_step", default=0.0),
-            spike_magnitude=view.number("synthetic", "spike_magnitude", default=0.25),
-            prediction_bias=view.number("synthetic", "prediction_bias", default=0.0),
-            prediction_noise_sigma=view.number(
-                "synthetic", "prediction_noise_sigma", default=0.05),
-            step_minutes=step_minutes,
-            smoothing_window=view.integer("synthetic", "smoothing_window", default=10),
-            host_cpu_cores=view.integer("synthetic", "cpu_cores", default=32),
-            host_ram_gb=view.number("synthetic", "ram_gb", default=128.0),
-        )
-        try:
-            synthetic.validate()
-        except DomainError as exc:
-            raise ConfigError(f"{path}: [synthetic]: {exc}") from exc
+        synthetic = _validated(path, "synthetic", SyntheticConfig(
+            seed=subseed(seed, "trace"), step_minutes=step_minutes,
+            **view.section("synthetic")))
 
-    cost = CostModel(
-        container_cpu=view.number("cost", "container_cpu", default=2.0),
-        container_ram_gb=view.number("cost", "container_ram_gb", default=8.0),
-        price_per_hour=view.number("cost", "price_per_hour", default=0.0317),
-        discount_tiers=_parse_tiers(view.text("cost", "discount_tiers", default=None), path),
-    )
-    try:
-        cost.validate()
-    except DomainError as exc:
-        raise ConfigError(f"{path}: [cost]: {exc}") from exc
+    cost = _validated(path, "cost", CostModel(**view.section("cost")))
 
     bindings = {}
     for metric in (MetricKind.CPU, MetricKind.RAM):
@@ -181,40 +172,40 @@ def load_scenario(path: str | Path, output_override: str | Path | None = None,
         labels = [s.label for s in compare]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"{path}: duplicate entries in strategies.compare: {labels}")
+    unbound = [m for m, spec in bindings.items() if spec.kind != "releaser"]
+    if unbound and any(spec.kind == "releaser" for spec in compare):
+        metric = unbound[0].value
+        raise ConfigError(
+            f"{path}: strategies.compare includes releaser, but strategies.{metric} = "
+            f"{bindings[unbound[0]].label}, so 'marginsim train' writes no {metric} "
+            f"agent for it to evaluate")
     baseline = view.text("strategies", "baseline", default=None)
     if baseline is not None and baseline not in [s.label for s in compare]:
         raise ConfigError(
             f"{path}: strategies.baseline {baseline!r} is not in the compare list")
 
-    reward_attribution = view.text("ddpg", "reward_attribution",
-                                   default="violation_spread")
-    if reward_attribution not in REWARD_ATTRIBUTIONS:
+    ddpg_values = view.section("ddpg")
+    run = {key: ddpg_values.pop(key) for key in _RUN_SETTINGS if key in ddpg_values}
+    ddpg = _validated(path, "ddpg", DdpgConfig(steps_per_day=1440 // step_minutes,
+                                               **ddpg_values))
+    scenario = ScenarioConfig(path, name, seed, output_dir, source, step_minutes,
+                              trace_file, capacity_file, synthetic, cost, bindings,
+                              compare, baseline, ddpg, **run)
+    if not 0.0 < scenario.train_fraction < 1.0:
+        raise ConfigError(f"{path}: ddpg.train_fraction must be in (0, 1), "
+                          f"got {scenario.train_fraction}")
+    if scenario.reward_attribution not in REWARD_ATTRIBUTIONS:
         raise ConfigError(
             f"{path}: ddpg.reward_attribution must be one of {REWARD_ATTRIBUTIONS}")
-    ddpg = DdpgConfig(
-        window=view.integer("ddpg", "window", default=10),
-        learning_rate=view.number("ddpg", "learning_rate", default=0.001),
-        discount=view.number("ddpg", "discount", default=0.99),
-        replay_capacity=view.integer("ddpg", "replay_capacity", default=100_000),
-        batch_size=view.integer("ddpg", "batch_size", default=128),
-        warmup_steps=view.integer("ddpg", "warmup_steps", default=1000),
-        ou_theta=view.number("ddpg", "ou_theta", default=0.15),
-        ou_mu=view.number("ddpg", "ou_mu", default=0.0),
-        ou_sigma=view.number("ddpg", "ou_sigma", default=0.3),
-        target_update_days=view.integer("ddpg", "target_update_days", default=10),
-        steps_per_day=1440 // step_minutes,
-        critic_loss=view.text("ddpg", "critic_loss", default="mae"),
-        train_fraction=view.number("ddpg", "train_fraction", default=0.8),
-        per_host_agents=view.boolean("ddpg", "per_host_agents", default=False),
-    )
-    try:
-        ddpg.validate()
-    except DomainError as exc:
-        raise ConfigError(f"{path}: [ddpg]: {exc}") from exc
+    return scenario
 
-    return ScenarioConfig(path, name, seed, output_dir, source, step_minutes,
-                          trace_file, capacity_file, synthetic, cost, bindings,
-                          compare, baseline, ddpg, reward_attribution)
+
+def _validated(path: Path, section: str, value):
+    try:
+        value.validate()
+    except DomainError as exc:
+        raise ConfigError(f"{path}: [{section}]: {exc}") from exc
+    return value
 
 
 class _View:
@@ -224,46 +215,53 @@ class _View:
         self.parser = parser
         self.path = path
 
-    def _raw(self, section, key, required, default):
-        if self.parser.has_option(section, key):
-            return self.parser.get(section, key).strip()
-        if required:
-            raise ConfigError(f"{self.path}: missing required key {section}.{key}")
-        return default
+    def section(self, section: str) -> dict:
+        """The keys present in a dataclass-backed section, as field values;
+        absent keys are left to the dataclass defaults."""
+        values = {}
+        for key, f in _section_fields(section):
+            required = f.default is MISSING and f.default_factory is MISSING
+            if f.name == "discount_tiers":
+                text = self.text(section, key)
+                value = None if text is None else _parse_tiers(text, self.path)
+            else:
+                value = getattr(self, _PARSERS[f.type])(section, key, required)
+            if value is not None:
+                values[f.name] = value
+        return values
+
+    def _convert(self, section, key, required, default, convert, kind):
+        if not self.parser.has_option(section, key):
+            if required:
+                raise ConfigError(f"{self.path}: missing required key {section}.{key}")
+            return default
+        raw = self.parser.get(section, key).strip()
+        try:
+            return convert(raw)
+        except ValueError:
+            raise ConfigError(f"{self.path}: {section}.{key} must be {kind}, "
+                              f"got {raw!r}") from None
 
     def text(self, section, key, required=False, default=None):
-        return self._raw(section, key, required, default)
+        return self._convert(section, key, required, default, str, "text")
 
     def integer(self, section, key, required=False, default=None):
-        raw = self._raw(section, key, required, None)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{self.path}: {section}.{key} must be an integer, "
-                              f"got {raw!r}") from None
+        return self._convert(section, key, required, default, int, "an integer")
 
     def number(self, section, key, required=False, default=None):
-        raw = self._raw(section, key, required, None)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{self.path}: {section}.{key} must be a number, "
-                              f"got {raw!r}") from None
+        return self._convert(section, key, required, default, float, "a number")
 
-    def boolean(self, section, key, default=False):
-        raw = self._raw(section, key, False, None)
-        if raw is None:
-            return default
-        lowered = raw.lower()
-        if lowered in ("true", "yes", "1", "on"):
-            return True
-        if lowered in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(f"{self.path}: {section}.{key} must be a boolean, got {raw!r}")
+    def boolean(self, section, key, required=False, default=None):
+        return self._convert(section, key, required, default, _boolean, "a boolean")
+
+
+def _boolean(text: str) -> bool:
+    lowered = text.lower()
+    if lowered in ("true", "yes", "1", "on"):
+        return True
+    if lowered in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(text)
 
 
 def _parse_spec(token: str, path: Path, where: str) -> StrategySpec:
@@ -273,14 +271,12 @@ def _parse_spec(token: str, path: Path, where: str) -> StrategySpec:
         raise ConfigError(f"{path}: {where}: {exc}") from exc
 
 
-def _parse_tiers(text: str | None, path: Path):
+def _parse_tiers(text: str, path: Path):
     """Parse 'upper:discount' pairs, e.g. '15:0,120:0.10,720:0.15,inf:0.30'.
 
     Lower bounds are implied by contiguity; the final upper bound must be
     'inf'.
     """
-    if text is None:
-        return DEFAULT_DISCOUNT_TIERS
     tiers = []
     prev_upper = 0.0
     parts = [p.strip() for p in text.split(",") if p.strip()]

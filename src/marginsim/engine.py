@@ -33,7 +33,7 @@ from marginsim.traces import Datacenter, MetricKind
 
 METRICS = (MetricKind.CPU, MetricKind.RAM)
 
-REWARD_ATTRIBUTIONS = ("violation_spread", "day_end_lump")
+REWARD_ATTRIBUTIONS = ("violation_spread", "day_end_lump")  # the first is the default
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class SimulationConfig:
     day_range: tuple[int, int]
     mode: str = "evaluate"
     step_minutes: int = 3
-    reward_attribution: str = "violation_spread"
+    reward_attribution: str = REWARD_ATTRIBUTIONS[0]
 
     def validate(self) -> None:
         if self.mode not in ("train", "evaluate"):

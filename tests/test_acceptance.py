@@ -281,7 +281,7 @@ def test_criterion_6_trained_policy_beats_its_bars(benchmark_run):
 
         cfg = load_scenario(SCENARIO)
         dc = cfg.build_datacenter()
-        _, test_range = train_test_split(dc, cfg.ddpg.train_fraction)
+        _, test_range = train_test_split(dc, cfg.train_fraction)
         sim = SimulationConfig(seed=cfg.seed, day_range=test_range,
                                step_minutes=cfg.step_minutes)
         specs = [StrategySpec.parse(f"fixed:{pct / 100:g}") for pct in range(21)]

@@ -7,8 +7,11 @@ verified without reusing any implementation code.
 
 import dataclasses
 import gc
+import io
 import math
+import re
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,13 +22,17 @@ from marginsim.agent import (
     OuProcess,
     ReplayBuffer,
     Transition,
+    SHARED,
     build_pool,
 )
 from marginsim.errors import CheckpointError, DomainError
-from marginsim.nets import clone_into
+from marginsim.nets import DenseNet, clone_into, save_network
 from marginsim.seeds import subseed
 from marginsim.strategies import MARGIN_MAX
 from marginsim.traces import MetricKind
+
+
+AGENT_V1 = Path(__file__).parent / "data" / "agent_v1.ckpt"
 
 
 def tiny_config(**overrides):
@@ -59,7 +66,6 @@ class TestConfig:
         ("ou_sigma", -0.1),
         ("target_update_days", 0),
         ("critic_loss", "huber"),
-        ("train_fraction", 1.0),
     ])
     def test_rejects_bad_values(self, field, value):
         with pytest.raises(DomainError):
@@ -529,25 +535,67 @@ class TestCheckpoint:
             DdpgAgent.load(path, tiny_config())
 
 
+    def test_format_fixture_loads_and_resaves_byte_identical(self, tmp_path):
+        # Written by the implementation that named every config field by
+        # hand: window 4, mse, non-default OU parameters, briefly trained.
+        loaded = DdpgAgent.load(AGENT_V1, tiny_config())
+        assert loaded.config == tiny_config(
+            learning_rate=0.01, discount=0.9, ou_theta=0.2, ou_mu=0.1, ou_sigma=0.25,
+            critic_loss="mse")
+        assert loaded.reward_scale == 2.5
+        path = tmp_path / "agent.ckpt"
+        loaded.save(path)
+        assert path.read_bytes() == AGENT_V1.read_bytes()
+
+    @staticmethod
+    def actor_with_hidden(width):
+        """An actor block of checkpoint text with one hidden layer of `width`."""
+        net = DenseNet.initialize([4, width, 1], ["relu", "linear"],
+                                  np.random.default_rng(0))
+        out = io.StringIO()
+        save_network(net, out)
+        return out.getvalue()
+
+    @pytest.mark.parametrize("old,new", [
+        ("critic_loss mse", "critic_loss huber"),
+        ("batch_size 8", "batch_size 100"),  # above replay_capacity 64
+        ("reward_scale 2.5", "reward_scale -1.0"),
+        ("actor dims", None),
+    ], ids=["critic_loss", "batch_size", "reward_scale", "net_dims"])
+    def test_invalid_stored_agent_names_the_file(self, tmp_path, old, new):
+        text = AGENT_V1.read_text()
+        if new is None:
+            start = text.index("net actor\n") + len("net actor\n")
+            end = text.index("net critic\n")
+            text = text[:start] + self.actor_with_hidden(8) + text[end:]
+        else:
+            assert old in text
+            text = text.replace(old, new)
+        path = tmp_path / "agent.ckpt"
+        path.write_text(text)
+        with pytest.raises(CheckpointError, match=re.escape(str(path))):
+            DdpgAgent.load(path, tiny_config())
+
+
 class TestAgentPool:
     def test_shared_pool(self):
-        pool = build_pool(tiny_config(), MetricKind.CPU, ["h1", "h2"], root_seed=34,
+        pool = build_pool(tiny_config(), MetricKind.CPU, [SHARED], root_seed=34,
                           reward_scale=1.0)
         assert pool.shared
         assert pool.agent_for("h1") is pool.agent_for("h2")
         assert pool.window_size == 4
 
     def test_per_host_pool(self):
-        config = tiny_config(per_host_agents=True)
-        pool = build_pool(config, MetricKind.CPU, ["h1", "h2"], root_seed=35,
+        pool = build_pool(tiny_config(), MetricKind.CPU, ["h1", "h2"], root_seed=35,
                           reward_scale=1.0)
+        assert not pool.shared
         a, b = pool.agent_for("h1"), pool.agent_for("h2")
         assert a is not b
         state = np.full(4, 0.1)
         assert a.act(state, False) != b.act(state, False)
 
     def test_metric_changes_seed(self):
-        cpu = build_pool(tiny_config(), MetricKind.CPU, ["h"], 36, 1.0)
-        ram = build_pool(tiny_config(), MetricKind.RAM, ["h"], 36, 1.0)
+        cpu = build_pool(tiny_config(), MetricKind.CPU, [SHARED], 36, 1.0)
+        ram = build_pool(tiny_config(), MetricKind.RAM, [SHARED], 36, 1.0)
         state = np.full(4, -0.2)
         assert cpu.agent_for("h").act(state, False) != ram.agent_for("h").act(state, False)

@@ -2,16 +2,19 @@
 
 import csv
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from marginsim.cli import main
-from marginsim.config import load_scenario
+from marginsim.config import _SCHEMA, load_scenario
 from marginsim.errors import ConfigError
 from marginsim.traces import MetricKind
 
 CPU, RAM = MetricKind.CPU, MetricKind.RAM
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_scenario(path, body):
@@ -19,15 +22,7 @@ def write_scenario(path, body):
     return str(path)
 
 
-def smoke_scenario(tmp_path, out_name="out", extra=""):
-    """A deliberately small but complete scenario: 2 hosts, 4 days,
-    15-minute steps, agent hyperparameters shrunk so training is quick."""
-    return write_scenario(tmp_path / "smoke.cfg", f"""
-[scenario]
-name = smoke
-seed = 123
-output_dir = {tmp_path / out_name}
-
+SMOKE_TRACE = """
 [trace]
 step_minutes = 15
 
@@ -36,7 +31,19 @@ num_hosts = 2
 num_days = 4
 prediction_noise_sigma = 0.05
 spike_prob_per_step = 0.004
+"""
 
+
+def smoke_scenario(tmp_path, out_name="out", extra="", trace=SMOKE_TRACE,
+                   file_name="smoke.cfg"):
+    """A deliberately small but complete scenario: 2 hosts, 4 days,
+    15-minute steps, agent hyperparameters shrunk so training is quick."""
+    return write_scenario(tmp_path / file_name, f"""
+[scenario]
+name = smoke
+seed = 123
+output_dir = {tmp_path / out_name}
+{trace}
 [strategies]
 compare = releaser, fixed:0.05, scavenger
 baseline = fixed:0.05
@@ -49,6 +56,11 @@ replay_capacity = 256
 learning_rate = 0.01
 {extra}
 """)
+
+
+def comparison_rows(out_dir):
+    with (out_dir / "comparison.csv").open() as fh:
+        return list(csv.DictReader(fh))
 
 
 class TestLoadScenario:
@@ -123,7 +135,7 @@ reward_attribution = day_end_lump
         assert cfg.baseline == "fixed:0.1"
         assert cfg.ddpg.window == 8
         assert cfg.ddpg.critic_loss == "mse"
-        assert cfg.ddpg.per_host_agents is True
+        assert cfg.per_host_agents is True
         assert cfg.ddpg.steps_per_day == 96
         assert cfg.reward_attribution == "day_end_lump"
         assert cfg.learned_metrics() == []
@@ -254,6 +266,55 @@ reward_attribution = bonus
         with pytest.raises(ConfigError, match="reward_attribution"):
             load_scenario(path)
 
+    def test_bad_train_fraction_named(self, tmp_path):
+        path = write_scenario(tmp_path / "s.cfg", """
+[scenario]
+seed = 1
+[synthetic]
+num_hosts = 1
+num_days = 2
+[ddpg]
+train_fraction = 1.0
+""")
+        with pytest.raises(ConfigError, match="ddpg.train_fraction"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("compare", ["compare = releaser, fixed:0.05", ""])
+    def test_compared_releaser_needs_both_metrics_bound(self, tmp_path, compare):
+        # With no compare key the list is the bindings: releaser, fixed:0.05.
+        path = write_scenario(tmp_path / "s.cfg", f"""
+[scenario]
+seed = 1
+[synthetic]
+num_hosts = 1
+num_days = 2
+[strategies]
+cpu = releaser
+ram = fixed:0.05
+{compare}
+""")
+        with pytest.raises(ConfigError, match=r"strategies\.compare.*\bram\b"):
+            load_scenario(path)
+
+    def test_accepted_keys_are_pinned(self):
+        # The key set of every section, as the scenario format defines it;
+        # deriving keys from dataclass fields must neither add nor drop one.
+        assert _SCHEMA == {
+            "scenario": {"name", "seed", "output_dir"},
+            "trace": {"source", "step_minutes", "trace_file", "capacity_file"},
+            "synthetic": {"num_hosts", "num_days", "base_load", "daily_amplitude",
+                          "noise_ar_coeff", "noise_sigma", "spike_prob_per_step",
+                          "spike_magnitude", "prediction_bias", "prediction_noise_sigma",
+                          "smoothing_window", "cpu_cores", "ram_gb"},
+            "cost": {"price_per_hour", "container_cpu", "container_ram_gb",
+                     "discount_tiers"},
+            "strategies": {"cpu", "ram", "compare", "baseline"},
+            "ddpg": {"window", "learning_rate", "discount", "replay_capacity",
+                     "batch_size", "warmup_steps", "ou_theta", "ou_mu", "ou_sigma",
+                     "target_update_days", "critic_loss", "train_fraction",
+                     "per_host_agents", "reward_attribution"},
+        }
+
     @pytest.mark.parametrize("tiers", [
         "15:0, 120:0.1",              # does not end at inf
         "inf:0.1, 15:0",              # unordered
@@ -371,6 +432,40 @@ class TestTrainEvaluateCommands:
             assert float(row["net"]) == sum(float(r["net"]) for r in led_rows)
             assert all(int(r["day"]) == 3 for r in led_rows)
 
+    def test_per_host_agents_pipeline(self, tmp_path, capsys):
+        path = smoke_scenario(tmp_path, extra="per_host_agents = true")
+        for stage in ("generate", "train", "evaluate"):
+            assert main([stage, path]) == 0, capsys.readouterr().err
+        ckpt_dir = tmp_path / "out" / "checkpoints"
+        names = [f"agent_{m}__host-{i}.ckpt" for m in ("cpu", "ram") for i in (0, 1)]
+        assert sorted(p.name for p in ckpt_dir.iterdir()) == names
+        assert ((ckpt_dir / names[0]).read_bytes() != (ckpt_dir / names[1]).read_bytes())
+        rows = comparison_rows(tmp_path / "out")
+        assert [r["strategy"] for r in rows] == ["releaser", "fixed:0.05", "scavenger"]
+        # Every host's agent is needed: one missing checkpoint is named.
+        (ckpt_dir / names[3]).unlink()
+        capsys.readouterr()
+        assert main(["evaluate", path]) == 2
+        assert names[3] in capsys.readouterr().err
+
+    def test_csv_trace_pipeline_matches_synthetic(self, tmp_path, capsys):
+        synthetic = smoke_scenario(tmp_path, out_name="syn")
+        from_csv = smoke_scenario(tmp_path, out_name="csv", file_name="csv.cfg", trace=f"""
+[trace]
+source = csv
+step_minutes = 15
+trace_file = {tmp_path / "syn" / "traces.csv"}
+capacity_file = {tmp_path / "syn" / "capacities.csv"}
+""")
+        for path in (synthetic, from_csv):
+            for stage in ("generate", "train", "evaluate"):
+                assert main([stage, path]) == 0, capsys.readouterr().err
+        # The CSV holds the synthetic trace exactly, so both runs agree.
+        for name in ("traces.csv", "capacities.csv", "checkpoints/agent_cpu.ckpt",
+                     "checkpoints/agent_ram.ckpt", "training_log.csv", "comparison.csv"):
+            assert ((tmp_path / "syn" / name).read_bytes()
+                    == (tmp_path / "csv" / name).read_bytes()), name
+
     def test_training_is_deterministic(self, tmp_path):
         path = smoke_scenario(tmp_path)
         main(["train", path, "--output-dir", str(tmp_path / "r1")])
@@ -418,3 +513,29 @@ ram = fixed:0.1
     def test_bad_scenario_exit_code(self, tmp_path, capsys):
         assert main(["generate", str(tmp_path / "missing.cfg")]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestReadme:
+    """README's "Scenario files" section against the keys the parser accepts."""
+
+    @staticmethod
+    def ini_sections():
+        text = README.read_text()
+        start = text.index("## Scenario files")
+        section = text[start:text.index("\n## ", start)]
+        block = section[section.index("```ini\n"):]
+        block = block[:block.index("\n```", 1)]
+        parts = re.split(r"^\[(\w+)\]$", block, flags=re.M)
+        return dict(zip(parts[1::2], parts[2::2]))
+
+    def test_every_accepted_key_is_documented(self):
+        sections = self.ini_sections()
+        assert set(sections) == set(_SCHEMA)
+        undocumented = {f"{name}.{key}" for name, keys in _SCHEMA.items() for key in keys
+                        if not re.search(rf"\b{key} =", sections[name])}
+        assert undocumented == set()
+
+    def test_every_documented_key_is_accepted(self):
+        for name, body in self.ini_sections().items():
+            keys = set(re.findall(r"^(\w+) *=", body, flags=re.M))
+            assert keys <= _SCHEMA[name], name

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marginsim.agent import DdpgConfig, build_pool
+from marginsim.agent import SHARED, DdpgConfig, build_pool
 from marginsim.costs import CostModel
 from marginsim import reporting
 from marginsim.engine import (
@@ -335,7 +335,7 @@ class TestWindowParity:
         dc = self.build()
         host_ids = [h.spec.host_id for h in dc.hosts]
         ddpg = DdpgConfig(window=3, batch_size=4, warmup_steps=4, replay_capacity=64,
-                          steps_per_day=15, per_host_agents=True)
+                          steps_per_day=15)
         pool = build_pool(ddpg, CPU, host_ids, 5, 0.01)
         stored = {hid: [] for hid in host_ids}
         for hid, agent in pool.items():
@@ -436,7 +436,7 @@ class TestTrainMode:
         dc = generate_synthetic(cfg)
         ddpg = DdpgConfig(window=4, batch_size=8, warmup_steps=8,
                           replay_capacity=512, steps_per_day=480)
-        pool = build_pool(ddpg, CPU, [h.spec.host_id for h in dc.hosts], 99, 0.01)
+        pool = build_pool(ddpg, CPU, [SHARED], 99, 0.01)
         spec = StrategySpec.parse("releaser")
         strategies = {
             CPU: spec.build(CPU, 99, pool=pool, explore=True),
