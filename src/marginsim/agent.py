@@ -32,7 +32,7 @@ from marginsim.nets import (
 )
 from marginsim.seeds import subseed
 from marginsim.strategies import MARGIN_MAX
-from marginsim.traces import MINUTES_PER_DAY
+from marginsim.traces import DEFAULT_STEP_MINUTES, MINUTES_PER_DAY
 
 ACTOR_HIDDEN = (16, 16)
 CRITIC_HIDDEN = (32, 32)
@@ -55,7 +55,7 @@ class DdpgConfig:
     ou_mu: float = 0.0
     ou_sigma: float = 0.3
     target_update_days: int = 10
-    steps_per_day: int = MINUTES_PER_DAY // 3
+    steps_per_day: int = MINUTES_PER_DAY // DEFAULT_STEP_MINUTES
     critic_loss: str = "mae"
 
     def validate(self) -> None:
@@ -128,10 +128,12 @@ class ReplayBuffer:
     """Fixed-capacity ring buffer with uniform sampling (with replacement).
 
     Each transition is one row of `rows`: state, action, next state, one
-    spare column, reward.  `states`, `actions`, `next_states` and `rewards`
-    are column views of `rows`.  Sampling gathers whole rows, so a batch
-    already holds the critic's (state, action) input, and its next state and
-    spare column become the target critic's input (see `Batch`).
+    spare column, reward.  Sampling gathers whole rows, so a batch already
+    holds the critic's (state, action) input, and its next state and spare
+    column become the target critic's input (see `Batch`).
+
+    `rows` is allocated when first used, so an agent that only acts (a
+    loaded agent in evaluate) never holds one.
     """
 
     def __init__(self, capacity: int, state_dim: int, seed: int):
@@ -139,25 +141,29 @@ class ReplayBuffer:
             raise DomainError("capacity must be >= 1")
         self.capacity = capacity
         self.state_dim = state_dim
-        # Not zero-filled: once the allocator serves an array this size from
-        # reused heap memory, zero-filling makes all of it resident, and only
-        # rows `add` has written are ever read.
-        self.rows = np.empty((capacity, 2 * state_dim + 3))
-        self.states = self.rows[:, :state_dim]
-        self.actions = self.rows[:, state_dim]
-        self.next_states = self.rows[:, state_dim + 1:2 * state_dim + 1]
-        self.rewards = self.rows[:, -1]
+        self._rows = None
         self.size = 0
         self.insert_pos = 0
         self.rng = np.random.default_rng(seed)
 
+    @property
+    def rows(self) -> np.ndarray:
+        if self._rows is None:
+            # Not zero-filled: once the allocator serves an array this size
+            # from reused heap memory, zero-filling makes all of it resident,
+            # and only rows `add` has written are ever read.
+            self._rows = np.empty((self.capacity, 2 * self.state_dim + 3))
+        return self._rows
+
     def add(self, transition: Transition) -> None:
         i = self.insert_pos
-        self.states[i] = transition.state
-        self.actions[i] = transition.action
-        self.rewards[i] = transition.reward
-        self.next_states[i] = transition.next_state
-        self.rows[i, -2] = 0.0  # the spare column
+        w = self.state_dim
+        row = self.rows[i]
+        row[:w] = transition.state
+        row[w] = transition.action
+        row[w + 1:2 * w + 1] = transition.next_state
+        row[-2] = 0.0  # the spare column
+        row[-1] = transition.reward
         self.insert_pos = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 

@@ -21,6 +21,8 @@ from marginsim.errors import ConfigError, DomainError
 from marginsim.seeds import subseed
 from marginsim.strategies import StrategySpec
 from marginsim.traces import (
+    DEFAULT_STEP_MINUTES,
+    MINUTES_PER_DAY,
     Datacenter,
     MetricKind,
     SyntheticConfig,
@@ -128,10 +130,10 @@ def load_scenario(path: str | Path, output_override: str | Path | None = None,
     source = view.text("trace", "source", default="synthetic")
     if source not in ("synthetic", "csv"):
         raise ConfigError(f"{path}: trace.source must be 'synthetic' or 'csv', got {source!r}")
-    step_minutes = view.integer("trace", "step_minutes",
-                                default=SyntheticConfig.step_minutes)
-    if step_minutes <= 0 or 1440 % step_minutes != 0:
-        raise ConfigError(f"{path}: trace.step_minutes must divide 1440, got {step_minutes}")
+    step_minutes = view.integer("trace", "step_minutes", default=DEFAULT_STEP_MINUTES)
+    if step_minutes <= 0 or MINUTES_PER_DAY % step_minutes != 0:
+        raise ConfigError(f"{path}: trace.step_minutes must divide {MINUTES_PER_DAY}, "
+                          f"got {step_minutes}")
 
     trace_file = capacity_file = None
     synthetic = None
@@ -186,7 +188,7 @@ def load_scenario(path: str | Path, output_override: str | Path | None = None,
 
     ddpg_values = view.section("ddpg")
     run = {key: ddpg_values.pop(key) for key in _RUN_SETTINGS if key in ddpg_values}
-    ddpg = _validated(path, "ddpg", DdpgConfig(steps_per_day=1440 // step_minutes,
+    ddpg = _validated(path, "ddpg", DdpgConfig(steps_per_day=MINUTES_PER_DAY // step_minutes,
                                                **ddpg_values))
     scenario = ScenarioConfig(path, name, seed, output_dir, source, step_minutes,
                               trace_file, capacity_file, synthetic, cost, bindings,

@@ -81,8 +81,9 @@ def containers_fitting(model: CostModel, spec: HostSpec,
     Headrooms are clamped to [0, 1], so degenerate inputs yield 0 rather
     than an error; the result is the binding minimum over both resources.
     """
-    h_cpu = min(max(headroom_cpu, 0.0), 1.0)
-    h_ram = min(max(headroom_ram, 0.0), 1.0)
+    # min(max(h, 0.0), 1.0) as comparisons: -0.0 and NaN pass through.
+    h_cpu = 0.0 if headroom_cpu < 0.0 else 1.0 if headroom_cpu > 1.0 else headroom_cpu
+    h_ram = 0.0 if headroom_ram < 0.0 else 1.0 if headroom_ram > 1.0 else headroom_ram
     by_cpu = math.floor(h_cpu * spec.cpu_cores / model.container_cpu)
     by_ram = math.floor(h_ram * spec.ram_gb / model.container_ram_gb)
     return min(by_cpu, by_ram)

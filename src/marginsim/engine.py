@@ -29,7 +29,7 @@ from marginsim.costs import (
 )
 from marginsim.errors import DomainError
 from marginsim.strategies import LearnedMargin, MarginStrategy, Observation
-from marginsim.traces import Datacenter, MetricKind
+from marginsim.traces import DEFAULT_STEP_MINUTES, Datacenter, MetricKind
 
 METRICS = (MetricKind.CPU, MetricKind.RAM)
 
@@ -43,7 +43,7 @@ class SimulationConfig:
     seed: int
     day_range: tuple[int, int]
     mode: str = "evaluate"
-    step_minutes: int = 3
+    step_minutes: int = DEFAULT_STEP_MINUTES
     reward_attribution: str = REWARD_ATTRIBUTIONS[0]
 
     def validate(self) -> None:
@@ -135,18 +135,28 @@ def run(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
     usage = np.array([[h.series[m]["usage"][start:hi * spd] for m in METRICS] for h in hosts])
     pred = np.array([[h.series[m]["prediction"][start:hi * spd] for m in METRICS]
                      for h in hosts])
-    # Histories front-padded with `pad` zeros: metric j's window ending at
-    # range step r-1 is entries [first[j] + r, pad + r).
+    # Histories front-padded with `pad` zeros, one tuple per (host, metric):
+    # metric j's window ending at range step r-1 is entries [first[j] + r, pad + r).
     sizes = [strat.window_size for strat in strats]
     pad = max(sizes)
-    first = [pad - size for size in sizes]
+    f_cpu, f_ram = first = [pad - size for size in sizes]
     zeros = np.zeros((len(hosts), 2, pad))
     error_hist = np.concatenate([zeros, usage - pred], axis=2)
     states = np.clip(error_hist, -1.0, 1.0)
-    error_rows = error_hist.tolist()
-    usage_rows = np.concatenate([zeros, usage], axis=2).tolist()
-    usage_now, pred_now = usage.tolist(), pred.tolist()
+    error_rows = [[tuple(row) for row in host] for host in error_hist.tolist()]
+    usage_rows = [[tuple(row) for row in host]
+                  for host in np.concatenate([zeros, usage], axis=2).tolist()]
+    # Per host and range step: (usage cpu, usage ram, prediction cpu, prediction ram).
+    now = [list(zip(*host_u, *host_p))
+           for host_u, host_p in zip(usage.tolist(), pred.tolist())]
     margins = np.zeros(usage.shape)
+    select_cpu, select_ram = (strat.select for strat in strats)
+    cpu, ram = METRICS
+    specs = [host.spec for host in hosts]
+    host_ids = [spec.host_id for spec in specs]
+    # The margin each (host, metric) chose at the previous step.
+    last_cpu = [0.0] * len(hosts)
+    last_ram = [0.0] * len(hosts)
 
     ledgers: list[DayLedger] = []
     step_log: list[StepLogRow] = []
@@ -156,32 +166,36 @@ def run(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
         day_minutes = [0] * len(hosts)
         day_containers = [[] for _ in hosts]
         day_violated = [[] for _ in hosts]
+        day_cpu = [[] for _ in hosts]
+        day_ram = [[] for _ in hosts]
 
         for r in range(day_start, day_start + spd):
-            for i, host in enumerate(hosts):
-                hid = host.spec.host_id
-                picked = [
-                    strat.select(Observation(
-                        hid, METRICS[j], tuple(error_rows[i][j][first[j] + r:pad + r]),
-                        tuple(usage_rows[i][j][first[j] + r:pad + r]),
-                        float(margins[i, j, r - 1]) if r else 0.0))
-                    for j, strat in enumerate(strats)]
-                margins[i, :, r] = picked
-                m_cpu, m_ram = picked
-                u_cpu, u_ram = usage_now[i][0][r], usage_now[i][1][r]
-                p_cpu, p_ram = pred_now[i][0][r], pred_now[i][1][r]
-                nb = containers_fitting(cost, host.spec, 1.0 - p_cpu - m_cpu,
+            for i, hid in enumerate(host_ids):
+                e_cpu, e_ram = error_rows[i]
+                h_cpu, h_ram = usage_rows[i]
+                m_cpu = select_cpu(Observation(hid, cpu, e_cpu[f_cpu + r:pad + r],
+                                               h_cpu[f_cpu + r:pad + r], last_cpu[i]))
+                m_ram = select_ram(Observation(hid, ram, e_ram[f_ram + r:pad + r],
+                                               h_ram[f_ram + r:pad + r], last_ram[i]))
+                last_cpu[i] = m_cpu
+                last_ram[i] = m_ram
+                day_cpu[i].append(m_cpu)
+                day_ram[i].append(m_ram)
+                u_cpu, u_ram, p_cpu, p_ram = now[i][r]
+                nb = containers_fitting(cost, specs[i], 1.0 - p_cpu - m_cpu,
                                         1.0 - p_ram - m_ram)
                 violated = p_cpu + m_cpu - u_cpu < 0 or p_ram + m_ram - u_ram < 0
                 day_minutes[i] = accumulate_violation(day_minutes[i], violated, ts)
                 day_containers[i].append(nb)
                 day_violated[i].append(violated)
+        margins[:, 0, day_start:day_start + spd] = day_cpu
+        margins[:, 1, day_start:day_start + spd] = day_ram
 
         penalties = []
-        for i, host in enumerate(hosts):
+        for i, hid in enumerate(host_ids):
             settled = settle_day(cost, day_containers[i], day_minutes[i], ts)
             penalties.append(settled.penalty)
-            ledgers.append(DayLedger(host.spec.host_id, day, day_minutes[i],
+            ledgers.append(DayLedger(hid, day, day_minutes[i],
                                      settled.potential_saving, settled.penalty,
                                      settled.net_saving))
 
@@ -193,9 +207,9 @@ def run(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
             for k in range(spd):
                 r = day_start + k
                 losses: list[float] = []
-                for i, host in enumerate(hosts):
+                for i, hid in enumerate(host_ids):
                     for j in learned:
-                        agent = strats[j].pool.agent_for(host.spec.host_id)
+                        agent = strats[j].pool.agent_for(hid)
                         stats = agent.store_and_learn(Transition(
                             states[i, j, first[j] + r:pad + r], margins[i, j, r],
                             rewards[i][k], states[i, j, first[j] + r + 1:pad + r + 1]))

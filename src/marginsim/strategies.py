@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +20,7 @@ from marginsim.traces import MetricKind
 MARGIN_MAX = 0.99
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     """What a strategy may look at when choosing the next margin.
 
     Windows are ordered oldest first and front-padded with zeros while the
@@ -101,8 +101,13 @@ class UsageStddevMargin(MarginStrategy):
         self.window_size = window
 
     def select(self, obs: Observation) -> float:
+        # np.std's own steps (pairwise sums, in-place square) without its
+        # Python wrapper; the result is bit-identical to `w.std()`.
         w = np.asarray(obs.usage_window, dtype=float)
-        return clamp_margin(float(w.std()))
+        n = w.size
+        dev = w - np.add.reduce(w) / n
+        np.multiply(dev, dev, out=dev)
+        return clamp_margin(float(np.sqrt(np.add.reduce(dev) / n)))
 
 
 class LearnedMargin(MarginStrategy):
@@ -119,7 +124,9 @@ class LearnedMargin(MarginStrategy):
         self.window_size = pool.window_size
 
     def select(self, obs: Observation) -> float:
-        state = np.clip(np.asarray(obs.error_window, dtype=float), -1.0, 1.0)
+        state = np.array(obs.error_window, dtype=float)
+        np.maximum(state, -1.0, out=state)  # np.clip's values, without its wrapper
+        np.minimum(state, 1.0, out=state)
         agent = self.pool.agent_for(obs.host_id)
         return agent.act(state, explore=self.explore)
 

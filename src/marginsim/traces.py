@@ -21,6 +21,7 @@ from marginsim.errors import ConfigError, DomainError, TraceParseError, TraceSch
 from marginsim.fileio import atomic_write
 
 MINUTES_PER_DAY = 1440
+DEFAULT_STEP_MINUTES = 3  # every step_minutes default
 
 
 class MetricKind(Enum):
@@ -103,7 +104,7 @@ class Datacenter:
 
     name: str
     hosts: list[HostTrace]
-    step_minutes: int = 3
+    step_minutes: int = DEFAULT_STEP_MINUTES
 
     @property
     def steps_per_day(self) -> int:
@@ -150,7 +151,7 @@ class SyntheticConfig:
     spike_magnitude: float = 0.25
     prediction_bias: float = 0.0
     prediction_noise_sigma: float = 0.05
-    step_minutes: int = 3
+    step_minutes: int = DEFAULT_STEP_MINUTES
     smoothing_window: int = 10
     host_cpu_cores: int = 32
     host_ram_gb: float = 128.0
@@ -292,7 +293,8 @@ def load_capacities(path: str | Path) -> dict[str, HostSpec]:
 
 
 def load_traces(path: str | Path, capacities: dict[str, HostSpec],
-                step_minutes: int = 3, name: str | None = None) -> Datacenter:
+                step_minutes: int = DEFAULT_STEP_MINUTES,
+                name: str | None = None) -> Datacenter:
     """Parse a trace CSV into a validated Datacenter.
 
     Every host in the file must have a HostSpec in `capacities`; extra

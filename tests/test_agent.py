@@ -10,6 +10,7 @@ import gc
 import io
 import math
 import re
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -161,7 +162,7 @@ class TestReplayBuffer:
         for r in range(12):
             buf.add(self.transition(float(r)))
         assert buf.size == 8
-        assert sorted(buf.rewards) == [float(r) for r in range(4, 12)]
+        assert sorted(buf.rows[:, -1]) == [float(r) for r in range(4, 12)]
         _, _, rewards, _ = buf.sample(1000)
         assert rewards.min() >= 4.0
 
@@ -225,7 +226,7 @@ class TestLearning:
     def test_reward_is_normalized_on_store(self):
         agent = DdpgAgent.create(tiny_config(), seed=21, reward_scale=2.0)
         agent.store_and_learn(Transition(np.zeros(4), 0.1, 3.0, np.zeros(4)))
-        assert agent.replay.rewards[0] == pytest.approx(1.5)
+        assert agent.replay.rows[0, -1] == pytest.approx(1.5)  # the reward column
 
     def test_critic_regresses_to_constant_reward(self):
         # With discount 0 the critic target is the (normalized) reward, so a
@@ -507,6 +508,25 @@ class TestCheckpoint:
                                   agent.target_actor.forward(state))
             cin = np.concatenate([state, [0.4]])
             assert np.array_equal(loaded.critic.forward(cin), agent.critic.forward(cin))
+
+    def test_loaded_agent_allocates_no_replay_until_it_stores(self, tmp_path):
+        config = tiny_config(replay_capacity=50_000)  # 50,000 rows of 11 floats: 4.4 MB
+        path = tmp_path / "agent.ckpt"
+        DdpgAgent.create(config, seed=34).save(path)
+        tracemalloc.start()
+        try:
+            loaded = DdpgAgent.load(path, config)
+            loaded.act(np.zeros(4), False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert loaded.replay.size == 0
+        before = loaded.actor.params.copy()
+        self.train_briefly(loaded, 35)
+        assert loaded.replay.size == 40
+        assert loaded.replay.rows.shape == (50_000, 11)
+        assert not np.array_equal(loaded.actor.params, before)
 
     def test_save_is_atomic_and_rewritable(self, tmp_path):
         agent = DdpgAgent.create(tiny_config(), seed=32)

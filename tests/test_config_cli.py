@@ -1,6 +1,7 @@
 """Scenario parsing and end-to-end CLI tests on tiny synthetic runs."""
 
 import csv
+import inspect
 import math
 import re
 from pathlib import Path
@@ -8,10 +9,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from marginsim.agent import DdpgConfig
 from marginsim.cli import main
 from marginsim.config import _SCHEMA, load_scenario
+from marginsim.engine import SimulationConfig
 from marginsim.errors import ConfigError
-from marginsim.traces import MetricKind
+from marginsim.traces import (
+    DEFAULT_STEP_MINUTES,
+    MINUTES_PER_DAY,
+    Datacenter,
+    MetricKind,
+    SyntheticConfig,
+    load_traces,
+)
 
 CPU, RAM = MetricKind.CPU, MetricKind.RAM
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -87,6 +97,17 @@ num_days = 5
         assert cfg.ddpg.steps_per_day == 480
         assert cfg.reward_attribution == "violation_spread"
         assert cfg.checkpoint_dir == cfg.output_dir / "checkpoints"
+
+    def test_step_minutes_defaults_are_one_constant(self):
+        assert DEFAULT_STEP_MINUTES == 3
+        defaults = [
+            Datacenter("d", []).step_minutes,
+            SyntheticConfig(seed=0, num_hosts=1, num_days=1).step_minutes,
+            inspect.signature(load_traces).parameters["step_minutes"].default,
+            SimulationConfig(seed=0, day_range=(0, 1)).step_minutes,
+            MINUTES_PER_DAY // DdpgConfig().steps_per_day,
+        ]
+        assert defaults == [DEFAULT_STEP_MINUTES] * 5
 
     def test_full_round_trip(self, tmp_path):
         path = write_scenario(tmp_path / "full.cfg", f"""

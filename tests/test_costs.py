@@ -110,6 +110,33 @@ class TestContainersFitting:
     def test_never_negative(self, h_cpu, h_ram):
         assert containers_fitting(MODEL, SPEC, h_cpu, h_ram) >= 0
 
+    @staticmethod
+    def reference(h_cpu, h_ram):
+        """Criterion 1's straight-line expression."""
+        head_cpu = min(max(h_cpu, 0.0), 1.0)
+        head_ram = min(max(h_ram, 0.0), 1.0)
+        return min(math.floor(head_cpu * SPEC.cpu_cores / MODEL.container_cpu),
+                   math.floor(head_ram * SPEC.ram_gb / MODEL.container_ram_gb))
+
+    def test_matches_reference_clamp_at_the_edges(self):
+        edges = (-0.0, 0.0, 1.0, 0.5, 0.999999, 1.0000001, 1.3, 3.0, math.inf,
+                 -1e-300, -0.25, -math.inf)
+        for h_cpu in edges:
+            for h_ram in edges:
+                assert (containers_fitting(MODEL, SPEC, h_cpu, h_ram)
+                        == self.reference(h_cpu, h_ram)), (h_cpu, h_ram)
+
+    @given(st.floats(allow_nan=False), st.floats(allow_nan=False))
+    def test_matches_reference_clamp_anywhere(self, h_cpu, h_ram):
+        assert containers_fitting(MODEL, SPEC, h_cpu, h_ram) == self.reference(h_cpu, h_ram)
+
+    @pytest.mark.parametrize("h_cpu,h_ram", [(math.nan, 0.5), (0.5, math.nan)])
+    def test_nan_headroom_raises_like_reference(self, h_cpu, h_ram):
+        with pytest.raises(ValueError):
+            self.reference(h_cpu, h_ram)
+        with pytest.raises(ValueError):
+            containers_fitting(MODEL, SPEC, h_cpu, h_ram)
+
 
 class TestSettleDay:
     def test_full_day_ten_containers(self):

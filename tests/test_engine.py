@@ -9,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marginsim.agent import SHARED, DdpgConfig, build_pool
-from marginsim.costs import CostModel
+from marginsim.agent import SHARED, DdpgConfig, Transition, build_pool
+from marginsim.costs import CostModel, DayLedger, accumulate_violation, settle_day
 from marginsim import reporting
 from marginsim.engine import (
     METRICS,
+    RunResult,
     SimulationConfig,
+    StepLogRow,
     compare_strategies,
     reward_scale_for,
     run,
@@ -28,8 +30,10 @@ from marginsim.strategies import (
     FixedMargin,
     LearnedMargin,
     MarginStrategy,
+    Observation,
     RandomMargin,
     StrategySpec,
+    clamp_margin,
 )
 from marginsim.traces import (
     Datacenter,
@@ -356,6 +360,155 @@ class TestWindowParity:
                 assert transition.action == result.margins[i, 0, k]
                 if k + 1 < self.STEPS:
                     assert np.array_equal(transition.next_state, transitions[k + 1].state)
+
+
+def reference_run(dc, cost, sim, strategies):
+    """`run` restated step by step, without its shortcuts: every window a
+    fresh tuple of a list slice, the last margin read back from `margins`,
+    one `margins` write per host-step, and the clamp as min/max."""
+    strats = [strategies[m] for m in METRICS]
+    learned = [j for j, strat in enumerate(strats) if isinstance(strat, LearnedMargin)]
+    spd, ts, ppm = dc.steps_per_day, sim.step_minutes, cost.price_per_minute
+    lo, hi = sim.day_range
+    hosts = dc.hosts
+    start = lo * spd
+    usage = np.array([[h.series[m]["usage"][start:hi * spd] for m in METRICS] for h in hosts])
+    pred = np.array([[h.series[m]["prediction"][start:hi * spd] for m in METRICS]
+                     for h in hosts])
+    sizes = [strat.window_size for strat in strats]
+    pad = max(sizes)
+    first = [pad - size for size in sizes]
+    zeros = np.zeros((len(hosts), 2, pad))
+    error_hist = np.concatenate([zeros, usage - pred], axis=2)
+    states = np.clip(error_hist, -1.0, 1.0)
+    error_rows = error_hist.tolist()
+    usage_rows = np.concatenate([zeros, usage], axis=2).tolist()
+    margins = np.zeros(usage.shape)
+    ledgers, step_log = [], []
+    for day in range(lo, hi):
+        day_start = (day - lo) * spd
+        minutes = [0] * len(hosts)
+        containers = [[] for _ in hosts]
+        violations = [[] for _ in hosts]
+        for r in range(day_start, day_start + spd):
+            for i, host in enumerate(hosts):
+                for j, strat in enumerate(strats):
+                    margins[i, j, r] = strat.select(Observation(
+                        host.spec.host_id, METRICS[j],
+                        tuple(error_rows[i][j][first[j] + r:pad + r]),
+                        tuple(usage_rows[i][j][first[j] + r:pad + r]),
+                        float(margins[i, j, r - 1]) if r else 0.0))
+                (u_cpu, u_ram), (p_cpu, p_ram) = usage[i, :, r], pred[i, :, r]
+                m_cpu, m_ram = margins[i, :, r]
+                fits = [math.floor(min(max(1.0 - p - m, 0.0), 1.0) * capacity / per)
+                        for p, m, capacity, per in (
+                            (p_cpu, m_cpu, host.spec.cpu_cores, cost.container_cpu),
+                            (p_ram, m_ram, host.spec.ram_gb, cost.container_ram_gb))]
+                violated = p_cpu + m_cpu - u_cpu < 0 or p_ram + m_ram - u_ram < 0
+                minutes[i] = accumulate_violation(minutes[i], violated, ts)
+                containers[i].append(min(fits))
+                violations[i].append(violated)
+        penalties = []
+        for i, host in enumerate(hosts):
+            settled = settle_day(cost, containers[i], minutes[i], ts)
+            penalties.append(settled.penalty)
+            ledgers.append(DayLedger(host.spec.host_id, day, minutes[i],
+                                     settled.potential_saving, settled.penalty,
+                                     settled.net_saving))
+        if sim.mode != "train":
+            continue
+        rewards = [_attribute_rewards(sim.reward_attribution,
+                                      [nb * ppm * ts for nb in containers[i]],
+                                      violations[i], penalties[i])
+                   for i in range(len(hosts))]
+        for k in range(spd):
+            r = day_start + k
+            losses = []
+            for i, host in enumerate(hosts):
+                for j in learned:
+                    stats = strats[j].pool.agent_for(host.spec.host_id).store_and_learn(
+                        Transition(states[i, j, first[j] + r:pad + r], margins[i, j, r],
+                                   rewards[i][k],
+                                   states[i, j, first[j] + r + 1:pad + r + 1]))
+                    if stats.updated:
+                        losses.append(stats.critic_loss)
+            step_log.append(StepLogRow(
+                start + r, float(np.mean(losses)) if losses else math.nan,
+                float(np.mean([host_rewards[k] for host_rewards in rewards])),
+                float(np.mean(margins[:, :, r].ravel()))))
+    return RunResult(ledgers, margins, start, step_log)
+
+
+class Probe(MarginStrategy):
+    """Answers from every Observation field, so any field the loop gets
+    wrong changes the margins."""
+
+    def __init__(self, window):
+        self.window_size = window
+
+    def select(self, obs):
+        value = (0.5 * obs.last_margin + 0.3 * max(obs.error_window[-1], 0.0)
+                 + 0.1 * obs.usage_window[0] + 0.01 * len(obs.host_id)
+                 + (0.02 if obs.metric is CPU else 0.0))
+        return clamp_margin(value)
+
+
+class TestLoopParity:
+    """`run` equals the straight-line `reference_run` exactly: margins by
+    bytes, ledgers, step log and the trained agents' parameters."""
+
+    DDPG = DdpgConfig(window=4, batch_size=8, warmup_steps=8, replay_capacity=128,
+                      steps_per_day=15, target_update_days=1, discount=0.5)
+
+    def strategies(self, dc, tokens, mode, per_host):
+        scopes = [h.spec.host_id for h in dc.hosts] if per_host else [SHARED]
+        built = {}
+        for metric, token in zip(METRICS, tokens):
+            if token.startswith("probe:"):
+                built[metric] = Probe(int(token.split(":")[1]))
+                continue
+            pool = build_pool(self.DDPG, metric, scopes, 17, 0.01)
+            built[metric] = StrategySpec.parse(token).build(
+                metric, 23, pool=pool, explore=mode == "train")
+        return built
+
+    @pytest.mark.parametrize("tokens,mode,per_host,attribution", [
+        (("fixed:0.05", "random"), "evaluate", False, "violation_spread"),
+        (("feedback", "scavenger:2"), "evaluate", False, "violation_spread"),
+        (("scavenger:7", "scavenger:30"), "evaluate", False, "violation_spread"),
+        (("probe:3", "probe:9"), "evaluate", False, "violation_spread"),
+        (("releaser", "probe:6"), "evaluate", True, "violation_spread"),
+        (("releaser", "releaser"), "train", False, "violation_spread"),
+        (("releaser", "scavenger:7"), "train", True, "day_end_lump"),
+        (("probe:2", "releaser"), "train", False, "day_end_lump"),
+    ])
+    def test_matches_reference(self, tokens, mode, per_host, attribution):
+        dc = generate_synthetic(SyntheticConfig(seed=37, num_hosts=3, num_days=3,
+                                                step_minutes=96, spike_prob_per_step=0.1,
+                                                prediction_noise_sigma=0.08))
+        sim = SimulationConfig(seed=3, day_range=(1, 3), step_minutes=96, mode=mode,
+                               reward_attribution=attribution)
+        fast = self.strategies(dc, tokens, mode, per_host)
+        slow = self.strategies(dc, tokens, mode, per_host)
+        got = run(dc, CostModel(), sim, fast)
+        want = reference_run(dc, CostModel(), sim, slow)
+        assert got.margins.tobytes() == want.margins.tobytes()
+        assert got.ledgers == want.ledgers
+        assert sum(ledger.violation_minutes for ledger in got.ledgers) > 0
+        assert got.start_step == want.start_step
+        # repr is exact for floats and lets NaN losses compare equal.
+        assert repr(got.step_log) == repr(want.step_log)
+        assert len(got.step_log) == (30 if mode == "train" else 0)
+        assert (mode == "train") == any(row.critic_loss == row.critic_loss
+                                        for row in got.step_log)  # some updated
+        for metric in METRICS:
+            if isinstance(fast[metric], LearnedMargin):
+                for (scope, agent), (_, twin) in zip(fast[metric].pool.items(),
+                                                     slow[metric].pool.items()):
+                    for net in ("actor", "critic", "target_actor", "target_critic"):
+                        assert np.array_equal(getattr(agent, net).params,
+                                              getattr(twin, net).params), (scope, net)
+                    assert agent.noise.state == twin.noise.state
 
 
 class TestConservation:

@@ -9,10 +9,12 @@ from marginsim.strategies import (
     MARGIN_MAX,
     ErrorFeedbackMargin,
     FixedMargin,
+    LearnedMargin,
     Observation,
     RandomMargin,
     StrategySpec,
     UsageStddevMargin,
+    clamp_margin,
 )
 from marginsim.traces import MetricKind
 
@@ -23,6 +25,20 @@ def obs(errors=(0.0,) * 10, usage=(0.0,) * 10, last=0.0):
 
 window_values = st.lists(
     st.floats(min_value=-1, max_value=1, allow_nan=False), min_size=10, max_size=10)
+
+
+class TestObservation:
+    def test_fields_in_order(self):
+        assert Observation._fields == (
+            "host_id", "metric", "error_window", "usage_window", "last_margin")
+        o = obs(errors=(0.1,) * 10, usage=(0.2,) * 10, last=0.3)
+        assert (o.host_id, o.metric, o.last_margin) == ("h0", MetricKind.CPU, 0.3)
+        assert o.error_window == (0.1,) * 10 and o.usage_window == (0.2,) * 10
+
+    @pytest.mark.parametrize("name", Observation._fields)
+    def test_immutable(self, name):
+        with pytest.raises(AttributeError):
+            setattr(obs(), name, 0.5)
 
 
 class TestFixed:
@@ -103,10 +119,50 @@ class TestUsageStddev:
         assert strat.select(obs(usage=base)) == pytest.approx(
             strat.select(obs(usage=shifted)), abs=1e-12)
 
+    @given(st.sampled_from([2, 3, 7, 8, 9, 16, 17, 128, 129, 200]),
+           st.sampled_from(["random", "constant", "zero-padded"]),
+           st.floats(min_value=-3, max_value=3), st.integers(0, 2**32 - 1))
+    def test_matches_numpy_std_bit_for_bit(self, size, shape, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(0.0, 1.0, size=size) * 10.0 ** log_scale
+        if shape == "constant":
+            values[:] = values[0]
+        elif shape == "zero-padded":
+            values[:rng.integers(1, size)] = 0.0
+        window = tuple(values.tolist())
+        expected = clamp_margin(float(np.std(window)))
+        assert UsageStddevMargin(size).select(obs(usage=window)) == expected
+
     def test_window_size_configurable(self):
         assert UsageStddevMargin(25).window_size == 25
         with pytest.raises(DomainError):
             UsageStddevMargin(1)
+
+
+class TestLearnedState:
+    """The state handed to the agent is np.clip of the error window."""
+
+    class Pool:
+        window_size = 5
+
+        def __init__(self):
+            self.states = []
+
+        def agent_for(self, host_id):
+            return self
+
+        def act(self, state, explore):
+            self.states.append(state)
+            return 0.1
+
+    @given(st.lists(st.floats(allow_nan=False), min_size=5, max_size=5))
+    def test_matches_numpy_clip(self, errors):
+        pool = self.Pool()
+        LearnedMargin(pool, explore=False).select(obs(errors=errors))
+        (state,) = pool.states
+        expected = np.clip(np.asarray(errors, dtype=float), -1.0, 1.0)
+        assert state.dtype == expected.dtype and state.shape == expected.shape
+        assert state.tobytes() == expected.tobytes()
 
 
 class TestContractRange:
