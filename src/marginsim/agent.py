@@ -171,15 +171,15 @@ class ReplayBuffer:
         if self.size == 0:
             raise DomainError("cannot sample from an empty buffer")
         idx = self.rng.integers(0, self.size, size=n)
-        return Batch(self.rows[idx], self.state_dim)
+        return Batch(self.rows.take(idx, axis=0), self.state_dim)
 
 
 class Batch:
     """Replay rows drawn by `ReplayBuffer.sample`, laid out like its `rows`.
 
-    Unpacks to (states, actions, rewards, next_states); all are views into
-    `rows`.  `critic_in` is the (n, window + 1) (state, action) block and
-    `target_in` the (n, window + 1) (next state, spare) block.
+    All are views into `rows`: `critic_in` is the (n, window + 1) (state,
+    action) block, `target_in` the (n, window + 1) (next state, spare)
+    block, and `next_states` and `rewards` are columns of those.
     """
 
     def __init__(self, rows: np.ndarray, state_dim: int):
@@ -187,18 +187,27 @@ class Batch:
         self.rows = rows
         self.critic_in = rows[:, :w + 1]
         self.target_in = rows[:, w + 1:2 * w + 2]
-        self.states = rows[:, :w]
-        self.actions = rows[:, w]
         self.next_states = rows[:, w + 1:2 * w + 1]
         self.rewards = rows[:, -1]
-
-    def __iter__(self):
-        return iter((self.states, self.actions, self.rewards, self.next_states))
 
 
 def squash(raw):
     """Logistic map from the actor's raw output to (0, 1)."""
     return 1.0 / (1.0 + np.exp(-raw))
+
+
+def squash_into(raw: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`squash(raw)` written into `out`, the same operations in place."""
+    np.negative(raw, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
+
+
+def clamp_margin_into(values: np.ndarray, out: np.ndarray) -> None:
+    """`np.clip(values, 0.0, MARGIN_MAX, out=out)` without its wrapper."""
+    np.maximum(values, 0.0, out=out)
+    np.minimum(out, MARGIN_MAX, out=out)
 
 
 class DdpgAgent:
@@ -237,6 +246,7 @@ class DdpgAgent:
         self.target_period = config.target_update_days * config.steps_per_day
         self.explore_calls = 0
         self.store_calls = 0
+        self._batch_scratch = None  # see `_actor_gradients`
 
     @classmethod
     def create(cls, config: DdpgConfig, seed: int, reward_scale: float = 1.0) -> "DdpgAgent":
@@ -252,27 +262,24 @@ class DdpgAgent:
         """Margin for `state`; exploration adds noise (and, for the first
         `warmup_steps` exploring calls, replaces the policy with a uniform
         draw so the replay starts with diverse actions)."""
-        state = np.asarray(state, dtype=float)
-        if state.shape != (self.config.window,):
-            raise DomainError(f"state shape {state.shape}, expected ({self.config.window},)")
+        if np.shape(state) != (self.config.window,):
+            raise DomainError(f"state shape {np.shape(state)}, expected ({self.config.window},)")
         if explore:
             self.explore_calls += 1
             if self.explore_calls <= self.config.warmup_steps:
                 return float(self.warmup_rng.uniform(0.0, MARGIN_MAX))
-        raw = float(self.actor.forward(state)[0])
-        if explore:
-            raw += self.noise.step()
+            raw = self.actor.forward(state)[0] + self.noise.step()
+        else:
+            raw = self.actor.forward(state)[0]
         return float(min(max(squash(raw), 0.0), MARGIN_MAX))
 
     def store_and_learn(self, transition: Transition) -> UpdateStats:
         """Store one transition (reward normalized by `reward_scale`) and,
         once the replay is warm, run one batch update of critic and actor."""
         stats = UpdateStats()
-        scaled = Transition(np.asarray(transition.state, dtype=float),
-                            float(transition.action),
-                            float(transition.reward) / self.reward_scale,
-                            np.asarray(transition.next_state, dtype=float))
-        self.replay.add(scaled)
+        i = self.replay.insert_pos
+        self.replay.add(transition)
+        self.replay.rows[i, -1] /= self.reward_scale
         self.store_calls += 1
         if self.replay.size >= max(self.config.batch_size, self.config.warmup_steps):
             batch = self.replay.sample(self.config.batch_size)
@@ -319,9 +326,9 @@ class DdpgAgent:
         if not self.config.discount:
             return batch.rewards
         raw_next = self.target_actor.forward(batch.next_states, self.actor_buffers)
-        target_in = batch.target_in
-        np.clip(squash(raw_next), 0.0, MARGIN_MAX, out=target_in[:, -1:])
-        q_next = self.target_critic.forward(target_in, self.critic_buffers)[:, 0]
+        action = batch.target_in[:, -1:]
+        clamp_margin_into(squash_into(raw_next, action), action)
+        q_next = self.target_critic.forward(batch.target_in, self.critic_buffers)[:, 0]
         return batch.rewards + self.config.discount * q_next
 
     def _actor_gradients(self, critic_in):
@@ -337,17 +344,21 @@ class DdpgAgent:
         """
         states = critic_in[:, :-1]
         n = states.shape[0]
+        if self._batch_scratch is None or len(self._batch_scratch[0]) != n:
+            # The upstream 1/n of the mean, and room for the squashed actions.
+            self._batch_scratch = (np.full((n, 1), 1.0 / n), np.empty((n, 1)))
+        mean_upstream, sig = self._batch_scratch
         actor_trace = self.actor.forward_trace(states, self.actor_buffers)
-        sig = squash(actor_trace[-1])
-        np.clip(sig, 0.0, MARGIN_MAX, out=critic_in[:, -1:])
+        squash_into(actor_trace[-1], sig)
+        clamp_margin_into(sig, critic_in[:, -1:])
         critic_trace = self.critic.forward_trace(critic_in, self.critic_buffers)
-        _, input_grad = backward(self.critic, critic_in, np.full((n, 1), 1.0 / n),
+        _, input_grad = backward(self.critic, critic_in, mean_upstream,
                                  critic_trace, params=False, buffers=self.critic_buffers)
         gate = (sig <= MARGIN_MAX).astype(float)
         d_raw = input_grad[:, -1:] * sig * (1.0 - sig) * gate
         grads, _ = backward(self.actor, states, d_raw, actor_trace, inputs=False,
                             buffers=self.actor_buffers)
-        mean_q = float(critic_trace[-1][:, 0].mean())
+        mean_q = float(np.add.reduce(critic_trace[-1][:, 0]) / n)
         return grads, mean_q
 
     def save(self, path: str | Path) -> None:

@@ -8,6 +8,12 @@ network keeps its parameters in one flat vector with per-layer views, so the
 Adam step and target copies are whole-vector operations.  Parameters
 serialize to a self-describing text format whose decimal literals round-trip
 float64 exactly.
+
+Every product is `np.dot`, not `@`/`np.matmul`.  matmul sends an outer
+product (inner dimension 1, such as the last layer's input gradient) to
+numpy's own loop instead of BLAS, several times slower; np.dot sends it to
+BLAS and gives the same bytes as matmul on every product shape the nets
+make (test_nets.py sweeps them).
 """
 
 from __future__ import annotations
@@ -19,6 +25,8 @@ import numpy as np
 from marginsim.errors import CheckpointError, DomainError, NonFiniteGradientError
 
 ACTIVATIONS = ("relu", "linear")
+# ufuncs take a 0-d array operand faster than the Python float 0.0.
+_ZERO = np.zeros(())
 
 
 @dataclass
@@ -72,6 +80,12 @@ class DenseNet:
             weights[...] = layer.weights
             bias[...] = layer.bias
             self.layers.append(Layer(weights, bias, layer.activation))
+        # Each layer's forward operands, views into `params`: the weights
+        # transposed, the bias as a (1, out) row (adding it to a row is then
+        # a same-shape add, cheaper than broadcasting a vector), and whether
+        # it is ReLU.
+        self.steps = [(layer.weights.T, layer.bias[None, :], layer.activation == "relu")
+                      for layer in self.layers]
 
     def views(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """One (weights, bias) pair of views per layer into a flat vector
@@ -111,7 +125,7 @@ class DenseNet:
     def forward(self, x: np.ndarray, buffers: Buffers | None = None) -> np.ndarray:
         """Output for a vector (in,) -> (out,) or a batch (n, in) -> (n, out)."""
         out = self.forward_trace(x, buffers)[-1]
-        return out if x.ndim == 2 else out[0]
+        return out if np.ndim(x) == 2 else out[0]
 
     def forward_trace(self, x: np.ndarray, buffers: Buffers | None = None) -> list[np.ndarray]:
         """Forward pass keeping every layer's activation, input first.
@@ -126,13 +140,11 @@ class DenseNet:
             raise DomainError(f"input width {a.shape[1]}, network expects {self.input_dim}")
         outs = buffers.fit(a.shape[0]).acts if buffers is not None else None
         acts = [a]
-        for k, layer in enumerate(self.layers):
-            # `@` when there is no buffer: it allocates the same array as
-            # `out=None` would, without the keyword's cost on `act`'s path.
-            a = a @ layer.weights.T if outs is None else np.matmul(a, layer.weights.T, out=outs[k])
-            a += layer.bias
-            if layer.activation == "relu":
-                np.maximum(a, 0.0, out=a)
+        for k, (weights_t, bias, relu) in enumerate(self.steps):
+            a = np.dot(a, weights_t, out=None if outs is None else outs[k])
+            a += bias
+            if relu:
+                np.maximum(a, _ZERO, out=a)
             acts.append(a)
         return acts
 
@@ -199,13 +211,13 @@ def backward(net: DenseNet, x: np.ndarray, upstream: np.ndarray, trace=None,
     for k in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[k]
         if layer.activation == "relu":
-            g = np.multiply(g, np.greater(acts[k + 1], 0.0, out=masks[k]), out=deltas[k])
+            g = np.multiply(g, np.greater(acts[k + 1], _ZERO, out=masks[k]), out=deltas[k])
         if params:
             dw, db = grads[k]
-            np.matmul(g.T, acts[k], out=dw)
+            np.dot(g.T, acts[k], out=dw)
             np.add.reduce(g, axis=0, out=db)
         if k or inputs:
-            g = np.matmul(g, layer.weights, out=ins[k])
+            g = np.dot(g, layer.weights, out=ins[k])
     if not inputs:
         return grads, None
     return grads, (g if np.ndim(x) == 2 else g[0])
@@ -229,26 +241,17 @@ class AdamState:
         self.scratch = (np.empty_like(net.params), np.empty_like(net.params))
 
 
-def adam_step(net: DenseNet, state: AdamState, grads) -> None:
+def adam_step(net: DenseNet, state: AdamState, grad: np.ndarray) -> None:
     """One bias-corrected Adam update in place; rejects non-finite gradients.
 
-    `grads` is a flat vector laid out like `net.params`, or one (dW, db)
-    pair per layer.  The update is
+    `grad` is a flat vector laid out like `net.params` (`Gradients.vector`).
+    The update is
     params -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps),
     evaluated in that order in the state's scratch vectors.
     """
-    if isinstance(grads, np.ndarray):
-        grad = grads
-        if grad.shape != net.params.shape:
-            raise DomainError(f"gradient vector shape {grad.shape} does not match "
-                              f"{net.params.size} parameters")
-    else:
-        if len(grads) != len(net.layers):
-            raise DomainError(f"got {len(grads)} gradient pairs for {len(net.layers)} layers")
-        for (dw, db), layer in zip(grads, net.layers):
-            if np.shape(dw) != layer.weights.shape or np.shape(db) != layer.bias.shape:
-                raise DomainError("gradient shapes do not match the network")
-        grad = np.concatenate([np.ravel(part) for pair in grads for part in pair])
+    if grad.shape != net.params.shape:
+        raise DomainError(f"gradient vector shape {grad.shape} does not match "
+                          f"{net.params.size} parameters")
     if not np.isfinite(grad).all():
         raise NonFiniteGradientError("non-finite gradient; update rejected")
     state.step_count += 1
@@ -281,17 +284,18 @@ def clone_net(source: DenseNet) -> DenseNet:
 
 
 def mae_loss(targets: np.ndarray, predictions: np.ndarray):
-    """Mean absolute error and its gradient w.r.t. predictions."""
+    """Mean absolute error and its gradient w.r.t. predictions.  Means are
+    `np.add.reduce(x) / n`, what `x.mean()` computes, without its wrapper."""
     diff = predictions - targets
     n = diff.size
-    return float(np.abs(diff).mean()), np.sign(diff) / n
+    return float(np.add.reduce(np.abs(diff)) / n), np.sign(diff) / n
 
 
 def mse_loss(targets: np.ndarray, predictions: np.ndarray):
     """Mean squared error and its gradient w.r.t. predictions."""
     diff = predictions - targets
     n = diff.size
-    return float((diff * diff).mean()), 2.0 * diff / n
+    return float(np.add.reduce(diff * diff) / n), 2.0 * diff / n
 
 
 def save_network(net: DenseNet, fh) -> None:

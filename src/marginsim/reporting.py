@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -75,11 +76,12 @@ class ErrorCdfs:
     @cached_property
     def json_member(self) -> str:
         """The `"error_cdf": {...}` member as `json.dump(indent=1)` writes it
-        one level inside report.json.  Streamed, so no chunk list is held."""
+        one level inside report.json: keys escaped as json escapes them,
+        floats in json's text, an empty CDF as `[]`.  Streamed, so no chunk
+        list is held."""
         buf = io.StringIO()
-        for chunk in json.JSONEncoder(indent=1).iterencode({"error_cdf": self.by_metric}):
-            buf.write(chunk)
-        return buf.getvalue()[3:-2]  # strip the wrapping "{\n " and "\n}"
+        buf.writelines(_json_member_chunks(self.by_metric))
+        return buf.getvalue()
 
     @cached_property
     def csv_bodies(self) -> dict[str, str]:
@@ -93,6 +95,36 @@ class ErrorCdfs:
                 writer.writerows([hid, repr(err), repr(prob)] for err, prob in by_host[hid])
             bodies[metric] = buf.getvalue()
         return bodies
+
+
+def _json_float(value: float) -> str:
+    """A float as json writes it (`allow_nan`'s names for the non-finite)."""
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _json_member_chunks(by_metric):
+    """`ErrorCdfs.json_member` in pieces, one point at a time, so that
+    building it holds little more than the text itself."""
+    yield '"error_cdf": {'
+    for i, (metric, by_host) in enumerate(by_metric.items()):
+        yield f'{"," if i else ""}\n  {encode_basestring_ascii(metric)}: {{'
+        for j, (hid, points) in enumerate(by_host.items()):
+            yield f'{"," if j else ""}\n   {encode_basestring_ascii(hid)}: '
+            if not points:
+                yield "[]"
+                continue
+            for k, (err, prob) in enumerate(points):
+                yield (f'{"," if k else "["}\n    [\n     {_json_float(err)},\n     '
+                       f'{_json_float(prob)}\n    ]')
+            yield "\n   ]"
+        yield "\n  }" if by_host else "}"
+    yield "\n }" if by_metric else "}"
 
 
 @dataclass

@@ -47,6 +47,11 @@ def random_states(seed, n, window):
     return np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, window))
 
 
+def columns(batch):
+    """A sampled batch's (states, actions, rewards, next_states) views."""
+    return batch.critic_in[:, :-1], batch.critic_in[:, -1], batch.rewards, batch.next_states
+
+
 def with_action_column(states):
     """The (n, window + 1) critic input `_actor_gradients` fills in."""
     return np.hstack([states, np.full((states.shape[0], 1), np.nan)])
@@ -119,6 +124,24 @@ class TestAct:
         assert agent.act(state, explore=False) == greedy
         assert agent.explore_calls == 2
 
+    def test_rows_match_a_stacked_actor_pass(self):
+        # A whole day of selections (480 steps x 5 hosts) through the actor
+        # at once, as (T, 1, w) @ W.T matmuls, gives each row's `act`
+        # margin bit for bit; a (T, w) @ W.T gemm would not.
+        agent = DdpgAgent.create(DdpgConfig(), seed=11)
+        states = np.random.default_rng(12).uniform(-1.0, 1.0, size=(2400, 10))
+        states[::9] = 0.0
+        states[4::9, ::3] = -0.0
+        a = states[:, None, :]
+        for layer in agent.actor.layers:
+            a = a @ layer.weights.T
+            a += layer.bias
+            if layer.activation == "relu":
+                np.maximum(a, 0.0, out=a)
+        for state, raw in zip(states, a[:, 0, 0]):
+            want = float(min(max(1.0 / (1.0 + np.exp(-raw)), 0.0), MARGIN_MAX))
+            assert agent.act(state, explore=False) == want
+
     def test_create_is_seed_deterministic(self):
         a = DdpgAgent.create(tiny_config(), seed=9)
         b = DdpgAgent.create(tiny_config(), seed=9)
@@ -163,14 +186,14 @@ class TestReplayBuffer:
             buf.add(self.transition(float(r)))
         assert buf.size == 8
         assert sorted(buf.rows[:, -1]) == [float(r) for r in range(4, 12)]
-        _, _, rewards, _ = buf.sample(1000)
+        _, _, rewards, _ = columns(buf.sample(1000))
         assert rewards.min() >= 4.0
 
     def test_sampling_is_uniform(self):
         buf = ReplayBuffer(capacity=16, state_dim=2, seed=16)
         for r in range(16):
             buf.add(self.transition(float(r)))
-        _, _, rewards, _ = buf.sample(160_000)
+        _, _, rewards, _ = columns(buf.sample(160_000))
         counts = np.bincount(rewards.astype(int), minlength=16)
         assert np.all(np.abs(counts - 10_000) < 500)
 
@@ -182,7 +205,7 @@ class TestReplayBuffer:
         buf = ReplayBuffer(capacity=4, state_dim=3, seed=18)
         t = Transition(np.array([0.1, 0.2, 0.3]), 0.4, 1.5, np.array([0.2, 0.3, 0.4]))
         buf.add(t)
-        states, actions, rewards, next_states = buf.sample(5)
+        states, actions, rewards, next_states = columns(buf.sample(5))
         assert np.all(states == t.state)
         assert np.all(actions == 0.4)
         assert np.all(rewards == 1.5)
@@ -227,6 +250,13 @@ class TestLearning:
         agent = DdpgAgent.create(tiny_config(), seed=21, reward_scale=2.0)
         agent.store_and_learn(Transition(np.zeros(4), 0.1, 3.0, np.zeros(4)))
         assert agent.replay.rows[0, -1] == pytest.approx(1.5)  # the reward column
+
+    def test_stored_reward_is_the_exact_quotient(self):
+        agent = DdpgAgent.create(tiny_config(), seed=22, reward_scale=3.7)
+        rewards = np.random.default_rng(23).normal(size=40)
+        for reward in rewards:
+            agent.store_and_learn(Transition(np.zeros(4), 0.1, reward, np.zeros(4)))
+        assert agent.replay.rows[:40, -1].tobytes() == (rewards / 3.7).tobytes()
 
     def test_critic_regresses_to_constant_reward(self):
         # With discount 0 the critic target is the (normalized) reward, so a
@@ -331,6 +361,15 @@ class TestActorGradient:
         act = np.clip(1.0 / (1.0 + np.exp(-raw)), 0.0, MARGIN_MAX)
         q = agent.critic.forward(np.hstack([states, act]))[:, 0]
         assert mean_q == pytest.approx(float(q.mean()), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [7, 128, 129, 300])
+    def test_mean_q_is_the_mean_bit_for_bit(self, n):
+        agent = DdpgAgent.create(tiny_config(), seed=29)
+        for seed in range(10):
+            critic_in = with_action_column(random_states(seed, n, 4))
+            _, mean_q = agent._actor_gradients(critic_in)
+            # `critic_in` now holds the policy's actions
+            assert mean_q == float(agent.critic.forward(critic_in)[:, 0].mean())
 
 
 # A straight-line reference of the batch update, sharing no code with the
@@ -464,7 +503,7 @@ class TestLeanUpdateParity:
         for i in range(50):
             add_transition()
             batch = agent.replay.sample(config.batch_size)
-            parts = [np.array(part) for part in batch]
+            parts = [np.array(part) for part in columns(batch)]
             assert agent._update(batch) == ref.update(*parts)
             if i % 10 == 9:
                 clone_into(agent.actor, agent.target_actor)

@@ -86,6 +86,11 @@ def small_net(seed, dims=(5, 7, 1), activations=("relu", "linear")):
     return DenseNet.initialize(list(dims), list(activations), rng)
 
 
+def flat(pairs):
+    """One (dW, db) pair per layer as the flat vector `adam_step` takes."""
+    return np.concatenate([np.ravel(part) for pair in pairs for part in pair])
+
+
 class TestForward:
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(0)
@@ -115,6 +120,13 @@ class TestForward:
         with pytest.raises(DomainError):
             small_net(0).forward(np.zeros(4))
 
+    def test_accepts_array_likes(self):
+        net = small_net(8, dims=(3, 4, 2))
+        want = net.forward(np.array([0.1, 0.2, 0.3]))
+        for x in ([0.1, 0.2, 0.3], (0.1, 0.2, 0.3)):
+            assert net.forward(x).tobytes() == want.tobytes()
+        assert net.forward([[0.1, 0.2, 0.3]]).tobytes() == want.tobytes()
+
     def test_positive_homogeneity_without_bias(self):
         net = small_net(5, dims=(4, 6, 2))
         for layer in net.layers:
@@ -131,6 +143,48 @@ class TestForward:
             fan_in = layer.weights.shape[1]
             assert np.all(np.abs(layer.weights) <= 1.0 / math.sqrt(fan_in))
             assert np.all(layer.bias == 0.0)
+
+
+class TestDotMatchesMatmul:
+    """Every product in `forward_trace` and `backward` is `np.dot`.  It must
+    give the bytes `np.matmul` gives, on every product shape the actor and
+    critic make: the forward pass, the weight gradients and the input
+    gradients, at batch sizes around BLAS's block sizes and for the
+    inner-dimension-1 outer products, with inputs read through the replay's
+    column views as the update reads them."""
+
+    @staticmethod
+    def operand(rng, shape):
+        a = rng.uniform(-1.0, 1.0, size=shape)
+        a[rng.random(shape) < 0.1] = 0.0
+        a[rng.random(shape) < 0.1] = -0.0
+        return a
+
+    @pytest.mark.parametrize("window", [4, 10, 201])
+    def test_every_product_shape(self, window):
+        rng = np.random.default_rng(window)
+        nets = [DenseNet.initialize([window, 16, 16, 1], ["relu", "relu", "linear"], rng),
+                DenseNet.initialize([window + 1, 32, 32, 1], ["relu", "relu", "linear"], rng)]
+        compared = 0
+        for net in nets:
+            for layer in net.layers:
+                weights = layer.weights
+                weights[rng.random(weights.shape) < 0.05] = -0.0
+                out, inp = weights.shape
+                for n in (1, 2, 7, 8, 64, 127, 128, 129, 256):
+                    # a column block of wider rows, as `Batch.critic_in` is
+                    x = self.operand(rng, (n, inp + 3))[:, :inp]
+                    g = self.operand(rng, (n, out))
+                    pairs = [(x, weights.T), (np.ascontiguousarray(x), weights.T),
+                             (g.T, x), (g, weights)]
+                    for a, b in pairs:
+                        want = np.matmul(a, b)
+                        got = np.empty_like(want)
+                        np.dot(a, b, out=got)
+                        assert got.tobytes() == want.tobytes(), (a.shape, b.shape)
+                        assert np.dot(a, b).tobytes() == want.tobytes(), (a.shape, b.shape)
+                        compared += 1
+        assert compared == 2 * 3 * 9 * 4
 
 
 class TestBackward:
@@ -201,7 +255,7 @@ class TestAdam:
         net = DenseNet([Layer(np.zeros((2, 2)), np.zeros(2), "linear")])
         state = AdamState(net, 0.01)
         grads = [(np.array([[3.0, -4.0], [0.5, -0.25]]), np.array([1.0, -1.0]))]
-        adam_step(net, state, grads)
+        adam_step(net, state, flat(grads))
         # With zero moments the first update is alpha * g / (|g| + eps).
         assert net.layers[0].weights == pytest.approx(
             -0.01 * np.sign(grads[0][0]), abs=1e-6)
@@ -212,8 +266,8 @@ class TestAdam:
         net = small_net(13)
         state = AdamState(net, 0.01)
         before = [layer.weights.copy() for layer in net.layers]
-        adam_step(net, state, [(np.zeros_like(l.weights), np.zeros_like(l.bias))
-                               for l in net.layers])
+        adam_step(net, state, flat((np.zeros_like(l.weights), np.zeros_like(l.bias))
+                                   for l in net.layers))
         assert state.step_count == 1
         for layer, prev in zip(net.layers, before):
             assert np.array_equal(layer.weights, prev)
@@ -227,7 +281,7 @@ class TestAdam:
             for _ in range(10):
                 grads = [(rng.normal(size=l.weights.shape), rng.normal(size=l.bias.shape))
                          for l in net.layers]
-                adam_step(net, state, grads)
+                adam_step(net, state, flat(grads))
             results.append([l.weights.copy() for l in net.layers])
         for a, b in zip(*results):
             assert np.array_equal(a, b)
@@ -239,7 +293,7 @@ class TestAdam:
         grads[0][0][0, 0] = math.nan
         before = [l.weights.copy() for l in net.layers]
         with pytest.raises(NonFiniteGradientError):
-            adam_step(net, state, grads)
+            adam_step(net, state, flat(grads))
         assert state.step_count == 0
         for layer, prev in zip(net.layers, before):
             assert np.array_equal(layer.weights, prev)
@@ -259,7 +313,7 @@ class TestAdam:
                 q = net.forward(x)[:, 0]
                 _, dq = mae_loss(y, q)
                 grads, _ = backward(net, x, dq[:, None])
-                adam_step(net, state, grads)
+                adam_step(net, state, grads.vector)
             last = mae_loss(y, net.forward(x)[:, 0])[0]
             if last < first:
                 improved += 1
@@ -273,6 +327,14 @@ class TestLosses:
         value, grad = mae_loss(targets, preds)
         assert value == pytest.approx(0.5)
         assert grad == pytest.approx(np.array([1.0, 0.0, -1.0]) / 3)
+
+    @pytest.mark.parametrize("loss, term", [(mae_loss, np.abs), (mse_loss, np.square)])
+    def test_value_is_the_mean_bit_for_bit(self, loss, term):
+        rng = np.random.default_rng(17)
+        for n in (1, 7, 16, 128, 129, 300):
+            for _ in range(10):
+                targets, preds = rng.normal(size=n), rng.normal(size=n)
+                assert loss(targets, preds)[0] == float(term(preds - targets).mean())
 
     def test_mse_matches_fd(self):
         targets = np.array([0.5, -1.0])
@@ -399,8 +461,7 @@ class TestFlatParameters:
         for other in (dup, dst):
             assert other.params.tobytes() == before.tobytes()
 
-    @pytest.mark.parametrize("flat", [True, False])
-    def test_non_finite_gradient_changes_nothing(self, flat):
+    def test_non_finite_gradient_changes_nothing(self):
         net = small_net(43)
         state = AdamState(net, 0.01)
         rng = np.random.default_rng(44)
@@ -410,21 +471,9 @@ class TestFlatParameters:
         bad = rng.normal(size=net.params.size)
         bad[-1] = math.inf
         with pytest.raises(NonFiniteGradientError):
-            adam_step(net, state, bad if flat else net.views(bad))
+            adam_step(net, state, bad)
         assert state.step_count == 3
         assert [a.tobytes() for a in (net.params, state.m, state.v)] == snapshot
-
-    def test_flat_and_per_layer_gradients_step_alike(self):
-        rng = np.random.default_rng(45)
-        grads = [rng.normal(size=small_net(46).params.size) for _ in range(4)]
-        nets = [small_net(46), small_net(46)]
-        states = [AdamState(net, 0.01) for net in nets]
-        for grad in grads:
-            adam_step(nets[0], states[0], grad)
-            adam_step(nets[1], states[1], nets[1].views(grad))
-        assert nets[0].params.tobytes() == nets[1].params.tobytes()
-        assert states[0].m.tobytes() == states[1].m.tobytes()
-        assert states[0].v.tobytes() == states[1].v.tobytes()
 
     def test_wrong_gradient_size_rejected(self):
         net = small_net(47)
