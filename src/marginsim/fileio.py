@@ -1,4 +1,4 @@
-"""Atomic output files.
+"""Atomic output files, and the CSV row prefix the fast writers share.
 
 Every file the package writes goes through `atomic_write`, so a run that
 fails or is killed mid-write leaves either the previous file or none, never
@@ -8,6 +8,8 @@ a truncated one.
 from __future__ import annotations
 
 import contextlib
+import csv
+import io
 import os
 from pathlib import Path
 
@@ -29,3 +31,11 @@ def atomic_write(path: str | Path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def csv_prefix(fields: list[str]) -> str:
+    """`fields` as csv.writer writes them at the start of a row, through the
+    delimiter before the next field."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(fields)
+    return buf.getvalue()[:-2] + ","

@@ -22,7 +22,7 @@ import numpy as np
 from marginsim.costs import DayLedger
 from marginsim.engine import METRICS, ComparisonTable, RunResult, SimulationConfig, StepLogRow
 from marginsim.errors import DomainError
-from marginsim.fileio import atomic_write
+from marginsim.fileio import atomic_write, csv_prefix
 from marginsim.traces import MINUTES_PER_DAY, Datacenter, MetricKind, error_cdf
 
 
@@ -208,7 +208,7 @@ def write_report_files(report: EvaluationReport, outdir: str | Path) -> list[Pat
         start = report.day_range[0] * (MINUTES_PER_DAY // report.step_minutes)
         for (hid, metric), margins in report.margin_series.items():
             # Only the host id can need quoting; step and repr(margin) never do.
-            prefix = _csv_prefix([hid, metric.value])
+            prefix = csv_prefix([hid, metric.value])
             fh.write("".join([f"{prefix}{step},{margin!r}\r\n"
                               for step, margin in enumerate(margins.tolist(), start=start)]))
     written.append(margins_path)
@@ -229,14 +229,6 @@ def write_report_files(report: EvaluationReport, outdir: str | Path) -> list[Pat
         fh.write("\n}\n")
     written.append(report_path)
     return written
-
-
-def _csv_prefix(fields: list[str]) -> str:
-    """`fields` as csv.writer writes them at the start of a row, through the
-    delimiter before the next field."""
-    buf = io.StringIO()
-    csv.writer(buf).writerow(fields)
-    return buf.getvalue()[:-2] + ","
 
 
 def _report_dict(report: EvaluationReport) -> dict:

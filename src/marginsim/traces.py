@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from marginsim.errors import ConfigError, DomainError, TraceParseError, TraceSchemaError
-from marginsim.fileio import atomic_write
+from marginsim.fileio import atomic_write, csv_prefix
 
 MINUTES_PER_DAY = 1440
 DEFAULT_STEP_MINUTES = 3  # every step_minutes default
@@ -184,7 +184,9 @@ def generate_synthetic(config: SyntheticConfig) -> Datacenter:
     Each (host, metric) pair draws from its own RNG stream keyed on
     (seed, host index, metric index), and each host has a phase offset drawn
     from a host-level stream, so traces are bit-identical for identical
-    configs no matter how many hosts or days are requested.
+    configs no matter how many hosts or days are requested.  Hosts are listed
+    in host-id order, the order the CSV writers and `load_traces` use, so a
+    trace keeps its host order through a CSV round trip.
     """
     config.validate()
     steps_per_day = MINUTES_PER_DAY // config.step_minutes
@@ -203,6 +205,7 @@ def generate_synthetic(config: SyntheticConfig) -> Datacenter:
             prediction = _prediction_series(config, usage, rng)
             series[metric] = make_series(usage, prediction)
         hosts.append(HostTrace(spec, series))
+    hosts.sort(key=lambda h: h.spec.host_id)
     dc = Datacenter("synthetic", hosts, config.step_minutes)
     dc.validate()
     return dc
@@ -212,13 +215,16 @@ def _usage_series(config, steps_per_day, grid, phase, rng):
     sinusoid = config.base_load + config.daily_amplitude * np.sin(
         2.0 * math.pi * grid / steps_per_day + phase)
     innovations = rng.normal(0.0, config.noise_sigma, grid.size)
-    ar = np.empty(grid.size)
+    # The AR(1) recurrence runs over Python floats: the same IEEE operations
+    # as on numpy scalars, without boxing one per step.
+    coeff = config.noise_ar_coeff
+    ar = []
     prev = 0.0
-    for t in range(grid.size):
-        prev = config.noise_ar_coeff * prev + innovations[t]
-        ar[t] = prev
+    for innovation in innovations.tolist():
+        prev = coeff * prev + innovation
+        ar.append(prev)
     spikes = (rng.random(grid.size) < config.spike_prob_per_step) * config.spike_magnitude
-    return np.clip(sinusoid + ar + spikes, 0.0, 1.0)
+    return np.clip(sinusoid + np.array(ar) + spikes, 0.0, 1.0)
 
 
 def _prediction_series(config, usage, rng):
@@ -229,9 +235,9 @@ def _prediction_series(config, usage, rng):
     sums = np.concatenate([[0.0], np.cumsum(usage)])
     smoothed = np.empty(usage.size)
     smoothed[0] = config.base_load
-    for t in range(1, usage.size):
-        lo = max(0, t - w)
-        smoothed[t] = (sums[t] - sums[lo]) / (t - lo)
+    t = np.arange(1, usage.size)
+    lo = np.maximum(t - w, 0)
+    smoothed[1:] = (sums[t] - sums[lo]) / (t - lo)
     noise = rng.normal(0.0, config.prediction_noise_sigma, usage.size)
     return np.clip(smoothed + config.prediction_bias + noise, 0.0, 1.0)
 
@@ -241,15 +247,18 @@ CAPACITY_HEADER = ["host_id", "cpu_cores", "ram_gb"]
 
 
 def write_traces(dc: Datacenter, path: str | Path) -> None:
-    """Write the datacenter's series as CSV rows sorted by host, metric, step."""
+    """Write the datacenter's series as CSV rows sorted by host, metric, step,
+    byte for byte as csv.writer writes them."""
+    steps = [f"{step}," for step in range(dc.num_steps())]
     with atomic_write(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
+        csv.writer(fh).writerow(TRACE_HEADER)
         for host in sorted(dc.hosts, key=lambda h: h.spec.host_id):
             for metric in (MetricKind.CPU, MetricKind.RAM):
-                writer.writerows(
-                    [host.spec.host_id, metric.value, step, repr(usage), repr(prediction)]
-                    for step, (usage, prediction) in enumerate(host.series[metric].tolist()))
+                # Only the host id can need quoting; step and repr(float) never do.
+                prefix = csv_prefix([host.spec.host_id, metric.value])
+                fh.write("".join([f"{prefix}{step}{usage!r},{prediction!r}\r\n"
+                                  for step, (usage, prediction)
+                                  in zip(steps, host.series[metric].tolist())]))
 
 
 def write_capacities(specs: list[HostSpec], path: str | Path) -> None:
@@ -353,7 +362,10 @@ def load_traces(path: str | Path, capacities: dict[str, HostSpec],
             series[metric] = np.array([by_step[i] for i in range(len(by_step))], SERIES_DTYPE)
         hosts.append(HostTrace(capacities[host_id], series))
     dc = Datacenter(name or path.stem, hosts, step_minutes)
-    dc.validate()
+    try:
+        dc.validate()
+    except (TraceSchemaError, DomainError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
     return dc
 
 

@@ -1,12 +1,19 @@
 """Trace model tests: synthetic generation, CSV round trips, error CDFs."""
 
+import csv
+import io
 import math
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from marginsim.costs import CostModel
+from marginsim.engine import SimulationConfig, compare_strategies
 from marginsim.errors import ConfigError, DomainError, TraceParseError, TraceSchemaError
+from marginsim.strategies import StrategySpec
 from marginsim.traces import (
     Datacenter,
     HostSpec,
@@ -21,6 +28,12 @@ from marginsim.traces import (
     write_capacities,
     write_traces,
 )
+
+TRACES_V1 = Path(__file__).parent / "data" / "traces_v1.csv"
+# The recipe tests/data/traces_v1.csv was written from.
+TRACES_V1_CONFIG = SyntheticConfig(seed=7, num_hosts=1, num_days=1, step_minutes=15,
+                                   spike_prob_per_step=0.05, prediction_bias=0.01,
+                                   smoothing_window=4)
 
 
 def flat_series(n, usage, prediction):
@@ -149,6 +162,99 @@ class TestSynthetic:
         with pytest.raises(DomainError):
             SyntheticConfig(seed=1, num_hosts=1, num_days=1, step_minutes=7).validate()
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), num_hosts=st.integers(1, 3),
+           num_days=st.integers(1, 2), step_minutes=st.sampled_from([3, 15, 60, 1440]),
+           smoothing_window=st.integers(1, 700),
+           noise_ar_coeff=st.sampled_from([0.0, 0.3, 0.8, 0.999]),
+           noise_sigma=st.sampled_from([0.0, 0.02, 0.3]),
+           spike_prob_per_step=st.sampled_from([0.0, 0.05, 1.0]),
+           prediction_noise_sigma=st.sampled_from([0.0, 0.05]),
+           prediction_bias=st.sampled_from([0.0, -0.1, 0.05]))
+    @example(seed=1, num_hosts=1, num_days=1, step_minutes=3, smoothing_window=1,
+             noise_ar_coeff=0.8, noise_sigma=0.02, spike_prob_per_step=0.0,
+             prediction_noise_sigma=0.05, prediction_bias=0.0)
+    @example(seed=2, num_hosts=2, num_days=2, step_minutes=3, smoothing_window=500,
+             noise_ar_coeff=0.0, noise_sigma=0.0, spike_prob_per_step=0.0,
+             prediction_noise_sigma=0.0, prediction_bias=0.0)
+    def test_series_equal_the_per_step_loops(self, **recipe):
+        cfg = SyntheticConfig(**recipe)
+        dc = generate_synthetic(cfg)
+        for host in dc.hosts:
+            host_idx = int(host.spec.host_id.removeprefix("host-"))
+            for metric_idx, metric in enumerate((MetricKind.CPU, MetricKind.RAM)):
+                usage, prediction = reference_series(cfg, host_idx, metric_idx)
+                assert host.series[metric]["usage"].tobytes() == usage.tobytes()
+                assert host.series[metric]["prediction"].tobytes() == prediction.tobytes()
+
+
+def reference_series(cfg, host_idx, metric_idx):
+    """One (host, metric) series from `cfg` by the per-step loops: the AR(1)
+    noise and the trailing mean computed one step at a time."""
+    steps_per_day = 1440 // cfg.step_minutes
+    grid = np.arange(cfg.num_days * steps_per_day)
+    host_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, host_idx]))
+    phase = host_rng.uniform(0.0, 2.0 * math.pi)
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, host_idx, metric_idx]))
+    sinusoid = cfg.base_load + cfg.daily_amplitude * np.sin(
+        2.0 * math.pi * grid / steps_per_day + phase)
+    innovations = rng.normal(0.0, cfg.noise_sigma, grid.size)
+    ar = np.empty(grid.size)
+    prev = 0.0
+    for t in range(grid.size):
+        prev = cfg.noise_ar_coeff * prev + innovations[t]
+        ar[t] = prev
+    spikes = (rng.random(grid.size) < cfg.spike_prob_per_step) * cfg.spike_magnitude
+    usage = np.clip(sinusoid + ar + spikes, 0.0, 1.0)
+
+    w = cfg.smoothing_window
+    sums = np.concatenate([[0.0], np.cumsum(usage)])
+    smoothed = np.empty(usage.size)
+    smoothed[0] = cfg.base_load
+    for t in range(1, usage.size):
+        lo = max(0, t - w)
+        smoothed[t] = (sums[t] - sums[lo]) / (t - lo)
+    noise = rng.normal(0.0, cfg.prediction_noise_sigma, usage.size)
+    return usage, np.clip(smoothed + cfg.prediction_bias + noise, 0.0, 1.0)
+
+
+def reference_trace_csv(dc):
+    """The trace file's text as csv.writer writes it, one row at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["host_id", "metric", "step", "usage", "prediction"])
+    for host in sorted(dc.hosts, key=lambda h: h.spec.host_id):
+        for metric in (MetricKind.CPU, MetricKind.RAM):
+            for step, (usage, prediction) in enumerate(host.series[metric].tolist()):
+                writer.writerow([host.spec.host_id, metric.value, step,
+                                 repr(usage), repr(prediction)])
+    return buf.getvalue()
+
+
+unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+class TestWriteTraces:
+    @settings(max_examples=60, deadline=None)
+    @given(ids=st.lists(st.text(alphabet='ab7 ,"\'\r\n\t;', min_size=1, max_size=6),
+                        min_size=1, max_size=3, unique=True),
+           values=st.lists(unit_floats, min_size=1, max_size=5))
+    @example(ids=['rack "7",b', "host-0"], values=[5e-324, 1e-05, 1.0])
+    def test_equals_csv_writer(self, tmp_path_factory, ids, values):
+        series = make_series(values, values[::-1])
+        hosts = [HostTrace(HostSpec(hid, 8, 64.0),
+                           {MetricKind.CPU: series, MetricKind.RAM: series[::-1]})
+                 for hid in ids]
+        dc = Datacenter("t", hosts, 3)
+        path = tmp_path_factory.mktemp("w") / "traces.csv"
+        write_traces(dc, path)
+        assert path.read_bytes() == reference_trace_csv(dc).encode()
+
+    def test_format_fixture_is_reproduced_byte_for_byte(self, tmp_path):
+        path = tmp_path / "traces.csv"
+        write_traces(generate_synthetic(TRACES_V1_CONFIG), path)
+        assert path.read_bytes() == TRACES_V1.read_bytes()
+
 
 class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):
@@ -218,8 +324,72 @@ class TestCsvRoundTrip:
         p = tmp_path / "t.csv"
         p.write_text("\n".join(rows) + "\n")
         caps = {"h0": HostSpec("h0", 8, 64.0)}
-        with pytest.raises(TraceSchemaError):
+        with pytest.raises(TraceSchemaError) as err:
             load_traces(p, caps, 3)
+        assert str(err.value).startswith(f"{p}: h0: series length 100")
+
+    @pytest.mark.parametrize("steps, message", [
+        ({"cpu": 480, "ram": 960}, "h0: ragged series lengths"),
+        ({"cpu": 480}, "h0: need exactly one series per metric"),
+    ])
+    def test_shape_errors_name_the_file(self, tmp_path, steps, message):
+        rows = ["host_id,metric,step,usage,prediction"]
+        for m, n in steps.items():
+            rows += [f"h0,{m},{i},0.5,0.5" for i in range(n)]
+        p = tmp_path / "shape.csv"
+        p.write_text("\n".join(rows) + "\n")
+        caps = {"h0": HostSpec("h0", 8, 64.0)}
+        with pytest.raises(TraceSchemaError) as err:
+            load_traces(p, caps, 3)
+        assert str(err.value).startswith(f"{p}: {message}")
+
+    def test_shuffled_rows_and_blank_lines_load_as_the_sorted_file(self, tmp_path):
+        dc = generate_synthetic(SyntheticConfig(seed=9, num_hosts=3, num_days=1,
+                                                step_minutes=30))
+        caps = {h.spec.host_id: h.spec for h in dc.hosts}
+        sorted_path, shuffled_path = tmp_path / "sorted.csv", tmp_path / "shuffled.csv"
+        write_traces(dc, sorted_path)
+        header, *rows = sorted_path.read_text().splitlines(keepends=True)
+        random.Random(5).shuffle(rows)
+        shuffled_path.write_text("".join([header, "\r\n", *rows[:7], "\r\n\r\n", *rows[7:]]))
+        expected = load_traces(sorted_path, caps, 30)
+        loaded = load_traces(shuffled_path, caps, 30)
+        assert [h.spec for h in loaded.hosts] == [h.spec for h in expected.hosts]
+        for a, b in zip(loaded.hosts, expected.hosts):
+            for m in MetricKind:
+                assert a.series[m].tobytes() == b.series[m].tobytes()
+
+    def test_quoted_host_id_round_trips_byte_for_byte(self, tmp_path):
+        dc = generate_synthetic(SyntheticConfig(seed=9, num_hosts=2, num_days=1,
+                                                step_minutes=30))
+        dc.hosts[1].spec = HostSpec('rack "7",b', 8, 64.0)
+        write_traces(dc, tmp_path / "a.csv")
+        write_capacities([h.spec for h in dc.hosts], tmp_path / "a_caps.csv")
+        assert '"rack ""7"",b",cpu,0,' in (tmp_path / "a.csv").read_text()
+        caps = load_capacities(tmp_path / "a_caps.csv")
+        loaded = load_traces(tmp_path / "a.csv", caps, 30)
+        write_traces(loaded, tmp_path / "b.csv")
+        write_capacities(list(caps.values()), tmp_path / "b_caps.csv")
+        for name in ("", "_caps"):
+            assert ((tmp_path / f"a{name}.csv").read_bytes()
+                    == (tmp_path / f"b{name}.csv").read_bytes())
+
+    def test_round_trip_keeps_host_order_past_ten_hosts(self, tmp_path):
+        dc = generate_synthetic(SyntheticConfig(seed=3, num_hosts=12, num_days=2,
+                                                step_minutes=15))
+        write_traces(dc, tmp_path / "t.csv")
+        write_capacities([h.spec for h in dc.hosts], tmp_path / "c.csv")
+        loaded = load_traces(tmp_path / "t.csv", load_capacities(tmp_path / "c.csv"), 15)
+        assert [h.spec.host_id for h in loaded.hosts] == [h.spec.host_id for h in dc.hosts]
+        sim = SimulationConfig(seed=3, day_range=(0, 2), step_minutes=15)
+        specs = [StrategySpec.parse("random"), StrategySpec.parse("fixed:0.05")]
+        tables = [compare_strategies(d, CostModel(), sim, specs) for d in (dc, loaded)]
+        for label in ("random", "fixed:0.05"):
+            built, read = (t.reports[label] for t in tables)
+            assert read.ledgers == built.ledgers
+            assert list(read.margin_series) == list(built.margin_series)
+            for key, margins in built.margin_series.items():
+                assert read.margin_series[key].tobytes() == margins.tobytes()
 
     def test_missing_step_names_file_host_metric_and_step(self, tmp_path):
         rows = ["host_id,metric,step,usage,prediction"]
