@@ -191,13 +191,9 @@ class Batch:
         self.rewards = rows[:, -1]
 
 
-def squash(raw):
-    """Logistic map from the actor's raw output to (0, 1)."""
-    return 1.0 / (1.0 + np.exp(-raw))
-
-
 def squash_into(raw: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """`squash(raw)` written into `out`, the same operations in place."""
+    """The logistic map from the actor's raw output to (0, 1),
+    `1.0 / (1.0 + np.exp(-raw))`, written into `out` by the same operations."""
     np.negative(raw, out=out)
     np.exp(out, out=out)
     out += 1.0
@@ -268,10 +264,11 @@ class DdpgAgent:
             self.explore_calls += 1
             if self.explore_calls <= self.config.warmup_steps:
                 return float(self.warmup_rng.uniform(0.0, MARGIN_MAX))
-            raw = self.actor.forward(state)[0] + self.noise.step()
-        else:
-            raw = self.actor.forward(state)[0]
-        return float(min(max(squash(raw), 0.0), MARGIN_MAX))
+        raw = float(self.actor.forward(np.asarray(state, dtype=float)[None, :])[0, 0])
+        if explore:
+            raw += self.noise.step()
+        # squash_into's operations on Python floats: the same IEEE results, np.exp included.
+        return min(max(1.0 / (1.0 + float(np.exp(-raw))), 0.0), MARGIN_MAX)
 
     def store_and_learn(self, transition: Transition) -> UpdateStats:
         """Store one transition (reward normalized by `reward_scale`) and,

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from marginsim.errors import DomainError
 from marginsim.traces import MINUTES_PER_DAY, HostSpec
 
@@ -74,19 +76,24 @@ def discount_for(model: CostModel, violation_minutes: float) -> float:
     raise AssertionError("unreachable: last tier is unbounded")
 
 
-def containers_fitting(model: CostModel, spec: HostSpec,
-                       headroom_cpu: float, headroom_ram: float) -> int:
+def containers_fitting(model: CostModel, spec: HostSpec, headroom_cpu, headroom_ram):
     """Containers that fit in the given headroom fractions of `spec`.
 
     Headrooms are clamped to [0, 1], so degenerate inputs yield 0 rather
     than an error; the result is the binding minimum over both resources.
+    Scalars give a numpy integer; arrays give an integer array of their
+    broadcast shape, elementwise the same counts.  A NaN headroom raises
+    `ValueError`, as `math.floor` does.
     """
-    # min(max(h, 0.0), 1.0) as comparisons: -0.0 and NaN pass through.
-    h_cpu = 0.0 if headroom_cpu < 0.0 else 1.0 if headroom_cpu > 1.0 else headroom_cpu
-    h_ram = 0.0 if headroom_ram < 0.0 else 1.0 if headroom_ram > 1.0 else headroom_ram
-    by_cpu = math.floor(h_cpu * spec.cpu_cores / model.container_cpu)
-    by_ram = math.floor(h_ram * spec.ram_gb / model.container_ram_gb)
-    return min(by_cpu, by_ram)
+    # Criterion 1's min(max(h, 0.0), 1.0); it keeps -0.0 where np.maximum gives
+    # 0.0, but either floors to 0 containers.  NaN passes through to the check.
+    h_cpu = np.minimum(np.maximum(headroom_cpu, 0.0), 1.0)
+    h_ram = np.minimum(np.maximum(headroom_ram, 0.0), 1.0)
+    fits = np.minimum(np.floor(h_cpu * spec.cpu_cores / model.container_cpu),
+                      np.floor(h_ram * spec.ram_gb / model.container_ram_gb))
+    if np.isnan(fits).any():
+        raise ValueError("cannot convert float NaN to integer")
+    return fits.astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """The step-by-step simulator: replay a trace under margin strategies.
 
 Each step, per host: every metric's strategy picks a margin from information
-up to the previous step only, containers are fit into the remaining
-headroom, and the step is checked for a violation (actual usage above
-prediction plus margin on either metric).  Days settle independently:
-violation clocks reset at midnight, strategy and agent state carry across.
+up to the previous step only.  Once a day's margins are chosen, the day
+settles from arrays: containers are fit into each step's remaining
+headroom, and each step is checked for a violation (actual usage above
+prediction plus margin on either metric), which advances that host-day's
+violation clock.  Days settle independently: violation clocks reset at
+midnight, strategy and agent state carry across.
 
 In training mode the day's transitions are buffered, the settled penalty is
 attributed back onto the day's rewards, and only then is the day fed to the
@@ -92,7 +94,7 @@ def train_test_split(dc: Datacenter, train_fraction: float) -> tuple[tuple[int, 
 
 def reward_scale_for(dc: Datacenter, cost: CostModel, step_minutes: int) -> float:
     """Normalization constant: one step's earnings on the roomiest empty host."""
-    best = max(containers_fitting(cost, h.spec, 1.0, 1.0) for h in dc.hosts)
+    best = max(int(containers_fitting(cost, h.spec, 1.0, 1.0)) for h in dc.hosts)
     return cost.price_per_minute * step_minutes * max(best, 1)
 
 
@@ -146,11 +148,9 @@ def run(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
     error_rows = [[tuple(row) for row in host] for host in error_hist.tolist()]
     usage_rows = [[tuple(row) for row in host]
                   for host in np.concatenate([zeros, usage], axis=2).tolist()]
-    # Per host and range step: (usage cpu, usage ram, prediction cpu, prediction ram).
-    now = [list(zip(*host_u, *host_p))
-           for host_u, host_p in zip(usage.tolist(), pred.tolist())]
     margins = np.zeros(usage.shape)
     select_cpu, select_ram = (strat.select for strat in strats)
+    new_obs = tuple.__new__  # builds an Observation without NamedTuple's Python-level __new__
     cpu, ram = METRICS
     specs = [host.spec for host in hosts]
     host_ids = [spec.host_id for spec in specs]
@@ -163,9 +163,7 @@ def run(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
 
     for day in range(lo, hi):
         day_start = (day - lo) * spd
-        day_minutes = [0] * len(hosts)
-        day_containers = [[] for _ in hosts]
-        day_violated = [[] for _ in hosts]
+        span = slice(day_start, day_start + spd)
         day_cpu = [[] for _ in hosts]
         day_ram = [[] for _ in hosts]
 
@@ -173,36 +171,38 @@ def run(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
             for i, hid in enumerate(host_ids):
                 e_cpu, e_ram = error_rows[i]
                 h_cpu, h_ram = usage_rows[i]
-                m_cpu = select_cpu(Observation(hid, cpu, e_cpu[f_cpu + r:pad + r],
-                                               h_cpu[f_cpu + r:pad + r], last_cpu[i]))
-                m_ram = select_ram(Observation(hid, ram, e_ram[f_ram + r:pad + r],
-                                               h_ram[f_ram + r:pad + r], last_ram[i]))
+                m_cpu = select_cpu(new_obs(Observation, (hid, cpu, e_cpu[f_cpu + r:pad + r],
+                                                         h_cpu[f_cpu + r:pad + r], last_cpu[i])))
+                m_ram = select_ram(new_obs(Observation, (hid, ram, e_ram[f_ram + r:pad + r],
+                                                         h_ram[f_ram + r:pad + r], last_ram[i])))
                 last_cpu[i] = m_cpu
                 last_ram[i] = m_ram
                 day_cpu[i].append(m_cpu)
                 day_ram[i].append(m_ram)
-                u_cpu, u_ram, p_cpu, p_ram = now[i][r]
-                nb = containers_fitting(cost, specs[i], 1.0 - p_cpu - m_cpu,
-                                        1.0 - p_ram - m_ram)
-                violated = p_cpu + m_cpu - u_cpu < 0 or p_ram + m_ram - u_ram < 0
-                day_minutes[i] = accumulate_violation(day_minutes[i], violated, ts)
-                day_containers[i].append(nb)
-                day_violated[i].append(violated)
-        margins[:, 0, day_start:day_start + spd] = day_cpu
-        margins[:, 1, day_start:day_start + spd] = day_ram
+        margins[:, 0, span] = day_cpu
+        margins[:, 1, span] = day_ram
 
+        # The day settles from arrays, indexed (host, metric, step).
+        m, p, u = margins[:, :, span], pred[:, :, span], usage[:, :, span]
+        headroom = 1.0 - p - m
+        violated = (p + m - u < 0).any(axis=1).tolist()
+        containers = [containers_fitting(cost, spec, h_cpu, h_ram)
+                      for spec, (h_cpu, h_ram) in zip(specs, headroom)]
         penalties = []
         for i, hid in enumerate(host_ids):
-            settled = settle_day(cost, day_containers[i], day_minutes[i], ts)
+            minutes = 0
+            for flag in violated[i]:
+                minutes = accumulate_violation(minutes, flag, ts)
+            settled = settle_day(cost, containers[i].tolist(), minutes, ts)
             penalties.append(settled.penalty)
-            ledgers.append(DayLedger(hid, day, day_minutes[i],
+            ledgers.append(DayLedger(hid, day, minutes,
                                      settled.potential_saving, settled.penalty,
                                      settled.net_saving))
 
         if sim.mode == "train":
             rewards = [_attribute_rewards(sim.reward_attribution,
-                                          [nb * ppm * ts for nb in day_containers[i]],
-                                          day_violated[i], penalties[i])
+                                          (containers[i] * ppm * ts).tolist(),
+                                          violated[i], penalties[i])
                        for i in range(len(hosts))]
             for k in range(spd):
                 r = day_start + k

@@ -205,12 +205,15 @@ def write_report_files(report: EvaluationReport, outdir: str | Path) -> list[Pat
     margins_path = outdir / "margins.csv"
     with atomic_write(margins_path) as fh:
         csv.writer(fh).writerow(MARGIN_HEADER)
-        start = report.day_range[0] * (MINUTES_PER_DAY // report.step_minutes)
+        spd = MINUTES_PER_DAY // report.step_minutes
+        lo, hi = report.day_range
+        # Every series spans day_range, so the "<step>," cells are formatted once.
+        steps = [f"{step}," for step in range(lo * spd, hi * spd)]
         for (hid, metric), margins in report.margin_series.items():
             # Only the host id can need quoting; step and repr(margin) never do.
             prefix = csv_prefix([hid, metric.value])
-            fh.write("".join([f"{prefix}{step},{margin!r}\r\n"
-                              for step, margin in enumerate(margins.tolist(), start=start)]))
+            rows = map(str.__add__, steps, map(repr, margins.tolist()))
+            fh.write(prefix + ("\r\n" + prefix).join(rows) + "\r\n")
     written.append(margins_path)
 
     for metric_value, body in report.error_cdfs.csv_bodies.items():

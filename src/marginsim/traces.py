@@ -311,6 +311,7 @@ def load_traces(path: str | Path, capacities: dict[str, HostSpec],
     (host, metric) must cover steps 0..n-1 without a gap.
     """
     path = Path(path)
+    metric_kinds = {kind.value: kind for kind in MetricKind}
     per_host: dict[str, dict[MetricKind, dict[int, tuple[float, float]]]] = {}
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
@@ -326,19 +327,19 @@ def load_traces(path: str | Path, capacities: dict[str, HostSpec],
             if len(row) != 5:
                 raise TraceParseError(path, no, f"expected 5 fields, got {len(row)}")
             host_id, metric_text, step_text, usage_text, pred_text = row
-            try:
-                metric = MetricKind(metric_text)
-            except ValueError:
-                raise TraceParseError(path, no, f"unknown metric {metric_text!r}") from None
+            metric = metric_kinds.get(metric_text)
+            if metric is None:
+                raise TraceParseError(path, no, f"unknown metric {metric_text!r}")
             try:
                 step, usage, prediction = int(step_text), float(usage_text), float(pred_text)
             except ValueError as exc:
                 raise TraceParseError(path, no, str(exc)) from exc
             if step < 0:
                 raise TraceParseError(path, no, f"step must be >= 0, got {step}")
-            for name, value in (("usage", usage), ("prediction", prediction)):
-                if not (0.0 <= value <= 1.0):
-                    raise TraceParseError(path, no, f"{name} must be in [0, 1], got {value}")
+            if not (0.0 <= usage <= 1.0 and 0.0 <= prediction <= 1.0):
+                name, value = (("usage", usage) if not (0.0 <= usage <= 1.0)
+                               else ("prediction", prediction))
+                raise TraceParseError(path, no, f"{name} must be in [0, 1], got {value}")
             if host_id not in capacities:
                 raise ConfigError(f"{path}:{no}: host {host_id!r} has no capacity entry")
             steps = per_host.setdefault(host_id, {}).setdefault(metric, {})

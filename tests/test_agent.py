@@ -115,6 +115,20 @@ class TestAct:
         later = agent.act(state, explore=True)
         assert later != pytest.approx(float(expect.uniform(0.0, MARGIN_MAX)))
 
+    @pytest.mark.parametrize("explore", [False, True])
+    def test_margin_is_the_numpy_squash_as_a_python_float(self, explore):
+        # act squashes with Python floats; this is the squash on numpy
+        # scalars, noise added to the actor's output first.
+        agent = DdpgAgent.create(tiny_config(warmup_steps=0), seed=14)
+        twin = DdpgAgent.create(tiny_config(warmup_steps=0), seed=14)
+        states = np.random.default_rng(15).uniform(-3.0, 3.0, size=(200, 4))
+        states[::7] = 0.0
+        for state in states:
+            got = agent.act(state, explore=explore)
+            raw = twin.actor.forward(state)[0] + (twin.noise.step() if explore else 0.0)
+            assert type(got) is float
+            assert got == float(min(max(1.0 / (1.0 + np.exp(-raw)), 0.0), MARGIN_MAX))
+
     def test_greedy_calls_do_not_consume_warmup(self):
         agent = DdpgAgent.create(tiny_config(warmup_steps=2), seed=8)
         state = np.full(4, 0.1)

@@ -7,8 +7,9 @@ discount table scan), so an implementation bug cannot hide in both places.
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from marginsim.costs import (
     DEFAULT_DISCOUNT_TIERS,
@@ -136,6 +137,27 @@ class TestContainersFitting:
             self.reference(h_cpu, h_ram)
         with pytest.raises(ValueError):
             containers_fitting(MODEL, SPEC, h_cpu, h_ram)
+
+    @given(st.lists(st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)),
+                    min_size=1, max_size=50))
+    @example([(-0.0, 1.0), (math.inf, -math.inf), (1.0, -0.0), (0.0, 0.0), (1.5, 0.25)])
+    def test_arrays_match_the_reference_elementwise(self, pairs):
+        h_cpu, h_ram = (np.array(column) for column in zip(*pairs))
+        got = containers_fitting(MODEL, SPEC, h_cpu, h_ram)
+        assert got.shape == h_cpu.shape
+        assert got.tolist() == [self.reference(c, r) for c, r in pairs]
+
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=30),
+           st.data())
+    def test_nan_anywhere_in_an_array_raises(self, values, data):
+        where = data.draw(st.integers(0, len(values) - 1))
+        metric = data.draw(st.sampled_from(("cpu", "ram")))
+        with_nan = np.array(values)
+        with_nan[where] = math.nan
+        clean = np.full(len(values), 0.5)
+        args = (with_nan, clean) if metric == "cpu" else (clean, with_nan)
+        with pytest.raises(ValueError):
+            containers_fitting(MODEL, SPEC, *args)
 
 
 class TestSettleDay:

@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from marginsim.agent import SHARED, DdpgConfig, Transition, build_pool
-from marginsim.costs import CostModel, DayLedger, accumulate_violation, settle_day
+from marginsim.costs import (
+    CostModel,
+    DayLedger,
+    accumulate_violation,
+    containers_fitting,
+    settle_day,
+)
 from marginsim import reporting
 from marginsim.engine import (
     METRICS,
@@ -149,6 +155,11 @@ class TestRewardScale:
         assert reward_scale_for(dc, cost, 96) == pytest.approx(
             cost.price_per_minute * 96 * 32)
 
+    def test_is_a_python_float(self):
+        # It is written into checkpoints with repr; a numpy scalar's repr
+        # ("np.float64(...)" under numpy 2) would change their bytes.
+        assert type(reward_scale_for(flat_dc(0.5, 0.5), CostModel(), 96)) is float
+
 
 class TestRunBasics:
     def test_perfect_predictions_no_violations(self):
@@ -237,6 +248,18 @@ class TestBruteForceOracle:
             assert ledger.penalty == expect[1]
             assert ledger.net_saving == expect[2]
             assert ledger.violation_minutes == expect[3]
+
+    def test_headroom_subtracts_the_prediction_then_the_margin(self):
+        # (1 - 0.05) - 0.45 is just below 0.5, so 7 containers fit; the
+        # other grouping, 1 - (0.05 + 0.45), is 0.5 exactly and fits 8.
+        dc = flat_dc(0.0, 0.05)
+        cost = CostModel()
+        result = run(dc, cost, sim_for(dc), fixed(0.45))
+        traces = {m: ((0.0,) * 15, (0.05,) * 15) for m in (CPU, RAM)}
+        expect = brute_force_host_day(cost, dc.hosts[0].spec, traces,
+                                      {CPU: 0.45, RAM: 0.45}, 96)
+        assert result.ledgers[0].potential_saving == expect[0]
+        assert expect[0] == settle_day(cost, [7] * 15, 0, 96).potential_saving
 
     def test_deterministic_repeat(self):
         cfg = SyntheticConfig(seed=5, num_hosts=2, num_days=2,
@@ -453,6 +476,20 @@ class Probe(MarginStrategy):
         return clamp_margin(value)
 
 
+class Cycle(MarginStrategy):
+    """Answers the given values in turn, whatever it observes; they may lie
+    outside [0, MARGIN_MAX], so headrooms go below 0 and above 1."""
+
+    def __init__(self, values):
+        self.values = values
+        self.calls = 0
+
+    def select(self, obs):
+        value = self.values[self.calls % len(self.values)]
+        self.calls += 1
+        return value
+
+
 class TestLoopParity:
     """`run` equals the straight-line `reference_run` exactly: margins by
     bytes, ledgers, step log and the trained agents' parameters."""
@@ -466,6 +503,9 @@ class TestLoopParity:
         for metric, token in zip(METRICS, tokens):
             if token.startswith("probe:"):
                 built[metric] = Probe(int(token.split(":")[1]))
+                continue
+            if token.startswith("cycle:"):
+                built[metric] = Cycle([float(v) for v in token[6:].split("/")])
                 continue
             pool = build_pool(self.DDPG, metric, scopes, 17, 0.01)
             built[metric] = StrategySpec.parse(token).build(
@@ -481,17 +521,17 @@ class TestLoopParity:
         (("releaser", "releaser"), "train", False, "violation_spread"),
         (("releaser", "scavenger:7"), "train", True, "day_end_lump"),
         (("probe:2", "releaser"), "train", False, "day_end_lump"),
+        # Headrooms clamped below 0 (margins 0.99 and 1.5) and above 1
+        # (margins -0.5 and -1), and -0.0 margins.
+        (("cycle:-0.5/0.99/-0.0/1.5/0.3", "cycle:1.5/-1/0.0/0.7"), "evaluate", False,
+         "violation_spread"),
+        (("fixed:0", "fixed:0"), "evaluate", False, "violation_spread"),
+        # Every step of every host-day violates: 1440 minutes, the top tier.
+        (("releaser", "cycle:-1"), "train", False, "violation_spread"),
+        (("cycle:-1", "releaser"), "train", True, "day_end_lump"),
     ])
     def test_matches_reference(self, tokens, mode, per_host, attribution):
-        dc = generate_synthetic(SyntheticConfig(seed=37, num_hosts=3, num_days=3,
-                                                step_minutes=96, spike_prob_per_step=0.1,
-                                                prediction_noise_sigma=0.08))
-        sim = SimulationConfig(seed=3, day_range=(1, 3), step_minutes=96, mode=mode,
-                               reward_attribution=attribution)
-        fast = self.strategies(dc, tokens, mode, per_host)
-        slow = self.strategies(dc, tokens, mode, per_host)
-        got = run(dc, CostModel(), sim, fast)
-        want = reference_run(dc, CostModel(), sim, slow)
+        got, want, fast, slow = self.run_both(tokens, mode, per_host, attribution)
         assert got.margins.tobytes() == want.margins.tobytes()
         assert got.ledgers == want.ledgers
         assert sum(ledger.violation_minutes for ledger in got.ledgers) > 0
@@ -509,6 +549,48 @@ class TestLoopParity:
                         assert np.array_equal(getattr(agent, net).params,
                                               getattr(twin, net).params), (scope, net)
                     assert agent.noise.state == twin.noise.state
+
+    @staticmethod
+    def trace():
+        return generate_synthetic(SyntheticConfig(seed=37, num_hosts=3, num_days=3,
+                                                  step_minutes=96, spike_prob_per_step=0.1,
+                                                  prediction_noise_sigma=0.08))
+
+    def run_both(self, tokens, mode, per_host, attribution):
+        """(run's result, reference_run's result, run's strategies, the reference's)."""
+        dc = self.trace()
+        sim = SimulationConfig(seed=3, day_range=(1, 3), step_minutes=96, mode=mode,
+                               reward_attribution=attribution)
+        fast = self.strategies(dc, tokens, mode, per_host)
+        slow = self.strategies(dc, tokens, mode, per_host)
+        return (run(dc, CostModel(), sim, fast), reference_run(dc, CostModel(), sim, slow),
+                fast, slow)
+
+    @pytest.mark.parametrize("tokens", [("cycle:-1", "fixed:0"), ("fixed:0", "cycle:-1")])
+    def test_violating_every_step_settles_in_the_top_tier(self, tokens):
+        got, want, _, _ = self.run_both(tokens, "evaluate", False, "violation_spread")
+        assert got.ledgers == want.ledgers
+        assert len(got.ledgers) == 6
+        for ledger in got.ledgers:
+            assert ledger.violation_minutes == 1440
+            assert ledger.potential_saving > 0
+            assert ledger.penalty == ledger.potential_saving * 0.30
+
+    def test_clamped_headrooms_give_the_clamped_counts(self):
+        cost = CostModel()
+        # Margin 0.99 or 1.5 on one metric leaves headroom below 0 there.
+        for tokens in (("cycle:-1", "cycle:0.99/1.5"), ("cycle:1.5", "cycle:-1")):
+            got, want, _, _ = self.run_both(tokens, "evaluate", False, "violation_spread")
+            assert got.ledgers == want.ledgers
+            assert all(ledger.potential_saving == 0.0 for ledger in got.ledgers)
+        # Margin -1 on both leaves headroom 2 - prediction > 1: a full host.
+        got, want, _, _ = self.run_both(("cycle:-1", "cycle:-1"), "evaluate", False,
+                                        "violation_spread")
+        assert got.ledgers == want.ledgers
+        for ledger, spec in zip(got.ledgers, [host.spec for host in self.trace().hosts] * 2):
+            full = [int(containers_fitting(cost, spec, 1.0, 1.0))] * 15
+            assert full[0] > 0
+            assert ledger.potential_saving == settle_day(cost, full, 0, 96).potential_saving
 
 
 class TestConservation:

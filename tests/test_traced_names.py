@@ -1,15 +1,19 @@
 """The benchmark's traced run wraps package names by where callers look
 them up; a refactor that moves or renames one would silently drop that
 layer from the trace.  This checks every traced name still exists, and that
-a DDPG update goes through the traced names as often as the benchmark's
-counter identities expect."""
+a DDPG update and an engine run go through the traced names as often as the
+benchmark's counter identities expect."""
 
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from marginsim.agent import DdpgAgent, DdpgConfig, Transition
+from marginsim import engine
+from marginsim.agent import SHARED, DdpgAgent, DdpgConfig, Transition, build_pool
+from marginsim.costs import CostModel
+from marginsim.strategies import StrategySpec
+from marginsim.traces import MetricKind, SyntheticConfig, generate_synthetic
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -44,3 +48,36 @@ def test_traced_update_identities(tracer, discount, passes):
     assert metrics["nets.forward_passes_per_update"] == passes
     assert metrics["nets.backward.calls"] == 3 * updates
     assert metrics["nets.adam_step.calls"] == 2 * updates
+
+
+@pytest.mark.parametrize("mode", ["evaluate", "train"])
+@pytest.mark.parametrize("per_host", [False, True])
+def test_traced_engine_identities(tracer, mode, per_host):
+    from tracing import STRATEGY_CLASSES
+
+    hosts, days, spd = 3, 2, 15
+    dc = generate_synthetic(SyntheticConfig(seed=62, num_hosts=hosts, num_days=days,
+                                            step_minutes=96))
+    scopes = [h.spec.host_id for h in dc.hosts] if per_host else [SHARED]
+    ddpg = DdpgConfig(window=4, batch_size=8, warmup_steps=8, replay_capacity=64,
+                      steps_per_day=spd)
+    cpu, ram = MetricKind.CPU, MetricKind.RAM
+    strategies = {
+        cpu: StrategySpec.parse("releaser").build(
+            cpu, 63, pool=build_pool(ddpg, cpu, scopes, 64, 0.01), explore=mode == "train"),
+        ram: StrategySpec.parse("scavenger:5").build(ram, 63),
+    }
+    sim = engine.SimulationConfig(seed=63, day_range=(0, days), step_minutes=96, mode=mode)
+    with tracer.installed():
+        engine.run(dc, CostModel(), sim, strategies)
+    m = tracer.metrics()
+    host_steps = hosts * days * spd
+    assert tracer.missing == set()
+    assert m["engine.run.calls"] == 1
+    assert m["engine.host_steps"] == host_steps
+    assert m["costs.accumulate_violation.calls"] == host_steps
+    assert sum(m[f"strategies.{kind}.calls"] for kind in STRATEGY_CLASSES) == 2 * host_steps
+    assert m["strategies.releaser.calls"] == m["strategies.scavenger.calls"] == host_steps
+    assert m["costs.containers_fitting.calls"] > 0
+    assert m["costs.settle_day.calls"] == hosts * days
+    assert (m["agent.store_and_learn.calls"] > 0) == (mode == "train")

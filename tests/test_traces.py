@@ -302,6 +302,24 @@ class TestCsvRoundTrip:
                 load_traces(p, caps, 3)
             assert ":2:" in str(err.value)
 
+    @pytest.mark.parametrize("row,message", [
+        ("h0,gpu,0,0.5,0.5", "unknown metric 'gpu'"),
+        ("h0,CPU,0,0.5,0.5", "unknown metric 'CPU'"),
+        ("h0,cpu,0,1.5,0.5", "usage must be in [0, 1], got 1.5"),
+        ("h0,cpu,0,0.5,-0.25", "prediction must be in [0, 1], got -0.25"),
+        ("h0,ram,0,-1,2", "usage must be in [0, 1], got -1.0"),
+        ("h0,ram,0,nan,0.5", "usage must be in [0, 1], got nan"),
+        ("h0,ram,0,0.5,inf", "prediction must be in [0, 1], got inf"),
+    ])
+    def test_error_texts(self, tmp_path, row, message):
+        # Usage is checked before prediction, so a row with both out of
+        # range names usage.
+        p = tmp_path / "t.csv"
+        p.write_text(f"host_id,metric,step,usage,prediction\n{row}\n")
+        with pytest.raises(TraceParseError) as err:
+            load_traces(p, {"h0": HostSpec("h0", 8, 64.0)}, 3)
+        assert str(err.value).endswith(f":2: {message}")
+
     def test_missing_capacity_entry(self, tmp_path):
         cfg = SyntheticConfig(seed=9, num_hosts=1, num_days=1)
         p = tmp_path / "t.csv"
