@@ -41,8 +41,7 @@ def main(argv=None) -> int:
 
     specs = [StrategySpec.parse(f"fixed:{pct / 100:g}")
              for pct in range(args.max_percent + 1)]
-    sim = SimulationConfig(seed=cfg.seed, day_range=day_range,
-                           step_minutes=cfg.step_minutes)
+    sim = SimulationConfig(seed=cfg.seed, day_range=day_range)
     table = compare_strategies(dc, cfg.cost, sim, specs)
 
     print(f"# {cfg.name}: days [{day_range[0]}, {day_range[1]}), "

@@ -120,9 +120,6 @@ class OuProcess:
                       + self.sigma * self.rng.standard_normal())
         return self.state
 
-    def reset(self) -> None:
-        self.state = self.mu
-
 
 class ReplayBuffer:
     """Fixed-capacity ring buffer with uniform sampling (with replacement).

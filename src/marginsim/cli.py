@@ -105,15 +105,14 @@ def cmd_train(cfg: ScenarioConfig) -> int:
             f"{cfg.path}: nothing to train; bind at least one metric to 'releaser' "
             f"in [strategies]")
     train_range, test_range = train_test_split(dc, cfg.train_fraction)
-    scale = reward_scale_for(dc, cfg.cost, cfg.step_minutes)
+    scale = reward_scale_for(dc, cfg.cost)
     scopes = agent_scopes(cfg, dc)
     pools = {m: build_pool(cfg.ddpg, m, scopes, cfg.seed, scale) for m in learned}
     strategies = {
         m: cfg.bindings[m].build(m, cfg.seed, pool=pools.get(m), explore=True)
         for m in METRICS
     }
-    sim = SimulationConfig(seed=cfg.seed, day_range=train_range, mode="train",
-                           step_minutes=cfg.step_minutes,
+    sim = SimulationConfig(seed=cfg.seed, day_range=train_range,
                            reward_attribution=cfg.reward_attribution)
     print(f"training on days [{train_range[0]}, {train_range[1]}) "
           f"({len(learned)} agent(s), {len(dc.hosts)} hosts); "
@@ -157,8 +156,7 @@ def cmd_evaluate(cfg: ScenarioConfig, checkpoint_override: str | None) -> int:
         checkpoint_dir = (Path(checkpoint_override) if checkpoint_override
                           else cfg.checkpoint_dir)
         pools = load_pools(cfg, checkpoint_dir, agent_scopes(cfg, dc))
-    sim = SimulationConfig(seed=cfg.seed, day_range=test_range, mode="evaluate",
-                           step_minutes=cfg.step_minutes)
+    sim = SimulationConfig(seed=cfg.seed, day_range=test_range)
     table = compare_strategies(dc, cfg.cost, sim, cfg.compare, pools=pools,
                                baseline=cfg.baseline)
     reports_dir = cfg.output_dir / "reports"

@@ -44,7 +44,6 @@ class ScenarioConfig:
     name: str
     seed: int
     output_dir: Path
-    trace_source: str
     step_minutes: int
     trace_file: Path | None
     capacity_file: Path | None
@@ -67,7 +66,7 @@ class ScenarioConfig:
 
     def build_datacenter(self) -> Datacenter:
         """Materialize the trace this scenario describes."""
-        if self.trace_source == "synthetic":
+        if self.synthetic is not None:
             dc = generate_synthetic(self.synthetic)
             dc.name = self.name
             return dc
@@ -190,7 +189,7 @@ def load_scenario(path: str | Path, output_override: str | Path | None = None,
     run = {key: ddpg_values.pop(key) for key in _RUN_SETTINGS if key in ddpg_values}
     ddpg = _validated(path, "ddpg", DdpgConfig(steps_per_day=MINUTES_PER_DAY // step_minutes,
                                                **ddpg_values))
-    scenario = ScenarioConfig(path, name, seed, output_dir, source, step_minutes,
+    scenario = ScenarioConfig(path, name, seed, output_dir, step_minutes,
                               trace_file, capacity_file, synthetic, cost, bindings,
                               compare, baseline, ddpg, **run)
     if not 0.0 < scenario.train_fraction < 1.0:

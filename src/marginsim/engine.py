@@ -8,10 +8,11 @@ prediction plus margin on either metric), which advances that host-day's
 violation clock.  Days settle independently: violation clocks reset at
 midnight, strategy and agent state carry across.
 
-In training mode the day's transitions are buffered, the settled penalty is
-attributed back onto the day's rewards, and only then is the day fed to the
-learning agents in step order, so the reward an agent sees is consistent
-with what the day actually earned.
+Agents learn while they explore: when a learned strategy explores, the
+day's transitions are buffered, the settled penalty is attributed back onto
+the day's rewards, and only then is the day fed to those agents in step
+order, so the reward an agent sees is consistent with what the day actually
+earned.  The step length is the trace's own.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from marginsim.costs import (
 )
 from marginsim.errors import DomainError
 from marginsim.strategies import LearnedMargin, MarginStrategy, Observation
-from marginsim.traces import DEFAULT_STEP_MINUTES, Datacenter, MetricKind
+from marginsim.traces import Datacenter, MetricKind
 
 METRICS = (MetricKind.CPU, MetricKind.RAM)
 
@@ -40,17 +41,14 @@ REWARD_ATTRIBUTIONS = ("violation_spread", "day_end_lump")  # the first is the d
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """One run: mode, day range, step grid, and the global seed."""
+    """One run: day range, the global seed, and how a day's penalty reaches
+    the rewards of the agents that learn."""
 
     seed: int
     day_range: tuple[int, int]
-    mode: str = "evaluate"
-    step_minutes: int = DEFAULT_STEP_MINUTES
     reward_attribution: str = REWARD_ATTRIBUTIONS[0]
 
     def validate(self) -> None:
-        if self.mode not in ("train", "evaluate"):
-            raise DomainError(f"mode must be 'train' or 'evaluate', got {self.mode!r}")
         lo, hi = self.day_range
         if lo < 0 or hi <= lo:
             raise DomainError(f"day_range {self.day_range} must be a non-empty [start, end)")
@@ -92,10 +90,10 @@ def train_test_split(dc: Datacenter, train_fraction: float) -> tuple[tuple[int, 
     return (0, train_days), (train_days, days)
 
 
-def reward_scale_for(dc: Datacenter, cost: CostModel, step_minutes: int) -> float:
+def reward_scale_for(dc: Datacenter, cost: CostModel) -> float:
     """Normalization constant: one step's earnings on the roomiest empty host."""
     best = max(int(containers_fitting(cost, h.spec, 1.0, 1.0)) for h in dc.hosts)
-    return cost.price_per_minute * step_minutes * max(best, 1)
+    return cost.price_per_minute * dc.step_minutes * max(best, 1)
 
 
 def run(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
@@ -103,17 +101,14 @@ def run(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
     """Replay `dc` over `sim.day_range` under the given per-metric strategies.
 
     Margins at step t are chosen from windows ending at t-1 (front-padded
-    with zeros at the start of the range), so there is no lookahead.  In
-    train mode the learned strategies' agents receive one transition per
+    with zeros at the start of the range), so there is no lookahead.  The
+    agents of the learned strategies that explore receive one transition per
     (host, step) with the day's penalty attributed per
-    `sim.reward_attribution`.
+    `sim.reward_attribution`; every other strategy only acts.
     """
     dc.validate()
     cost.validate()
     sim.validate()
-    if sim.step_minutes != dc.step_minutes:
-        raise DomainError(
-            f"simulation step {sim.step_minutes} != trace step {dc.step_minutes}")
     lo, hi = sim.day_range
     if hi > dc.num_days():
         raise DomainError(f"day_range {sim.day_range} exceeds trace days {dc.num_days()}")
@@ -121,16 +116,11 @@ def run(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
         raise DomainError("need exactly one strategy per metric")
 
     strats = [strategies[m] for m in METRICS]
-    learned = [j for j, strat in enumerate(strats) if isinstance(strat, LearnedMargin)]
-    for j in learned:
-        if strats[j].explore != (sim.mode == "train"):
-            raise DomainError(
-                f"{METRICS[j].value}: learned strategy exploration must match the mode")
-    if sim.mode == "train" and not learned:
-        raise DomainError("train mode requires at least one learned strategy")
+    learning = [j for j, strat in enumerate(strats)
+                if isinstance(strat, LearnedMargin) and strat.explore]
 
     spd = dc.steps_per_day
-    ts = sim.step_minutes
+    ts = dc.step_minutes
     ppm = cost.price_per_minute
     hosts = dc.hosts
     start = lo * spd
@@ -151,12 +141,8 @@ def run(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
     margins = np.zeros(usage.shape)
     select_cpu, select_ram = (strat.select for strat in strats)
     new_obs = tuple.__new__  # builds an Observation without NamedTuple's Python-level __new__
-    cpu, ram = METRICS
     specs = [host.spec for host in hosts]
     host_ids = [spec.host_id for spec in specs]
-    # The margin each (host, metric) chose at the previous step.
-    last_cpu = [0.0] * len(hosts)
-    last_ram = [0.0] * len(hosts)
 
     ledgers: list[DayLedger] = []
     step_log: list[StepLogRow] = []
@@ -171,12 +157,13 @@ def run(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
             for i, hid in enumerate(host_ids):
                 e_cpu, e_ram = error_rows[i]
                 h_cpu, h_ram = usage_rows[i]
-                m_cpu = select_cpu(new_obs(Observation, (hid, cpu, e_cpu[f_cpu + r:pad + r],
-                                                         h_cpu[f_cpu + r:pad + r], last_cpu[i])))
-                m_ram = select_ram(new_obs(Observation, (hid, ram, e_ram[f_ram + r:pad + r],
-                                                         h_ram[f_ram + r:pad + r], last_ram[i])))
-                last_cpu[i] = m_cpu
-                last_ram[i] = m_ram
+                # Both margins are chosen before either day list grows: list
+                # growth between the two selects interleaves with the agents'
+                # temporaries and raised train's peak RSS by about 0.15 MB.
+                m_cpu = select_cpu(new_obs(Observation, (hid, e_cpu[f_cpu + r:pad + r],
+                                                         h_cpu[f_cpu + r:pad + r])))
+                m_ram = select_ram(new_obs(Observation, (hid, e_ram[f_ram + r:pad + r],
+                                                         h_ram[f_ram + r:pad + r])))
                 day_cpu[i].append(m_cpu)
                 day_ram[i].append(m_ram)
         margins[:, 0, span] = day_cpu
@@ -199,7 +186,7 @@ def run(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
                                      settled.potential_saving, settled.penalty,
                                      settled.net_saving))
 
-        if sim.mode == "train":
+        if learning:
             rewards = [_attribute_rewards(sim.reward_attribution,
                                           (containers[i] * ppm * ts).tolist(),
                                           violated[i], penalties[i])
@@ -208,7 +195,7 @@ def run(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
                 r = day_start + k
                 losses: list[float] = []
                 for i, hid in enumerate(host_ids):
-                    for j in learned:
+                    for j in learning:
                         agent = strats[j].pool.agent_for(hid)
                         stats = agent.store_and_learn(Transition(
                             states[i, j, first[j] + r:pad + r], margins[i, j, r],
@@ -270,13 +257,11 @@ def compare_strategies(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
 
     Every spec gets fresh strategy instances (seeded by name from the run
     seed, so repeated runs and sibling strategies are reproducible) bound to
-    both metrics.  Ratios are taken against `baseline` (default: the first
-    spec's label).
+    both metrics.  None explores, so no agent learns.  Ratios are taken
+    against `baseline` (default: the first spec's label).
     """
     from marginsim.reporting import ErrorCdfs, build_report
 
-    if sim.mode != "evaluate":
-        raise DomainError("compare_strategies only runs in evaluate mode")
     if not specs:
         raise DomainError("need at least one strategy spec")
     labels = [spec.label for spec in specs]

@@ -174,7 +174,7 @@ def build_report(strategy: str, dc: Datacenter, sim: SimulationConfig,
     series = {(hid, m): result.margins[i, j]
               for i, hid in enumerate(host_order) for j, m in enumerate(METRICS)}
     summaries = [margin_summary(hid, m, values.tolist()) for (hid, m), values in series.items()]
-    return EvaluationReport(strategy, sim.day_range, sim.step_minutes, result.ledgers,
+    return EvaluationReport(strategy, sim.day_range, dc.step_minutes, result.ledgers,
                             host_totals, Totals(*grand), summaries, series, error_cdfs)
 
 

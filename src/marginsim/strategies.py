@@ -23,16 +23,15 @@ MARGIN_MAX = 0.99
 class Observation(NamedTuple):
     """What a strategy may look at when choosing the next margin.
 
-    Windows are ordered oldest first and front-padded with zeros while the
+    A strategy is built for one metric, so the windows are that metric's.
+    They are ordered oldest first and front-padded with zeros while the
     simulation is younger than the window length.  `error_window` holds raw
     prediction errors (usage - prediction); `usage_window` holds raw usage.
     """
 
     host_id: str
-    metric: MetricKind
     error_window: tuple[float, ...]
     usage_window: tuple[float, ...]
-    last_margin: float
 
 
 def clamp_margin(value: float) -> float:
@@ -115,7 +114,8 @@ class LearnedMargin(MarginStrategy):
 
     `pool` maps a host id to its agent; a pool backed by a single shared
     agent returns that agent for every host.  With `explore` set the agent
-    adds its exploration noise, which is only appropriate while training.
+    adds its exploration noise, and `engine.run` trains it on the run's
+    transitions; without it the agent only acts.
     """
 
     def __init__(self, pool, explore: bool):

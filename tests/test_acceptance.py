@@ -139,7 +139,7 @@ def test_criterion_1_settlement_matches_reference_walker():
                                 step_minutes=ts)
             margins = {CPU: float(rng.uniform(0.0, 0.5)),
                        RAM: float(rng.uniform(0.0, 0.5))}
-            sim = SimulationConfig(seed=batch, day_range=(0, days), step_minutes=ts)
+            sim = SimulationConfig(seed=batch, day_range=(0, days))
             result = run(dc, cost, sim, {CPU: FixedMargin(margins[CPU]),
                                          RAM: FixedMargin(margins[RAM])})
             specs = {h.spec.host_id: h.spec for h in dc.hosts}
@@ -282,8 +282,7 @@ def test_criterion_6_trained_policy_beats_its_bars(benchmark_run):
         cfg = load_scenario(SCENARIO)
         dc = cfg.build_datacenter()
         _, test_range = train_test_split(dc, cfg.train_fraction)
-        sim = SimulationConfig(seed=cfg.seed, day_range=test_range,
-                               step_minutes=cfg.step_minutes)
+        sim = SimulationConfig(seed=cfg.seed, day_range=test_range)
         specs = [StrategySpec.parse(f"fixed:{pct / 100:g}") for pct in range(21)]
         sweep = compare_strategies(dc, cfg.cost, sim, specs)
         best = max(row.net for row in sweep.rows)
@@ -303,7 +302,7 @@ def test_criterion_7_wider_margin_never_violates_more():
                 lo, hi = np.sort(rng.uniform(0.0, 0.99, 2))
                 minutes = {}
                 for margin in (float(lo), float(hi)):
-                    sim = SimulationConfig(seed=1, day_range=(0, 1), step_minutes=15)
+                    sim = SimulationConfig(seed=1, day_range=(0, 1))
                     result = run(dc, cost, sim, {CPU: FixedMargin(margin),
                                                  RAM: FixedMargin(margin)})
                     minutes[margin] = sum(l.violation_minutes for l in result.ledgers)

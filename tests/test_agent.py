@@ -177,12 +177,6 @@ class TestOuProcess:
         samples = np.array([ou.step() for _ in range(100_000)])
         assert np.mean(samples[1000:]) == pytest.approx(0.5, abs=0.05)
 
-    def test_reset(self):
-        ou = OuProcess(theta=0.15, mu=0.0, sigma=0.3, seed=13)
-        ou.step()
-        ou.reset()
-        assert ou.state == 0.0
-
     def test_seed_deterministic(self):
         a = OuProcess(0.15, 0.0, 0.3, seed=14)
         b = OuProcess(0.15, 0.0, 0.3, seed=14)

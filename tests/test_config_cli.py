@@ -1,6 +1,7 @@
 """Scenario parsing and end-to-end CLI tests on tiny synthetic runs."""
 
 import csv
+import importlib.util
 import inspect
 import math
 import re
@@ -12,8 +13,9 @@ import pytest
 from marginsim.agent import DdpgConfig
 from marginsim.cli import main
 from marginsim.config import _SCHEMA, load_scenario
-from marginsim.engine import SimulationConfig
+from marginsim.engine import SimulationConfig, compare_strategies, train_test_split
 from marginsim.errors import ConfigError
+from marginsim.strategies import StrategySpec
 from marginsim.traces import (
     DEFAULT_STEP_MINUTES,
     MINUTES_PER_DAY,
@@ -24,7 +26,8 @@ from marginsim.traces import (
 )
 
 CPU, RAM = MetricKind.CPU, MetricKind.RAM
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def write_scenario(path, body):
@@ -86,7 +89,7 @@ num_days = 5
         cfg = load_scenario(path)
         assert cfg.name == "min"
         assert cfg.seed == 7
-        assert cfg.trace_source == "synthetic"
+        assert cfg.synthetic is not None
         assert cfg.step_minutes == 3
         assert cfg.synthetic.num_hosts == 3
         assert cfg.cost.price_per_hour == 0.0317
@@ -104,10 +107,9 @@ num_days = 5
             Datacenter("d", []).step_minutes,
             SyntheticConfig(seed=0, num_hosts=1, num_days=1).step_minutes,
             inspect.signature(load_traces).parameters["step_minutes"].default,
-            SimulationConfig(seed=0, day_range=(0, 1)).step_minutes,
             MINUTES_PER_DAY // DdpgConfig().steps_per_day,
         ]
-        assert defaults == [DEFAULT_STEP_MINUTES] * 5
+        assert defaults == [DEFAULT_STEP_MINUTES] * 4
 
     def test_full_round_trip(self, tmp_path):
         path = write_scenario(tmp_path / "full.cfg", f"""
@@ -534,6 +536,29 @@ ram = fixed:0.1
     def test_bad_scenario_exit_code(self, tmp_path, capsys):
         assert main(["generate", str(tmp_path / "missing.cfg")]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestSweepScript:
+    def test_csv_rows_are_compare_strategies_rows(self, tmp_path):
+        path = ROOT / "scripts" / "sweep_fixed_margins.py"
+        spec = importlib.util.spec_from_file_location("sweep_fixed_margins", path)
+        sweep = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sweep)
+        scenario = str(ROOT / "scenarios" / "smoke.cfg")
+        out = tmp_path / "sweep.csv"
+        assert sweep.main([scenario, "--max-percent", "2", "--csv", str(out)]) == 0
+
+        cfg = load_scenario(scenario)
+        dc = cfg.build_datacenter()
+        _, test_range = train_test_split(dc, cfg.train_fraction)
+        table = compare_strategies(dc, cfg.cost, SimulationConfig(cfg.seed, test_range),
+                                   [StrategySpec.parse(f"fixed:{m}") for m in (0, 0.01, 0.02)])
+        with out.open(newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["margin", "potential", "penalty", "net"]
+        assert [(m, float(p), float(c), float(n)) for m, p, c, n in rows] == [
+            (margin, row.potential, row.penalty, row.net)
+            for margin, row in zip(("0", "0.01", "0.02"), table.rows)]
 
 
 class TestReadme:

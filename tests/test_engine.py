@@ -79,8 +79,7 @@ def fixed(margin):
 
 def sim_for(dc, days=None, **kw):
     days = dc.num_days() if days is None else days
-    return SimulationConfig(seed=7, day_range=(0, days),
-                            step_minutes=dc.step_minutes, **kw)
+    return SimulationConfig(seed=7, day_range=(0, days), **kw)
 
 
 def brute_force_host_day(cost, spec, traces, margins, ts):
@@ -135,11 +134,12 @@ class TestTrainTestSplit:
 
 class TestRewardScale:
     def test_single_host(self):
-        dc = flat_dc(0.5, 0.5)
         cost = CostModel()
-        # 32/2 cores and 128/8 GB both fit 16 containers on an empty host.
-        assert reward_scale_for(dc, cost, 96) == pytest.approx(
-            cost.price_per_minute * 96 * 16)
+        # 32/2 cores and 128/8 GB both fit 16 containers on an empty host;
+        # the step length is the trace's.
+        for step in (3, 96):
+            dc = flat_dc(0.5, 0.5, step_minutes=step)
+            assert reward_scale_for(dc, cost) == cost.price_per_minute * step * 16
 
     def test_takes_roomiest_host(self):
         series = {
@@ -152,13 +152,13 @@ class TestRewardScale:
         ]
         dc = Datacenter("mixed", hosts, 96)
         cost = CostModel()
-        assert reward_scale_for(dc, cost, 96) == pytest.approx(
+        assert reward_scale_for(dc, cost) == pytest.approx(
             cost.price_per_minute * 96 * 32)
 
     def test_is_a_python_float(self):
         # It is written into checkpoints with repr; a numpy scalar's repr
         # ("np.float64(...)" under numpy 2) would change their bytes.
-        assert type(reward_scale_for(flat_dc(0.5, 0.5), CostModel(), 96)) is float
+        assert type(reward_scale_for(flat_dc(0.5, 0.5), CostModel())) is float
 
 
 class TestRunBasics:
@@ -190,7 +190,7 @@ class TestRunBasics:
 
     def test_day_range_slices(self):
         dc = flat_dc(0.5, 0.5, days=3)
-        sim = SimulationConfig(seed=1, day_range=(1, 2), step_minutes=96)
+        sim = SimulationConfig(seed=1, day_range=(1, 2))
         result = run(dc, CostModel(), sim, fixed(0.0))
         assert result.start_step == 15
         assert [l.day_index for l in result.ledgers] == [1]
@@ -198,13 +198,7 @@ class TestRunBasics:
 
     def test_day_range_beyond_trace(self):
         dc = flat_dc(0.5, 0.5, days=2)
-        sim = SimulationConfig(seed=1, day_range=(0, 3), step_minutes=96)
-        with pytest.raises(DomainError):
-            run(dc, CostModel(), sim, fixed(0.0))
-
-    def test_step_mismatch_rejected(self):
-        dc = flat_dc(0.5, 0.5)
-        sim = SimulationConfig(seed=1, day_range=(0, 1), step_minutes=3)
+        sim = SimulationConfig(seed=1, day_range=(0, 3))
         with pytest.raises(DomainError):
             run(dc, CostModel(), sim, fixed(0.0))
 
@@ -212,12 +206,6 @@ class TestRunBasics:
         dc = flat_dc(0.5, 0.5)
         with pytest.raises(DomainError):
             run(dc, CostModel(), sim_for(dc), {CPU: FixedMargin(0.1)})
-
-    def test_train_mode_needs_learned_strategy(self):
-        dc = flat_dc(0.5, 0.5, days=2)
-        sim = sim_for(dc, mode="train")
-        with pytest.raises(DomainError):
-            run(dc, CostModel(), sim, fixed(0.1))
 
 
 class TestBruteForceOracle:
@@ -266,7 +254,7 @@ class TestBruteForceOracle:
                               spike_prob_per_step=0.004)
         dc = generate_synthetic(cfg)
         strategies = lambda: {CPU: RandomMargin(11), RAM: ErrorFeedbackMargin()}
-        sim = SimulationConfig(seed=3, day_range=(0, 2), step_minutes=3)
+        sim = SimulationConfig(seed=3, day_range=(0, 2))
         a = run(dc, CostModel(), sim, strategies())
         b = run(dc, CostModel(), sim, strategies())
         assert a.ledgers == b.ledgers
@@ -327,7 +315,8 @@ def padded_window(values, t, start, size):
 
 
 class TestWindowParity:
-    """Windows and last margins match a direct reading of the trace."""
+    """Windows match a direct reading of the trace, and each strategy's
+    own previous answer is the margin the run recorded a step earlier."""
 
     START, STEPS = 15, 30  # day_range (1, 3) at 15 steps per day
 
@@ -339,7 +328,7 @@ class TestWindowParity:
     def test_windows_and_last_margin(self):
         dc = self.build()
         strategies = {CPU: Recording(3), RAM: Recording(7)}
-        sim = SimulationConfig(seed=1, day_range=(1, 3), step_minutes=96)
+        sim = SimulationConfig(seed=1, day_range=(1, 3))
         result = run(dc, CostModel(), sim, strategies)
         hosts = len(dc.hosts)
         for j, metric in enumerate((CPU, RAM)):
@@ -350,13 +339,14 @@ class TestWindowParity:
                 t = self.START + r
                 series = dc.hosts[i].series[metric]
                 errors = (series["usage"] - series["prediction"]).tolist()
-                assert (obs.host_id, obs.metric) == (dc.hosts[i].spec.host_id, metric)
+                assert obs.host_id == dc.hosts[i].spec.host_id
                 assert obs.error_window == padded_window(
                     errors, t, self.START, strat.window_size)
                 assert obs.usage_window == padded_window(
                     series["usage"].tolist(), t, self.START, strat.window_size)
-                assert obs.last_margin == (strat.answers[n - hosts] if r else 0.0)
                 assert result.margins[i, j, r] == strat.answers[n]
+                if r:
+                    assert result.margins[i, j, r - 1] == strat.answers[n - hosts]
 
     def test_train_next_state_is_next_steps_state(self):
         dc = self.build()
@@ -371,7 +361,7 @@ class TestWindowParity:
                 return learn(transition)
             agent.store_and_learn = record
         strategies = {CPU: RecordingLearned(pool, explore=True), RAM: Recording(7)}
-        sim = SimulationConfig(seed=1, day_range=(1, 3), step_minutes=96, mode="train")
+        sim = SimulationConfig(seed=1, day_range=(1, 3))
         result = run(dc, CostModel(), sim, strategies)
         for i, hid in enumerate(host_ids):
             seen = [obs for obs in strategies[CPU].seen if obs.host_id == hid]
@@ -387,11 +377,12 @@ class TestWindowParity:
 
 def reference_run(dc, cost, sim, strategies):
     """`run` restated step by step, without its shortcuts: every window a
-    fresh tuple of a list slice, the last margin read back from `margins`,
-    one `margins` write per host-step, and the clamp as min/max."""
+    fresh tuple of a list slice, one `margins` write per host-step, and the
+    clamp as min/max."""
     strats = [strategies[m] for m in METRICS]
-    learned = [j for j, strat in enumerate(strats) if isinstance(strat, LearnedMargin)]
-    spd, ts, ppm = dc.steps_per_day, sim.step_minutes, cost.price_per_minute
+    learning = [j for j, strat in enumerate(strats)
+                if isinstance(strat, LearnedMargin) and strat.explore]
+    spd, ts, ppm = dc.steps_per_day, dc.step_minutes, cost.price_per_minute
     lo, hi = sim.day_range
     hosts = dc.hosts
     start = lo * spd
@@ -417,10 +408,9 @@ def reference_run(dc, cost, sim, strategies):
             for i, host in enumerate(hosts):
                 for j, strat in enumerate(strats):
                     margins[i, j, r] = strat.select(Observation(
-                        host.spec.host_id, METRICS[j],
+                        host.spec.host_id,
                         tuple(error_rows[i][j][first[j] + r:pad + r]),
-                        tuple(usage_rows[i][j][first[j] + r:pad + r]),
-                        float(margins[i, j, r - 1]) if r else 0.0))
+                        tuple(usage_rows[i][j][first[j] + r:pad + r])))
                 (u_cpu, u_ram), (p_cpu, p_ram) = usage[i, :, r], pred[i, :, r]
                 m_cpu, m_ram = margins[i, :, r]
                 fits = [math.floor(min(max(1.0 - p - m, 0.0), 1.0) * capacity / per)
@@ -438,7 +428,7 @@ def reference_run(dc, cost, sim, strategies):
             ledgers.append(DayLedger(host.spec.host_id, day, minutes[i],
                                      settled.potential_saving, settled.penalty,
                                      settled.net_saving))
-        if sim.mode != "train":
+        if not learning:
             continue
         rewards = [_attribute_rewards(sim.reward_attribution,
                                       [nb * ppm * ts for nb in containers[i]],
@@ -448,7 +438,7 @@ def reference_run(dc, cost, sim, strategies):
             r = day_start + k
             losses = []
             for i, host in enumerate(hosts):
-                for j in learned:
+                for j in learning:
                     stats = strats[j].pool.agent_for(host.spec.host_id).store_and_learn(
                         Transition(states[i, j, first[j] + r:pad + r], margins[i, j, r],
                                    rewards[i][k],
@@ -463,17 +453,22 @@ def reference_run(dc, cost, sim, strategies):
 
 
 class Probe(MarginStrategy):
-    """Answers from every Observation field, so any field the loop gets
-    wrong changes the margins."""
+    """Answers from every Observation field, its metric and its own previous
+    answer for the host, so any field the loop gets wrong changes the
+    margins."""
 
-    def __init__(self, window):
+    def __init__(self, window, metric):
         self.window_size = window
+        self.metric = metric
+        self.last = {}
 
     def select(self, obs):
-        value = (0.5 * obs.last_margin + 0.3 * max(obs.error_window[-1], 0.0)
-                 + 0.1 * obs.usage_window[0] + 0.01 * len(obs.host_id)
-                 + (0.02 if obs.metric is CPU else 0.0))
-        return clamp_margin(value)
+        value = clamp_margin(
+            0.5 * self.last.get(obs.host_id, 0.0) + 0.3 * max(obs.error_window[-1], 0.0)
+            + 0.1 * obs.usage_window[0] + 0.01 * len(obs.host_id)
+            + (0.02 if self.metric is CPU else 0.0))
+        self.last[obs.host_id] = value
+        return value
 
 
 class Cycle(MarginStrategy):
@@ -502,7 +497,7 @@ class TestLoopParity:
         built = {}
         for metric, token in zip(METRICS, tokens):
             if token.startswith("probe:"):
-                built[metric] = Probe(int(token.split(":")[1]))
+                built[metric] = Probe(int(token.split(":")[1]), metric)
                 continue
             if token.startswith("cycle:"):
                 built[metric] = Cycle([float(v) for v in token[6:].split("/")])
@@ -559,8 +554,7 @@ class TestLoopParity:
     def run_both(self, tokens, mode, per_host, attribution):
         """(run's result, reference_run's result, run's strategies, the reference's)."""
         dc = self.trace()
-        sim = SimulationConfig(seed=3, day_range=(1, 3), step_minutes=96, mode=mode,
-                               reward_attribution=attribution)
+        sim = SimulationConfig(seed=3, day_range=(1, 3), reward_attribution=attribution)
         fast = self.strategies(dc, tokens, mode, per_host)
         slow = self.strategies(dc, tokens, mode, per_host)
         return (run(dc, CostModel(), sim, fast), reference_run(dc, CostModel(), sim, slow),
@@ -681,7 +675,7 @@ class TestTrainMode:
 
     def test_step_log_covers_training_steps(self):
         dc, pool, strategies = self.build()
-        sim = SimulationConfig(seed=5, day_range=(0, 2), step_minutes=3, mode="train")
+        sim = SimulationConfig(seed=5, day_range=(0, 2))
         result = run(dc, CostModel(), sim, strategies)
         assert len(result.step_log) == 2 * 480
         assert [row.step_index for row in result.step_log] == list(range(960))
@@ -691,12 +685,20 @@ class TestTrainMode:
         assert agent.store_calls == 2 * 480 * len(dc.hosts)
         assert agent.replay.size == min(agent.store_calls, agent.replay.capacity)
 
-    def test_explore_flag_must_match_mode(self):
-        dc, pool, strategies = self.build()
-        sim = sim_for(dc, mode="evaluate")
-        sim = SimulationConfig(seed=5, day_range=(0, 2), step_minutes=3)
-        with pytest.raises(DomainError):
-            run(dc, CostModel(), sim, strategies)
+    def test_only_exploring_agents_learn(self):
+        # One run with a training releaser on cpu and a greedy one on ram.
+        dc, cpu_pool, strategies = self.build()
+        ddpg = cpu_pool.agent_for(SHARED).config
+        ram_pool = build_pool(ddpg, RAM, [SHARED], 98, 0.01)
+        strategies[RAM] = StrategySpec.parse("releaser").build(
+            RAM, 99, pool=ram_pool, explore=False)
+        ram_agent = ram_pool.agent_for(SHARED)
+        ram_params = ram_agent.actor.params.copy()
+        result = run(dc, CostModel(), SimulationConfig(seed=5, day_range=(0, 2)), strategies)
+        assert cpu_pool.agent_for(SHARED).store_calls == len(dc.hosts) * 2 * 480
+        assert ram_agent.store_calls == ram_agent.explore_calls == 0
+        assert np.array_equal(ram_agent.actor.params, ram_params)
+        assert [row.step_index for row in result.step_log] == list(range(960))
 
     def test_evaluate_has_empty_step_log(self):
         dc = flat_dc(0.5, 0.5)
@@ -712,7 +714,7 @@ class TestCompare:
 
     def test_baseline_ratio_is_exactly_one(self):
         dc = self.setup_dc()
-        sim = SimulationConfig(seed=2, day_range=(0, 2), step_minutes=3)
+        sim = SimulationConfig(seed=2, day_range=(0, 2))
         table = compare_strategies(dc, CostModel(), sim,
                                    [StrategySpec.parse("fixed:0.05"),
                                     StrategySpec.parse("fixed:0.15")])
@@ -722,7 +724,7 @@ class TestCompare:
 
     def test_wide_margin_cuts_penalty_and_potential(self):
         dc = self.setup_dc()
-        sim = SimulationConfig(seed=2, day_range=(0, 2), step_minutes=3)
+        sim = SimulationConfig(seed=2, day_range=(0, 2))
         table = compare_strategies(dc, CostModel(), sim,
                                    [StrategySpec.parse("fixed:0"),
                                     StrategySpec.parse("fixed:0.99")])
@@ -733,7 +735,7 @@ class TestCompare:
 
     def test_duplicate_labels_rejected(self):
         dc = self.setup_dc()
-        sim = SimulationConfig(seed=2, day_range=(0, 2), step_minutes=3)
+        sim = SimulationConfig(seed=2, day_range=(0, 2))
         with pytest.raises(DomainError):
             compare_strategies(dc, CostModel(), sim,
                                [StrategySpec.parse("fixed:0.05"),
@@ -741,7 +743,7 @@ class TestCompare:
 
     def test_reports_cover_each_strategy(self):
         dc = self.setup_dc()
-        sim = SimulationConfig(seed=2, day_range=(1, 2), step_minutes=3)
+        sim = SimulationConfig(seed=2, day_range=(1, 2))
         table = compare_strategies(dc, CostModel(), sim,
                                    [StrategySpec.parse("fixed:0.1"),
                                     StrategySpec.parse("scavenger")])
@@ -752,12 +754,12 @@ class TestCompare:
 
 
 class TestReportIntegrity:
-    def build_report(self):
-        cfg = SyntheticConfig(seed=41, num_hosts=3, num_days=2,
+    def build_report(self, step_minutes=3):
+        cfg = SyntheticConfig(seed=41, num_hosts=3, num_days=2, step_minutes=step_minutes,
                               prediction_noise_sigma=0.05)
         dc = generate_synthetic(cfg)
         cost = CostModel()
-        sim = SimulationConfig(seed=6, day_range=(0, 2), step_minutes=3)
+        sim = SimulationConfig(seed=6, day_range=(0, 2))
         result = run(dc, cost, sim, fixed(0.08))
         cdfs = ErrorCdfs.for_range(dc, sim.day_range)
         return dc, build_report("fixed:0.08", dc, sim, result, cdfs), result
@@ -773,17 +775,21 @@ class TestReportIntegrity:
             report.host_totals[h.spec.host_id].net for h in dc.hosts)
 
     def test_margin_series_complete(self, tmp_path):
-        dc, report, result = self.build_report()
-        for (hid, metric), values in report.margin_series.items():
-            assert len(values) == 960
-            assert all(v == 0.08 for v in values)
-        write_report_files(report, tmp_path)
-        with (tmp_path / "margins.csv").open(newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        for hid, metric in report.margin_series:
-            steps = [int(r["step"]) for r in rows
-                     if (r["host"], r["metric"]) == (hid, metric.value)]
-            assert steps == list(range(960))
+        # The report's step length is the trace's.
+        for step_minutes, steps in ((3, 960), (96, 30)):
+            dc, report, result = self.build_report(step_minutes)
+            assert report.step_minutes == step_minutes
+            for (hid, metric), values in report.margin_series.items():
+                assert len(values) == steps
+                assert all(v == 0.08 for v in values)
+            outdir = tmp_path / str(step_minutes)
+            write_report_files(report, outdir)
+            with (outdir / "margins.csv").open(newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            for hid, metric in report.margin_series:
+                written = [int(r["step"]) for r in rows
+                           if (r["host"], r["metric"]) == (hid, metric.value)]
+                assert written == list(range(steps))
 
     def test_percentiles_recompute(self):
         dc, report, _ = self.build_report()
@@ -871,7 +877,7 @@ class TestReportBytes:
         # hosts out of id order: the CDF files sort them, report.json does not
         dc = make_dc(series)
         dc = Datacenter("test", dc.hosts[::-1], dc.step_minutes)
-        sim = SimulationConfig(seed=3, day_range=(1, 3), step_minutes=96)
+        sim = SimulationConfig(seed=3, day_range=(1, 3))
         table = compare_strategies(dc, CostModel(), sim,
                                    [StrategySpec.parse("fixed:0.05"),
                                     StrategySpec.parse("feedback:0.02")])
@@ -906,7 +912,7 @@ class TestSharedErrorCdfs:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(reporting, "error_cdf", counted)
-        sim = SimulationConfig(seed=1, day_range=(0, 2), step_minutes=96)
+        sim = SimulationConfig(seed=1, day_range=(0, 2))
         table = compare_strategies(dc, CostModel(), sim,
                                    [StrategySpec.parse(label) for label in labels])
         assert sorted(calls, key=METRICS.index) == list(METRICS)

@@ -88,7 +88,7 @@ def test_checkpoint_failing_midway_keeps_old_file(tmp_path, monkeypatch):
 
 def test_report_failing_midway_keeps_old_files(tmp_path):
     dc = generate_synthetic(SyntheticConfig(seed=4, num_hosts=2, num_days=1))
-    sim = SimulationConfig(seed=4, day_range=(0, 1), step_minutes=3)
+    sim = SimulationConfig(seed=4, day_range=(0, 1))
     table = compare_strategies(dc, CostModel(), sim, [StrategySpec.parse("fixed:0.05")])
     report = table.reports["fixed:0.05"]
     written = write_report_files(report, tmp_path)

@@ -19,8 +19,8 @@ from marginsim.strategies import (
 from marginsim.traces import MetricKind
 
 
-def obs(errors=(0.0,) * 10, usage=(0.0,) * 10, last=0.0):
-    return Observation("h0", MetricKind.CPU, tuple(errors), tuple(usage), last)
+def obs(errors=(0.0,) * 10, usage=(0.0,) * 10):
+    return Observation("h0", tuple(errors), tuple(usage))
 
 
 window_values = st.lists(
@@ -29,10 +29,9 @@ window_values = st.lists(
 
 class TestObservation:
     def test_fields_in_order(self):
-        assert Observation._fields == (
-            "host_id", "metric", "error_window", "usage_window", "last_margin")
-        o = obs(errors=(0.1,) * 10, usage=(0.2,) * 10, last=0.3)
-        assert (o.host_id, o.metric, o.last_margin) == ("h0", MetricKind.CPU, 0.3)
+        assert Observation._fields == ("host_id", "error_window", "usage_window")
+        o = obs(errors=(0.1,) * 10, usage=(0.2,) * 10)
+        assert o.host_id == "h0"
         assert o.error_window == (0.1,) * 10 and o.usage_window == (0.2,) * 10
 
     @pytest.mark.parametrize("name", Observation._fields)
@@ -166,10 +165,9 @@ class TestLearnedState:
 
 
 class TestContractRange:
-    @given(window_values, window_values, st.floats(min_value=0, max_value=MARGIN_MAX))
-    def test_all_strategies_in_range(self, errors, usage, last):
-        observation = obs(errors=tuple(errors),
-                          usage=tuple(abs(u) for u in usage), last=last)
+    @given(window_values, window_values)
+    def test_all_strategies_in_range(self, errors, usage):
+        observation = obs(errors=tuple(errors), usage=tuple(abs(u) for u in usage))
         for strat in (FixedMargin(0.05), RandomMargin(1), ErrorFeedbackMargin(0.05),
                       UsageStddevMargin(10)):
             margin = strat.select(observation)

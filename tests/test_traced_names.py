@@ -67,7 +67,7 @@ def test_traced_engine_identities(tracer, mode, per_host):
             cpu, 63, pool=build_pool(ddpg, cpu, scopes, 64, 0.01), explore=mode == "train"),
         ram: StrategySpec.parse("scavenger:5").build(ram, 63),
     }
-    sim = engine.SimulationConfig(seed=63, day_range=(0, days), step_minutes=96, mode=mode)
+    sim = engine.SimulationConfig(seed=63, day_range=(0, days))
     with tracer.installed():
         engine.run(dc, CostModel(), sim, strategies)
     m = tracer.metrics()

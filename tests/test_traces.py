@@ -399,7 +399,7 @@ class TestCsvRoundTrip:
         write_capacities([h.spec for h in dc.hosts], tmp_path / "c.csv")
         loaded = load_traces(tmp_path / "t.csv", load_capacities(tmp_path / "c.csv"), 15)
         assert [h.spec.host_id for h in loaded.hosts] == [h.spec.host_id for h in dc.hosts]
-        sim = SimulationConfig(seed=3, day_range=(0, 2), step_minutes=15)
+        sim = SimulationConfig(seed=3, day_range=(0, 2))
         specs = [StrategySpec.parse("random"), StrategySpec.parse("fixed:0.05")]
         tables = [compare_strategies(d, CostModel(), sim, specs) for d in (dc, loaded)]
         for label in ("random", "fixed:0.05"):
