@@ -1,0 +1,60 @@
+#!/usr/bin/env python3
+"""Print the process's peak RSS after each pipeline stage.
+
+Runs the scenario's stages in order (generate, train when it binds a
+releaser, evaluate), `--passes` times, in this one process, and prints
+`ru_maxrss` (in MB, as perfbench's `peak_rss_mb`) after each stage.  Like
+perfbench's child process, it sets the BLAS/OpenMP thread variables to 1
+unless they are already set, and sends the stages' stdout to a string.
+Start a fresh process per sample and interleave the two sides when
+comparing two checkouts; a fixed PYTHONHASHSEED per pair removes the
+spread that dict layouts add.
+
+Usage:
+    python3 scripts/stage_rss.py scenarios/benchmark.cfg --passes 4 --output-dir /tmp/rss
+"""
+
+import argparse
+import contextlib
+import io
+import os
+import resource
+import sys
+from pathlib import Path
+
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+            "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "BLIS_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from marginsim.cli import main as cli_main  # noqa: E402  (after the thread variables)
+from marginsim.config import load_scenario  # noqa: E402
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("scenario", help="scenario config file")
+    parser.add_argument("--passes", type=int, default=1, help="pipeline passes (default 1)")
+    parser.add_argument("--output-dir", required=True, help="where the stages write")
+    args = parser.parse_args(argv)
+    if args.passes < 1:
+        parser.error("--passes must be >= 1")
+
+    learns = bool(load_scenario(args.scenario).learned_metrics())
+    stages = ("generate", "train", "evaluate") if learns else ("generate", "evaluate")
+    print("pass\tstage\tru_maxrss_mb")
+    for n in range(1, args.passes + 1):
+        for stage in stages:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli_main([stage, args.scenario, "--output-dir", args.output_dir])
+            if code != 0:
+                print(f"{stage} exited {code}", file=sys.stderr)
+                return code
+            rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+            print(f"{n}\t{stage}\t{rss_mb:.3f}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -222,13 +222,10 @@ class DdpgAgent:
         self.critic = critic
         self.target_actor = clone_net(actor)
         self.target_critic = clone_net(critic)
-        self.actor_opt = AdamState(actor, config.learning_rate)
-        self.critic_opt = AdamState(critic, config.learning_rate)
-        # The update's workspace; each target net shares its online twin's.
-        # Nothing in it refers back to the agent, so a dropped agent is freed
-        # at once rather than by the cycle collector.
-        self.actor_buffers = Buffers(actor)
-        self.critic_buffers = Buffers(critic)
+        # The update's workspace, built by the first update (`_workspace`),
+        # so an agent that only acts never holds it.
+        self.actor_opt = self.critic_opt = None
+        self.actor_buffers = self.critic_buffers = None
         self.reward_scale = reward_scale
         self.replay = ReplayBuffer(config.replay_capacity, config.window,
                                    subseed(seed, "replay"))
@@ -251,18 +248,20 @@ class DdpgAgent:
                                      ["relu", "relu", "linear"], init_rng)
         return cls(config, actor, critic, reward_scale, seed)
 
-    def act(self, state: np.ndarray, explore: bool) -> float:
-        """Margin for `state`; exploration adds noise (and, for the first
-        `warmup_steps` exploring calls, replaces the policy with a uniform
-        draw so the replay starts with diverse actions)."""
-        if np.shape(state) != (self.config.window,):
-            raise DomainError(f"state shape {np.shape(state)}, expected ({self.config.window},)")
+    def policy(self, states: np.ndarray) -> np.ndarray:
+        """The actor's raw outputs for `states` (n, window), one per row, in
+        one stacked pass; each equals the one-row forward of its state."""
+        return self.actor.forward_trace(states[:, None, :])[-1].reshape(-1)
+
+    def act(self, raw: float, explore: bool) -> float:
+        """Margin for the actor's raw output `raw` (see `policy`);
+        exploration adds noise (and, for the first `warmup_steps` exploring
+        calls, replaces the policy with a uniform draw so the replay starts
+        with diverse actions)."""
         if explore:
             self.explore_calls += 1
             if self.explore_calls <= self.config.warmup_steps:
                 return float(self.warmup_rng.uniform(0.0, MARGIN_MAX))
-        raw = float(self.actor.forward(np.asarray(state, dtype=float)[None, :])[0, 0])
-        if explore:
             raw += self.noise.step()
         # squash_into's operations on Python floats: the same IEEE results, np.exp included.
         return min(max(1.0 / (1.0 + float(np.exp(-raw))), 0.0), MARGIN_MAX)
@@ -298,6 +297,8 @@ class DdpgAgent:
 
         Overwrites the batch's spare and action columns.
         """
+        if self.actor_opt is None:
+            self._workspace()
         targets = self._critic_targets(batch)
         critic_in = batch.critic_in
         trace = self.critic.forward_trace(critic_in, self.critic_buffers)
@@ -311,6 +312,17 @@ class DdpgAgent:
         adam_step(self.actor, self.actor_opt, np.negative(actor_grads.vector,
                                                           out=actor_grads.vector))
         return loss, mean_q
+
+    def _workspace(self) -> None:
+        """Adam moments and forward/backward buffers for the online nets;
+        each target net shares its online twin's buffers.  Nothing in them
+        refers back to the agent, so a dropped agent is freed at once rather
+        than by the cycle collector."""
+        lr = self.config.learning_rate
+        self.actor_opt = AdamState(self.actor, lr)
+        self.critic_opt = AdamState(self.critic, lr)
+        self.actor_buffers = Buffers(self.actor)
+        self.critic_buffers = Buffers(self.critic)
 
     def _critic_targets(self, batch: Batch) -> np.ndarray:
         """rewards + discount * Q'(s', policy'(s')).  At discount 0 that is the

@@ -1,12 +1,14 @@
 """The step-by-step simulator: replay a trace under margin strategies.
 
-Each step, per host: every metric's strategy picks a margin from information
-up to the previous step only.  Once a day's margins are chosen, the day
-settles from arrays: containers are fit into each step's remaining
-headroom, and each step is checked for a violation (actual usage above
-prediction plus margin on either metric), which advances that host-day's
-violation clock.  Days settle independently: violation clocks reset at
-midnight, strategy and agent state carry across.
+Each day starts by showing every strategy the day's error windows
+(`start_day`), which lets a learned strategy run its actor once for the
+whole day.  Then, each step, per host: every metric's strategy picks a
+margin from information up to the previous step only.  Once a day's
+margins are chosen, the day settles from arrays: containers are fit into
+each step's remaining headroom, and each step is checked for a violation
+(actual usage above prediction plus margin on either metric), which
+advances that host-day's violation clock.  Days settle independently:
+violation clocks reset at midnight, strategy and agent state carry across.
 
 Agents learn while they explore: when a learned strategy explores, the
 day's transitions are buffered, the settled penalty is attributed back onto
@@ -21,6 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from marginsim.agent import AgentPool, Transition
 from marginsim.costs import (
@@ -128,16 +131,19 @@ def run(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
     pred = np.array([[h.series[m]["prediction"][start:hi * spd] for m in METRICS]
                      for h in hosts])
     # Histories front-padded with `pad` zeros, one tuple per (host, metric):
-    # metric j's window ending at range step r-1 is entries [first[j] + r, pad + r).
+    # metric j's window ending at range step r-1 is entries [first[j] + r, pad + r),
+    # which for the errors is also row r of `error_windows[j]`.
     sizes = [strat.window_size for strat in strats]
     pad = max(sizes)
     f_cpu, f_ram = first = [pad - size for size in sizes]
     zeros = np.zeros((len(hosts), 2, pad))
     error_hist = np.concatenate([zeros, usage - pred], axis=2)
-    states = np.clip(error_hist, -1.0, 1.0)
+    states = np.clip(error_hist, -1.0, 1.0) if learning else None  # the agents' states
     error_rows = [[tuple(row) for row in host] for host in error_hist.tolist()]
     usage_rows = [[tuple(row) for row in host]
                   for host in np.concatenate([zeros, usage], axis=2).tolist()]
+    error_windows = [window_view(error_hist[:, j, first[j]:], size)
+                     for j, size in enumerate(sizes)]
     margins = np.zeros(usage.shape)
     select_cpu, select_ram = (strat.select for strat in strats)
     new_obs = tuple.__new__  # builds an Observation without NamedTuple's Python-level __new__
@@ -152,17 +158,20 @@ def run(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
         span = slice(day_start, day_start + spd)
         day_cpu = [[] for _ in hosts]
         day_ram = [[] for _ in hosts]
+        for strat, windows in zip(strats, error_windows):
+            strat.start_day(host_ids, windows[:, span])
 
-        for r in range(day_start, day_start + spd):
+        for k in range(spd):
+            r = day_start + k
             for i, hid in enumerate(host_ids):
                 e_cpu, e_ram = error_rows[i]
                 h_cpu, h_ram = usage_rows[i]
                 # Both margins are chosen before either day list grows: list
                 # growth between the two selects interleaves with the agents'
                 # temporaries and raised train's peak RSS by about 0.15 MB.
-                m_cpu = select_cpu(new_obs(Observation, (hid, e_cpu[f_cpu + r:pad + r],
+                m_cpu = select_cpu(new_obs(Observation, (hid, k, e_cpu[f_cpu + r:pad + r],
                                                          h_cpu[f_cpu + r:pad + r])))
-                m_ram = select_ram(new_obs(Observation, (hid, e_ram[f_ram + r:pad + r],
+                m_ram = select_ram(new_obs(Observation, (hid, k, e_ram[f_ram + r:pad + r],
                                                          h_ram[f_ram + r:pad + r])))
                 day_cpu[i].append(m_cpu)
                 day_ram[i].append(m_ram)
@@ -210,6 +219,16 @@ def run(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
                     float(np.mean(margins[:, :, r].ravel()))))
 
     return RunResult(ledgers, margins, start, step_log)
+
+
+def window_view(hist: np.ndarray, size: int) -> np.ndarray:
+    """`sliding_window_view(hist, size, axis=-1)`: the read-only view whose
+    row r is `hist[..., r:r + size]`.  Built with as_strided because
+    sliding_window_view's first call runs integer ufunc loops that page
+    about 0.2 MB more of numpy into the process."""
+    *lead, n = hist.shape
+    return as_strided(hist, shape=(*lead, n - size + 1, size),
+                      strides=hist.strides + hist.strides[-1:], writeable=False)
 
 
 def _attribute_rewards(attribution: str, rewards: list[float], violated: list[bool],

@@ -1,19 +1,22 @@
 """Small dense networks with hand-written backprop and Adam.
 
-Everything is float64 numpy.  Forward accepts a single input vector or a
-batch matrix (rows are samples); `backward` returns exact reverse-mode
-gradients of sum(output * upstream) together with the gradient w.r.t. the
-input, so callers choose the loss by choosing the upstream term.  Each
-network keeps its parameters in one flat vector with per-layer views, so the
-Adam step and target copies are whole-vector operations.  Parameters
-serialize to a self-describing text format whose decimal literals round-trip
-float64 exactly.
+Everything is float64 numpy.  Forward takes a batch matrix (rows are
+samples) or a stack of one-row inputs; `backward` takes a batch and returns
+exact reverse-mode gradients of sum(output * upstream) together with the
+gradient w.r.t. the input, so callers choose the loss by choosing the
+upstream term.  Each network keeps its parameters in one flat vector with
+per-layer views, so the Adam step and target copies are whole-vector
+operations.  Parameters serialize to a self-describing text format whose
+decimal literals round-trip float64 exactly.
 
-Every product is `np.dot`, not `@`/`np.matmul`.  matmul sends an outer
-product (inner dimension 1, such as the last layer's input gradient) to
-numpy's own loop instead of BLAS, several times slower; np.dot sends it to
-BLAS and gives the same bytes as matmul on every product shape the nets
-make (test_nets.py sweeps them).
+Every batch product is `np.dot`, not `@`/`np.matmul`.  matmul sends an
+outer product (inner dimension 1, such as the last layer's input gradient)
+to numpy's own loop instead of BLAS, several times slower; np.dot sends it
+to BLAS and gives the same bytes as matmul on every product shape the nets
+make (test_nets.py sweeps them).  A stack of one-row inputs is the one use
+of np.matmul: it multiplies each (1, in) slice on its own, so each output
+row has the bytes of a one-row np.dot forward, while a (n, in) gemm takes
+another path in OpenBLAS and does not.
 """
 
 from __future__ import annotations
@@ -44,14 +47,6 @@ class Layer:
             raise DomainError(
                 f"bias length {self.bias.shape[0]} does not match "
                 f"{self.weights.shape[0]} output units")
-
-
-def as_batch(x) -> np.ndarray:
-    """`x` as a 2-D float64 array; a vector becomes one row.  A 2-D float64
-    array is returned as it is, without a copy."""
-    if isinstance(x, np.ndarray) and x.ndim == 2 and x.dtype == np.float64:
-        return x
-    return np.atleast_2d(np.asarray(x, dtype=float))
 
 
 class DenseNet:
@@ -123,25 +118,33 @@ class DenseNet:
         return cls(layers)
 
     def forward(self, x: np.ndarray, buffers: Buffers | None = None) -> np.ndarray:
-        """Output for a vector (in,) -> (out,) or a batch (n, in) -> (n, out)."""
-        out = self.forward_trace(x, buffers)[-1]
-        return out if np.ndim(x) == 2 else out[0]
+        """Output for a batch (n, in) -> (n, out), or for a stack of one-row
+        inputs (n, 1, in) -> (n, 1, out)."""
+        return self.forward_trace(x, buffers)[-1]
 
     def forward_trace(self, x: np.ndarray, buffers: Buffers | None = None) -> list[np.ndarray]:
         """Forward pass keeping every layer's activation, input first.
 
-        The input is promoted to a (1, in) batch if it is a vector; every
-        activation is in batch form.  `backward` takes this list to reuse
-        the pass instead of rerunning it.  With `buffers`, the activations
-        are written into its arrays; without, they are fresh.
+        A batch (n, in) is multiplied with np.dot.  A stack (n, 1, in) is
+        multiplied with np.matmul, so that output row i equals the one-row
+        forward of `x[i]` byte for byte.  `backward` takes a batch's list to
+        reuse the pass instead of rerunning it.  With `buffers` (batches
+        only), the activations are written into its arrays; without, they
+        are fresh.
         """
-        a = as_batch(x)
-        if a.shape[1] != self.input_dim:
-            raise DomainError(f"input width {a.shape[1]}, network expects {self.input_dim}")
+        a = np.asarray(x, dtype=float)
+        if a.ndim == 2:
+            product = np.dot
+        elif a.ndim == 3 and a.shape[1] == 1:
+            product = np.matmul
+        else:
+            raise DomainError(f"input shape {a.shape}, expected (n, in) or (n, 1, in)")
+        if a.shape[-1] != self.input_dim:
+            raise DomainError(f"input width {a.shape[-1]}, network expects {self.input_dim}")
         outs = buffers.fit(a.shape[0]).acts if buffers is not None else None
         acts = [a]
         for k, (weights_t, bias, relu) in enumerate(self.steps):
-            a = np.dot(a, weights_t, out=None if outs is None else outs[k])
+            a = product(a, weights_t, out=None if outs is None else outs[k])
             a += bias
             if relu:
                 np.maximum(a, _ZERO, out=a)
@@ -193,12 +196,12 @@ def backward(net: DenseNet, x: np.ndarray, upstream: np.ndarray, trace=None,
     `trace` is `net.forward_trace(x)` when the caller has already run it
     with the current parameters; without it, that pass runs here.  With
     `buffers`, every result and intermediate is written into its arrays;
-    without, they are fresh.  ReLU uses subgradient 0 at 0.  Batch inputs
-    sum gradients over the batch; divide upstream by the batch size first
-    to get means.
+    without, they are fresh.  ReLU uses subgradient 0 at 0.  `x` is a
+    batch (n, in) and `upstream` (n, out); gradients sum over the batch, so
+    divide upstream by the batch size first to get means.
     """
     acts = net.forward_trace(x, buffers) if trace is None else trace
-    g = as_batch(upstream)
+    g = np.asarray(upstream, dtype=float)
     if g.shape != acts[-1].shape:
         raise DomainError(f"upstream shape {g.shape} does not match output {acts[-1].shape}")
     if buffers is None:
@@ -218,9 +221,7 @@ def backward(net: DenseNet, x: np.ndarray, upstream: np.ndarray, trace=None,
             np.add.reduce(g, axis=0, out=db)
         if k or inputs:
             g = np.dot(g, layer.weights, out=ins[k])
-    if not inputs:
-        return grads, None
-    return grads, (g if np.ndim(x) == 2 else g[0])
+    return grads, (g if inputs else None)
 
 
 class AdamState:

@@ -23,13 +23,15 @@ MARGIN_MAX = 0.99
 class Observation(NamedTuple):
     """What a strategy may look at when choosing the next margin.
 
-    A strategy is built for one metric, so the windows are that metric's.
-    They are ordered oldest first and front-padded with zeros while the
-    simulation is younger than the window length.  `error_window` holds raw
-    prediction errors (usage - prediction); `usage_window` holds raw usage.
+    `step` is the step's index within the current day.  A strategy is built
+    for one metric, so the windows are that metric's.  They are ordered
+    oldest first and front-padded with zeros while the simulation is younger
+    than the window length.  `error_window` holds raw prediction errors
+    (usage - prediction); `usage_window` holds raw usage.
     """
 
     host_id: str
+    step: int
     error_window: tuple[float, ...]
     usage_window: tuple[float, ...]
 
@@ -39,11 +41,21 @@ def clamp_margin(value: float) -> float:
 
 
 class MarginStrategy(ABC):
-    """Contract: `select` returns a margin in [0, MARGIN_MAX] and must be
-    deterministic given the construction seed and observation sequence."""
+    """Contract: before each day's steps, `start_day` receives that day's
+    host ids and every error window the day's observations will hold:
+    `error_windows[i, k]` is the error window of `host_ids[i]` at step k of
+    the day, a read-only (hosts, steps, window_size) array.  Then `select`
+    is called once per (host, step) in step order, hosts in `host_ids` order
+    within a step, with `obs.step` == k and `obs.error_window` equal to
+    `error_windows[i, k]`.  `select` returns a margin in
+    [0, MARGIN_MAX] and must be deterministic given the construction seed
+    and the sequence of calls."""
 
     #: window length this strategy wants in its observations
     window_size: int = 10
+
+    def start_day(self, host_ids: list[str], error_windows: np.ndarray) -> None:
+        """Prepare for a day's selects; by default nothing."""
 
     @abstractmethod
     def select(self, obs: Observation) -> float:
@@ -116,19 +128,35 @@ class LearnedMargin(MarginStrategy):
     agent returns that agent for every host.  With `explore` set the agent
     adds its exploration noise, and `engine.run` trains it on the run's
     transitions; without it the agent only acts.
+
+    An agent's actor does not change within a day (agents learn after the
+    day settles), so `start_day` runs each agent's actor once over the
+    day's error windows, clipped to [-1, 1]: one pass for a shared agent,
+    one per host otherwise.  `select` then only explores and squashes, in
+    step order.
     """
 
     def __init__(self, pool, explore: bool):
         self.pool = pool
         self.explore = explore
         self.window_size = pool.window_size
+        # host id -> (agent, the day's raw actor outputs): a memoryview of the
+        # pass's output, which reads out Python floats without holding them
+        self._day = {}
+
+    def start_day(self, host_ids, error_windows) -> None:
+        states = np.clip(error_windows, -1.0, 1.0)
+        agents = [self.pool.agent_for(hid) for hid in host_ids]
+        if self.pool.shared:
+            raws = agents[0].policy(states.reshape(-1, self.window_size)).reshape(
+                len(host_ids), -1)
+        else:
+            raws = [agent.policy(host_states) for agent, host_states in zip(agents, states)]
+        self._day = dict(zip(host_ids, zip(agents, map(memoryview, raws))))
 
     def select(self, obs: Observation) -> float:
-        state = np.array(obs.error_window, dtype=float)
-        np.maximum(state, -1.0, out=state)  # np.clip's values, without its wrapper
-        np.minimum(state, 1.0, out=state)
-        agent = self.pool.agent_for(obs.host_id)
-        return agent.act(state, explore=self.explore)
+        agent, raw = self._day[obs.host_id]
+        return agent.act(raw[obs.step], self.explore)
 
 
 STRATEGY_KINDS = ("fixed", "random", "feedback", "scavenger", "releaser")

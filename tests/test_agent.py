@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from marginsim.agent import (
     DdpgAgent,
@@ -52,6 +53,24 @@ def columns(batch):
     return batch.critic_in[:, :-1], batch.critic_in[:, -1], batch.rewards, batch.next_states
 
 
+def margin(agent, state, explore):
+    """`act` on the actor's raw output for one state, as a day's selects
+    read it from `policy`."""
+    return agent.act(agent.policy(np.asarray(state, dtype=float)[None, :]).tolist()[0], explore)
+
+
+def row_forward(net, state):
+    """The actor's raw output for one state from a one-row np.dot forward:
+    the per-row reference that `policy`'s stacked pass must equal."""
+    a = np.array(state, dtype=float)[None, :]
+    for layer in net.layers:
+        a = np.dot(a, layer.weights.T)
+        a += layer.bias
+        if layer.activation == "relu":
+            np.maximum(a, 0.0, out=a)
+    return float(a[0, 0])
+
+
 def with_action_column(states):
     """The (n, window + 1) critic input `_actor_gradients` fills in."""
     return np.hstack([states, np.full((states.shape[0], 1), np.nan)])
@@ -82,14 +101,14 @@ class TestAct:
     def test_deterministic_without_exploration(self):
         agent = DdpgAgent.create(tiny_config(), seed=1)
         state = np.array([0.1, -0.2, 0.05, 0.0])
-        assert agent.act(state, explore=False) == agent.act(state, explore=False)
+        assert margin(agent, state, explore=False) == margin(agent, state, explore=False)
 
     def test_range(self):
         agent = DdpgAgent.create(tiny_config(warmup_steps=100), seed=2)
         rng = np.random.default_rng(3)
         for i in range(10_000):
             state = rng.uniform(-1, 1, size=4)
-            a = agent.act(state, explore=(i % 2 == 0))
+            a = margin(agent, state, explore=(i % 2 == 0))
             assert 0.0 <= a <= MARGIN_MAX
 
     def test_zero_weights_give_midpoint(self):
@@ -97,22 +116,22 @@ class TestAct:
         for layer in agent.actor.layers:
             layer.weights[:] = 0.0
             layer.bias[:] = 0.0
-        assert agent.act(np.zeros(4), explore=False) == pytest.approx(0.5)
+        assert margin(agent, np.zeros(4), explore=False) == pytest.approx(0.5)
 
     def test_rejects_wrong_state_shape(self):
         agent = DdpgAgent.create(tiny_config(), seed=5)
         with pytest.raises(DomainError):
-            agent.act(np.zeros(5), explore=False)
+            agent.policy(np.zeros((1, 5)))
 
     def test_warmup_actions_are_the_seeded_uniform_stream(self):
         agent = DdpgAgent.create(tiny_config(warmup_steps=6), seed=6)
         expect = np.random.default_rng(subseed(6, "warmup"))
         rng = np.random.default_rng(7)
-        drawn = [agent.act(rng.uniform(-1, 1, size=4), explore=True) for _ in range(6)]
+        drawn = [margin(agent, rng.uniform(-1, 1, size=4), explore=True) for _ in range(6)]
         assert drawn == [float(expect.uniform(0.0, MARGIN_MAX)) for _ in range(6)]
         # The seventh exploring call leaves warmup and follows the policy.
         state = np.zeros(4)
-        later = agent.act(state, explore=True)
+        later = margin(agent, state, explore=True)
         assert later != pytest.approx(float(expect.uniform(0.0, MARGIN_MAX)))
 
     @pytest.mark.parametrize("explore", [False, True])
@@ -124,24 +143,25 @@ class TestAct:
         states = np.random.default_rng(15).uniform(-3.0, 3.0, size=(200, 4))
         states[::7] = 0.0
         for state in states:
-            got = agent.act(state, explore=explore)
-            raw = twin.actor.forward(state)[0] + (twin.noise.step() if explore else 0.0)
+            got = agent.act(row_forward(agent.actor, state), explore=explore)
+            raw = twin.actor.forward(state[None, :])[0, 0] + (
+                twin.noise.step() if explore else 0.0)
             assert type(got) is float
             assert got == float(min(max(1.0 / (1.0 + np.exp(-raw)), 0.0), MARGIN_MAX))
 
     def test_greedy_calls_do_not_consume_warmup(self):
         agent = DdpgAgent.create(tiny_config(warmup_steps=2), seed=8)
         state = np.full(4, 0.1)
-        greedy = agent.act(state, explore=False)
-        agent.act(state, explore=True)
-        agent.act(state, explore=True)
-        assert agent.act(state, explore=False) == greedy
+        greedy = margin(agent, state, explore=False)
+        margin(agent, state, explore=True)
+        margin(agent, state, explore=True)
+        assert margin(agent, state, explore=False) == greedy
         assert agent.explore_calls == 2
 
     def test_rows_match_a_stacked_actor_pass(self):
         # A whole day of selections (480 steps x 5 hosts) through the actor
-        # at once, as (T, 1, w) @ W.T matmuls, gives each row's `act`
-        # margin bit for bit; a (T, w) @ W.T gemm would not.
+        # at once, as (T, 1, w) @ W.T matmuls, gives each row's one-row
+        # np.dot forward bit for bit; a (T, w) @ W.T gemm would not.
         agent = DdpgAgent.create(DdpgConfig(), seed=11)
         states = np.random.default_rng(12).uniform(-1.0, 1.0, size=(2400, 10))
         states[::9] = 0.0
@@ -153,16 +173,46 @@ class TestAct:
             if layer.activation == "relu":
                 np.maximum(a, 0.0, out=a)
         for state, raw in zip(states, a[:, 0, 0]):
-            want = float(min(max(1.0 / (1.0 + np.exp(-raw)), 0.0), MARGIN_MAX))
-            assert agent.act(state, explore=False) == want
+            assert row_forward(agent.actor, state) == raw
 
     def test_create_is_seed_deterministic(self):
         a = DdpgAgent.create(tiny_config(), seed=9)
         b = DdpgAgent.create(tiny_config(), seed=9)
         c = DdpgAgent.create(tiny_config(), seed=10)
         state = np.array([0.2, 0.0, -0.1, 0.4])
-        assert a.act(state, False) == b.act(state, False)
-        assert a.act(state, False) != c.act(state, False)
+        assert margin(a, state, False) == margin(b, state, False)
+        assert margin(a, state, False) != margin(c, state, False)
+
+
+class TestPolicy:
+    @pytest.mark.parametrize("window", [4, 10, 201])
+    def test_equals_one_row_forwards(self, window):
+        # States as a day's windows reach the actor: overlapping strided
+        # views of one zero-padded, clipped error history, holding zeros,
+        # -0.0 and values clipped at -1 and 1.
+        agent = DdpgAgent.create(DdpgConfig(window=window), seed=window)
+        rng = np.random.default_rng(window + 1)
+        for rows in (1, 2, 479, 480, 2400):
+            history = np.concatenate([np.zeros(window), rng.uniform(-1.5, 1.5, size=rows)])
+            history[window::7] = 0.0
+            history[window + 3::11] = -0.0
+            history = np.clip(history, -1.0, 1.0)
+            if rows > 2:
+                assert (history == 1.0).any() and (history == -1.0).any()
+            states = sliding_window_view(history, window)[:rows]
+            assert states.strides == (8, 8)
+            raws = agent.policy(states)
+            assert raws.shape == (rows,)
+            for k, state in enumerate(states):
+                assert raws[k].tobytes() == np.float64(row_forward(agent.actor, state)).tobytes()
+
+    def test_a_day_of_hosts_in_one_pass_equals_each_host_alone(self):
+        agent = DdpgAgent.create(DdpgConfig(), seed=16)
+        windows = np.clip(np.random.default_rng(17).normal(0.0, 0.8, size=(5, 480, 10)),
+                          -1.0, 1.0)
+        stacked = agent.policy(windows.reshape(-1, 10)).reshape(5, 480)
+        for host_states, raws in zip(windows, stacked):
+            assert agent.policy(host_states).tobytes() == raws.tobytes()
 
 
 class TestOuProcess:
@@ -322,7 +372,7 @@ class TestLearning:
         config = tiny_config(warmup_steps=1000)
         agent = DdpgAgent.create(config, seed=26)
         agent.actor.layers[0].weights += 0.5
-        probe = np.full(4, 0.2)
+        probe = np.full((1, 4), 0.2)
         drifted = agent.actor.forward(probe)
         for i in range(1, 33):
             agent.store_and_learn(Transition(np.zeros(4), 0.1, 0.0, np.zeros(4)))
@@ -550,10 +600,10 @@ class TestCheckpoint:
         rng = np.random.default_rng(31)
         for _ in range(20):
             state = rng.uniform(-1, 1, size=4)
-            assert loaded.act(state, False) == agent.act(state, False)
-            assert np.array_equal(loaded.target_actor.forward(state),
-                                  agent.target_actor.forward(state))
-            cin = np.concatenate([state, [0.4]])
+            assert margin(loaded, state, False) == margin(agent, state, False)
+            assert np.array_equal(loaded.target_actor.forward(state[None, :]),
+                                  agent.target_actor.forward(state[None, :]))
+            cin = np.concatenate([state, [0.4]])[None, :]
             assert np.array_equal(loaded.critic.forward(cin), agent.critic.forward(cin))
 
     def test_loaded_agent_allocates_no_replay_until_it_stores(self, tmp_path):
@@ -563,7 +613,7 @@ class TestCheckpoint:
         tracemalloc.start()
         try:
             loaded = DdpgAgent.load(path, config)
-            loaded.act(np.zeros(4), False)
+            margin(loaded, np.zeros(4), False)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -574,6 +624,34 @@ class TestCheckpoint:
         assert loaded.replay.size == 40
         assert loaded.replay.rows.shape == (50_000, 11)
         assert not np.array_equal(loaded.actor.params, before)
+
+    def test_agent_that_only_acts_builds_no_update_workspace(self, tmp_path):
+        # Window 500 makes the parameters dominate what an agent holds: the
+        # four nets' parameters, against five times the online nets' for
+        # the Adam moments, their scratch and the gradient buffers.
+        config = tiny_config(window=500)
+        path = tmp_path / "agent.ckpt"
+        DdpgAgent.create(config, seed=36).save(path)
+        tracemalloc.start()
+        try:
+            loaded = DdpgAgent.load(path, config)
+            margin(loaded, np.zeros(500), False)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        nets = (loaded.actor, loaded.critic, loaded.target_actor, loaded.target_critic)
+        params_bytes = sum(net.params.nbytes for net in nets)
+        assert params_bytes > 400_000
+        assert held < 1.25 * params_bytes
+        assert loaded.actor_opt is loaded.critic_opt is None
+        assert loaded.actor_buffers is loaded.critic_buffers is None
+        rng = np.random.default_rng(37)
+        for _ in range(8):
+            s = rng.uniform(-1, 1, size=500)
+            stats = loaded.store_and_learn(Transition(s, 0.2, float(rng.normal()), s))
+        assert stats.updated
+        assert loaded.actor_opt.step_count == loaded.critic_opt.step_count == 1
+        assert loaded.critic_buffers.rows == 8
 
     def test_save_is_atomic_and_rewritable(self, tmp_path):
         agent = DdpgAgent.create(tiny_config(), seed=32)
@@ -659,10 +737,10 @@ class TestAgentPool:
         a, b = pool.agent_for("h1"), pool.agent_for("h2")
         assert a is not b
         state = np.full(4, 0.1)
-        assert a.act(state, False) != b.act(state, False)
+        assert margin(a, state, False) != margin(b, state, False)
 
     def test_metric_changes_seed(self):
         cpu = build_pool(tiny_config(), MetricKind.CPU, [SHARED], 36, 1.0)
         ram = build_pool(tiny_config(), MetricKind.RAM, [SHARED], 36, 1.0)
         state = np.full(4, -0.2)
-        assert cpu.agent_for("h").act(state, False) != ram.agent_for("h").act(state, False)
+        assert margin(cpu.agent_for("h"), state, False) != margin(ram.agent_for("h"), state, False)

@@ -5,6 +5,8 @@ import importlib.util
 import inspect
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -559,6 +561,24 @@ class TestSweepScript:
         assert [(m, float(p), float(c), float(n)) for m, p, c, n in rows] == [
             (margin, row.potential, row.penalty, row.net)
             for margin, row in zip(("0", "0.01", "0.02"), table.rows)]
+
+
+class TestStageRssScript:
+    def test_smoke_pass_prints_each_stage(self, tmp_path):
+        out = tmp_path / "out"
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "stage_rss.py"),
+             str(ROOT / "scenarios" / "smoke.cfg"), "--passes", "1", "--output-dir", str(out)],
+            capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        header, *lines = done.stdout.splitlines()
+        assert header == "pass\tstage\tru_maxrss_mb"
+        rows = [line.split("\t") for line in lines]
+        assert [(n, stage) for n, stage, _ in rows] == [
+            ("1", "generate"), ("1", "train"), ("1", "evaluate")]
+        peaks = [float(mb) for _, _, mb in rows]
+        assert 0 < peaks[0] <= peaks[1] <= peaks[2]
+        assert (out / "comparison.csv").is_file()
 
 
 class TestReadme:

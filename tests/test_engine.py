@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import strategies as st
 
 from marginsim.agent import SHARED, DdpgConfig, Transition, build_pool
@@ -27,11 +28,13 @@ from marginsim.engine import (
     reward_scale_for,
     run,
     train_test_split,
+    window_view,
     _attribute_rewards,
 )
 from marginsim.errors import DomainError
 from marginsim.reporting import ErrorCdfs, build_report, nearest_rank, write_report_files
 from marginsim.strategies import (
+    MARGIN_MAX,
     ErrorFeedbackMargin,
     FixedMargin,
     LearnedMargin,
@@ -314,6 +317,15 @@ def padded_window(values, t, start, size):
     return tuple([0.0] * (size - len(past)) + past)
 
 
+@pytest.mark.parametrize("shape,size", [((8,), 1), ((8,), 7), ((3, 2, 25), 4), ((2, 40), 10)])
+def test_window_view_is_the_sliding_window_view(shape, size):
+    hist = np.random.default_rng(14).normal(size=shape)[..., 1:]  # strided, like run's
+    got, want = window_view(hist, size), sliding_window_view(hist, size, axis=-1)
+    assert got.shape == want.shape and got.strides == want.strides
+    assert np.shares_memory(got, hist) and not got.flags.writeable
+    assert got.tobytes() == want.tobytes()
+
+
 class TestWindowParity:
     """Windows match a direct reading of the trace, and each strategy's
     own previous answer is the margin the run recorded a step earlier."""
@@ -340,6 +352,7 @@ class TestWindowParity:
                 series = dc.hosts[i].series[metric]
                 errors = (series["usage"] - series["prediction"]).tolist()
                 assert obs.host_id == dc.hosts[i].spec.host_id
+                assert obs.step == r % 15
                 assert obs.error_window == padded_window(
                     errors, t, self.START, strat.window_size)
                 assert obs.usage_window == padded_window(
@@ -375,10 +388,37 @@ class TestWindowParity:
                     assert np.array_equal(transition.next_state, transitions[k + 1].state)
 
 
+def row_forward(net, state):
+    """A one-row np.dot forward pass."""
+    a = state[None, :]
+    for layer in net.layers:
+        a = np.dot(a, layer.weights.T)
+        a += layer.bias
+        if layer.activation == "relu":
+            np.maximum(a, 0.0, out=a)
+    return a[0, 0]
+
+
+def reference_margin(agent, window, explore, explored):
+    """The margin `agent` chooses for one error window, restated per call:
+    the window clipped, a one-row forward, then the warmup draw or the OU
+    noise, and the squash and clamp on numpy scalars.  `explored` counts
+    each agent's exploring calls."""
+    if explore:
+        explored[id(agent)] = calls = explored.get(id(agent), 0) + 1
+        if calls <= agent.config.warmup_steps:
+            return float(agent.warmup_rng.uniform(0.0, MARGIN_MAX))
+    raw = row_forward(agent.actor, np.clip(np.array(window), -1.0, 1.0))
+    if explore:
+        raw += agent.noise.step()
+    return float(min(max(1.0 / (1.0 + np.exp(-raw)), 0.0), MARGIN_MAX))
+
+
 def reference_run(dc, cost, sim, strategies):
     """`run` restated step by step, without its shortcuts: every window a
-    fresh tuple of a list slice, one `margins` write per host-step, and the
-    clamp as min/max."""
+    fresh tuple of a list slice, each learned margin from its own one-row
+    actor pass (`reference_margin`), one `margins` write per host-step, and
+    the clamp as min/max."""
     strats = [strategies[m] for m in METRICS]
     learning = [j for j, strat in enumerate(strats)
                 if isinstance(strat, LearnedMargin) and strat.explore]
@@ -398,19 +438,32 @@ def reference_run(dc, cost, sim, strategies):
     error_rows = error_hist.tolist()
     usage_rows = np.concatenate([zeros, usage], axis=2).tolist()
     margins = np.zeros(usage.shape)
+    host_ids = [host.spec.host_id for host in hosts]
+    explored = {}
     ledgers, step_log = [], []
     for day in range(lo, hi):
         day_start = (day - lo) * spd
+        day_steps = range(day_start, day_start + spd)
         minutes = [0] * len(hosts)
         containers = [[] for _ in hosts]
         violations = [[] for _ in hosts]
-        for r in range(day_start, day_start + spd):
-            for i, host in enumerate(hosts):
+        for j, strat in enumerate(strats):
+            if not isinstance(strat, LearnedMargin):
+                strat.start_day(host_ids, np.array(
+                    [[error_rows[i][j][first[j] + r:pad + r] for r in day_steps]
+                     for i in range(len(hosts))]))
+        for r in day_steps:
+            for i, hid in enumerate(host_ids):
                 for j, strat in enumerate(strats):
-                    margins[i, j, r] = strat.select(Observation(
-                        host.spec.host_id,
-                        tuple(error_rows[i][j][first[j] + r:pad + r]),
-                        tuple(usage_rows[i][j][first[j] + r:pad + r])))
+                    errors = tuple(error_rows[i][j][first[j] + r:pad + r])
+                    if isinstance(strat, LearnedMargin):
+                        margins[i, j, r] = reference_margin(
+                            strat.pool.agent_for(hid), errors, strat.explore, explored)
+                    else:
+                        margins[i, j, r] = strat.select(Observation(
+                            hid, r - day_start, errors,
+                            tuple(usage_rows[i][j][first[j] + r:pad + r])))
+                host = hosts[i]
                 (u_cpu, u_ram), (p_cpu, p_ram) = usage[i, :, r], pred[i, :, r]
                 m_cpu, m_ram = margins[i, :, r]
                 fits = [math.floor(min(max(1.0 - p - m, 0.0), 1.0) * capacity / per)
@@ -453,20 +506,27 @@ def reference_run(dc, cost, sim, strategies):
 
 
 class Probe(MarginStrategy):
-    """Answers from every Observation field, its metric and its own previous
-    answer for the host, so any field the loop gets wrong changes the
-    margins."""
+    """Answers from every Observation field, its metric, its own previous
+    answer for the host and the day's windows it was shown, so any field the
+    loop gets wrong changes the margins."""
 
     def __init__(self, window, metric):
         self.window_size = window
         self.metric = metric
         self.last = {}
+        self.day = {}
+
+    def start_day(self, host_ids, error_windows):
+        self.day = dict(zip(host_ids, error_windows.tolist()))
 
     def select(self, obs):
+        window = self.day[obs.host_id][obs.step]
+        assert tuple(window) == obs.error_window
         value = clamp_margin(
             0.5 * self.last.get(obs.host_id, 0.0) + 0.3 * max(obs.error_window[-1], 0.0)
             + 0.1 * obs.usage_window[0] + 0.01 * len(obs.host_id)
-            + (0.02 if self.metric is CPU else 0.0))
+            + (0.02 if self.metric is CPU else 0.0)
+            + 0.001 * obs.step + 0.05 * window[0])
         self.last[obs.host_id] = value
         return value
 
@@ -524,6 +584,12 @@ class TestLoopParity:
         # Every step of every host-day violates: 1440 minutes, the top tier.
         (("releaser", "cycle:-1"), "train", False, "violation_spread"),
         (("cycle:-1", "releaser"), "train", True, "day_end_lump"),
+        # Releasers in both explore modes, shared and per host, with the
+        # warmup ending mid-day (8 exploring calls per agent: 3 hosts share
+        # one agent, or each host's agent acts 15 times a day).
+        (("releaser", "cycle:-1/0.5"), "evaluate", False, "violation_spread"),
+        (("releaser", "probe:5"), "train", True, "violation_spread"),
+        (("releaser", "releaser"), "train", True, "day_end_lump"),
     ])
     def test_matches_reference(self, tokens, mode, per_host, attribution):
         got, want, fast, slow = self.run_both(tokens, mode, per_host, attribution)

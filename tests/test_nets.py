@@ -97,16 +97,16 @@ class TestForward:
         net = DenseNet.initialize([10, 16, 16, 1], ["relu", "relu", "linear"], rng)
         for _ in range(20):
             x = rng.normal(size=10)
-            assert net.forward(x) == pytest.approx(loop_forward(net, x), abs=1e-12)
+            assert net.forward(x[None, :])[0] == pytest.approx(loop_forward(net, x), abs=1e-12)
 
     def test_identity_linear_layer(self):
         net = DenseNet([Layer(np.eye(3), np.zeros(3), "linear")])
-        x = np.array([1.0, -2.0, 3.0])
+        x = np.array([[1.0, -2.0, 3.0]])
         assert np.array_equal(net.forward(x), x)
 
     def test_relu_kills_negatives(self):
         net = DenseNet([Layer(np.eye(2), np.zeros(2), "relu")])
-        assert np.array_equal(net.forward(np.array([-5.0, 2.0])), [0.0, 2.0])
+        assert np.array_equal(net.forward(np.array([[-5.0, 2.0]])), [[0.0, 2.0]])
 
     def test_batch_matches_single(self):
         net = small_net(3)
@@ -114,18 +114,41 @@ class TestForward:
         batch = rng.normal(size=(6, 5))
         out = net.forward(batch)
         for i in range(6):
-            assert out[i] == pytest.approx(net.forward(batch[i]), abs=1e-14)
+            assert out[i] == pytest.approx(net.forward(batch[i:i + 1])[0], abs=1e-14)
 
     def test_wrong_width_rejected(self):
         with pytest.raises(DomainError):
-            small_net(0).forward(np.zeros(4))
+            small_net(0).forward(np.zeros((1, 4)))
+        with pytest.raises(DomainError):
+            small_net(0).forward(np.zeros((2, 1, 4)))
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 2, 5), (1, 1, 1, 5)])
+    def test_only_batches_and_stacked_rows(self, shape):
+        with pytest.raises(DomainError, match="expected"):
+            small_net(0).forward(np.zeros(shape))
 
     def test_accepts_array_likes(self):
         net = small_net(8, dims=(3, 4, 2))
-        want = net.forward(np.array([0.1, 0.2, 0.3]))
-        for x in ([0.1, 0.2, 0.3], (0.1, 0.2, 0.3)):
+        want = net.forward(np.array([[0.1, 0.2, 0.3]]))
+        for x in ([[0.1, 0.2, 0.3]], ((0.1, 0.2, 0.3),)):
             assert net.forward(x).tobytes() == want.tobytes()
-        assert net.forward([[0.1, 0.2, 0.3]]).tobytes() == want.tobytes()
+        assert net.forward([[[0.1, 0.2, 0.3]]]).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dims", [(4, 16, 16, 1), (10, 16, 16, 1), (201, 16, 16, 1),
+                                      (11, 32, 32, 1), (5, 7, 3)])
+    def test_stacked_rows_equal_one_row_forwards(self, dims):
+        # Each (1, in) slice of a stack goes through np.matmul on its own and
+        # gives the bytes of that row's np.dot forward; the trace keeps the
+        # stacked shape layer by layer.
+        net = small_net(60, dims=dims, activations=("relu",) * (len(dims) - 2) + ("linear",))
+        x = np.random.default_rng(61).uniform(-1.0, 1.0, size=(300, dims[0]))
+        x[::5] = 0.0
+        x[1::5, ::2] = -0.0
+        acts = net.forward_trace(x[:, None, :])
+        assert [a.shape for a in acts] == [(300, 1, d) for d in dims]
+        for i, row in enumerate(x):
+            one = net.forward_trace(row[None, :])
+            assert all(a[i].tobytes() == b.tobytes() for a, b in zip(acts, one))
 
     def test_positive_homogeneity_without_bias(self):
         net = small_net(5, dims=(4, 6, 2))
@@ -133,7 +156,7 @@ class TestForward:
             layer.bias[:] = 0.0
         rng = np.random.default_rng(6)
         for _ in range(20):
-            x = rng.normal(size=4)
+            x = rng.normal(size=(1, 4))
             c = float(rng.uniform(0.1, 5.0))
             assert net.forward(c * x) == pytest.approx(c * net.forward(x), rel=1e-12)
 
@@ -192,8 +215,8 @@ class TestBackward:
     def test_matches_finite_differences(self, seed):
         net = small_net(seed, dims=(5, 7, 3), activations=("relu", "linear"))
         rng = np.random.default_rng(seed + 100)
-        x = rng.normal(size=5)
-        upstream = rng.normal(size=3)
+        x = rng.normal(size=(1, 5))
+        upstream = rng.normal(size=(1, 3))
         analytic, _ = backward(net, x, upstream)
         numeric = numeric_gradients(net, x, upstream)
         assert max_relative_error(analytic, numeric) < 1e-4
@@ -206,7 +229,7 @@ class TestBackward:
         whole, _ = backward(net, batch, upstream)
         summed = None
         for i in range(4):
-            grads, _ = backward(net, batch[i], upstream[i])
+            grads, _ = backward(net, batch[i:i + 1], upstream[i:i + 1])
             if summed is None:
                 summed = [[g.copy() for g in pair] for pair in grads]
             else:
@@ -219,7 +242,7 @@ class TestBackward:
 
     def test_zero_upstream_zero_grads(self):
         net = small_net(10)
-        grads, input_grad = backward(net, np.ones(5), np.zeros(1))
+        grads, input_grad = backward(net, np.ones((1, 5)), np.zeros((1, 1)))
         assert all(np.all(gw == 0) and np.all(gb == 0) for gw, gb in grads)
         assert np.all(input_grad == 0)
 
@@ -228,26 +251,26 @@ class TestBackward:
         net = DenseNet([Layer(w.copy(), np.zeros(2), "linear")])
         x = np.array([5.0, -6.0])
         upstream = np.array([0.5, -1.5])
-        grads, input_grad = backward(net, x, upstream)
+        grads, input_grad = backward(net, x[None, :], upstream[None, :])
         assert np.array_equal(grads[0][0], np.outer(upstream, x))
         assert np.array_equal(grads[0][1], upstream)
-        assert np.array_equal(input_grad, w.T @ upstream)
+        assert np.array_equal(input_grad, [w.T @ upstream])
 
     def test_input_gradient_matches_fd(self):
         net = small_net(11)
         rng = np.random.default_rng(12)
-        x = rng.normal(size=5)
-        upstream = rng.normal(size=1)
+        x = rng.normal(size=(1, 5))
+        upstream = rng.normal(size=(1, 1))
         _, input_grad = backward(net, x, upstream)
         eps = 1e-6
         for i in range(5):
             bumped = x.copy()
-            bumped[i] += eps
-            up = float(net.forward(bumped) @ upstream)
-            bumped[i] -= 2 * eps
-            down = float(net.forward(bumped) @ upstream)
+            bumped[0, i] += eps
+            up = float(net.forward(bumped)[0] @ upstream[0])
+            bumped[0, i] -= 2 * eps
+            down = float(net.forward(bumped)[0] @ upstream[0])
             fd = (up - down) / (2 * eps)
-            assert input_grad[i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
+            assert input_grad[0, i] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
 class TestAdam:
@@ -353,7 +376,7 @@ class TestCopy:
         src = small_net(17)
         dst = small_net(18)
         clone_into(src, dst)
-        x = np.ones(5)
+        x = np.ones((1, 5))
         assert np.array_equal(src.forward(x), dst.forward(x))
         src.layers[0].weights += 1.0
         assert not np.array_equal(src.layers[0].weights, dst.layers[0].weights)
@@ -389,7 +412,7 @@ class TestCheckpoint:
         assert loaded.activations() == net.activations()
         rng = np.random.default_rng(23)
         for _ in range(10):
-            x = rng.normal(size=10)
+            x = rng.normal(size=(1, 10))
             assert np.array_equal(net.forward(x), loaded.forward(x))
 
     def test_truncated_names_section(self):

@@ -19,8 +19,8 @@ from marginsim.strategies import (
 from marginsim.traces import MetricKind
 
 
-def obs(errors=(0.0,) * 10, usage=(0.0,) * 10):
-    return Observation("h0", tuple(errors), tuple(usage))
+def obs(errors=(0.0,) * 10, usage=(0.0,) * 10, step=0):
+    return Observation("h0", step, tuple(errors), tuple(usage))
 
 
 window_values = st.lists(
@@ -29,9 +29,9 @@ window_values = st.lists(
 
 class TestObservation:
     def test_fields_in_order(self):
-        assert Observation._fields == ("host_id", "error_window", "usage_window")
-        o = obs(errors=(0.1,) * 10, usage=(0.2,) * 10)
-        assert o.host_id == "h0"
+        assert Observation._fields == ("host_id", "step", "error_window", "usage_window")
+        o = obs(errors=(0.1,) * 10, usage=(0.2,) * 10, step=3)
+        assert o.host_id == "h0" and o.step == 3
         assert o.error_window == (0.1,) * 10 and o.usage_window == (0.2,) * 10
 
     @pytest.mark.parametrize("name", Observation._fields)
@@ -139,29 +139,56 @@ class TestUsageStddev:
 
 
 class TestLearnedState:
-    """The state handed to the agent is np.clip of the error window."""
+    """The states handed to the agent's actor are np.clip of the day's error
+    windows, and each select squashes its own (host, step) raw output."""
 
     class Pool:
         window_size = 5
 
-        def __init__(self):
+        def __init__(self, shared):
+            self.shared = shared
             self.states = []
+            self.acted = []
 
         def agent_for(self, host_id):
             return self
 
-        def act(self, state, explore):
-            self.states.append(state)
+        def policy(self, states):
+            self.states.append(states)
+            return np.arange(states.shape[0], dtype=float)
+
+        def act(self, raw, explore):
+            self.acted.append((raw, explore))
             return 0.1
 
     @given(st.lists(st.floats(allow_nan=False), min_size=5, max_size=5))
     def test_matches_numpy_clip(self, errors):
-        pool = self.Pool()
-        LearnedMargin(pool, explore=False).select(obs(errors=errors))
+        pool = self.Pool(shared=True)
+        strat = LearnedMargin(pool, explore=False)
+        windows = np.array([[errors]])
+        strat.start_day(["h0"], windows)
+        assert strat.select(obs(errors=errors)) == 0.1
         (state,) = pool.states
-        expected = np.clip(np.asarray(errors, dtype=float), -1.0, 1.0)
+        expected = np.clip(windows[0], -1.0, 1.0)
         assert state.dtype == expected.dtype and state.shape == expected.shape
         assert state.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_select_reads_its_host_and_step(self, shared):
+        pool = self.Pool(shared)
+        strat = LearnedMargin(pool, explore=True)
+        windows = np.random.default_rng(0).uniform(-2.0, 2.0, size=(3, 4, 5))
+        strat.start_day(["a", "b", "c"], windows)
+        assert len(pool.states) == (1 if shared else 3)
+        assert np.array_equal(np.concatenate(pool.states).reshape(windows.shape),
+                              np.clip(windows, -1.0, 1.0))
+        for step in (2, 0):
+            for i, host in enumerate("cab"):
+                strat.select(Observation(host, step, (), ()))
+        # Row (host i, step k) is raw output i * 4 + k of one shared pass,
+        # or output k of host i's own pass.
+        raws = [(i * 4 if shared else 0) + k for k in (2, 0) for i in (2, 0, 1)]
+        assert pool.acted == [(float(raw), True) for raw in raws]
 
 
 class TestContractRange:

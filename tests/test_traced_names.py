@@ -81,3 +81,32 @@ def test_traced_engine_identities(tracer, mode, per_host):
     assert m["costs.containers_fitting.calls"] > 0
     assert m["costs.settle_day.calls"] == hosts * days
     assert (m["agent.store_and_learn.calls"] > 0) == (mode == "train")
+
+
+@pytest.mark.parametrize("mode", ["evaluate", "train"])
+@pytest.mark.parametrize("per_host", [False, True])
+def test_traced_releaser_runs_each_actor_once_a_day(tracer, mode, per_host):
+    # Outside the updates, each agent's actor runs once per day, whatever
+    # the number of hosts it serves; each select still makes one `act`.
+    hosts, days, spd = 3, 2, 15
+    dc = generate_synthetic(SyntheticConfig(seed=65, num_hosts=hosts, num_days=days,
+                                            step_minutes=96))
+    scopes = [h.spec.host_id for h in dc.hosts] if per_host else [SHARED]
+    ddpg = DdpgConfig(window=4, batch_size=8, warmup_steps=8, replay_capacity=64,
+                      steps_per_day=spd)
+    strategies = {
+        metric: StrategySpec.parse("releaser").build(
+            metric, 66, pool=build_pool(ddpg, metric, scopes, 67, 0.01),
+            explore=mode == "train")
+        for metric in (MetricKind.CPU, MetricKind.RAM)
+    }
+    sim = engine.SimulationConfig(seed=66, day_range=(0, days))
+    with tracer.installed():
+        engine.run(dc, CostModel(), sim, strategies)
+    m = tracer.metrics()
+    assert tracer.missing == set()
+    agents = 2 * len(scopes)
+    assert m["nets.forward_trace.calls"] - m["nets.forward_trace.in_update"] == agents * days
+    assert (m["nets.forward_trace.in_update"] > 0) == (mode == "train")
+    assert m["agent.act.calls"] == m["strategies.releaser.calls"] == 2 * hosts * days * spd
+    assert m["agent.warmup_actions"] == (agents * 8 if mode == "train" else 0)
