@@ -1,13 +1,14 @@
 """The step-by-step simulator: replay a trace under margin strategies.
 
-Each day starts by showing every strategy the day's error windows
-(`start_day`), which lets a learned strategy run its actor once for the
-whole day.  Then, each step, per host: every metric's strategy picks a
-margin from information up to the previous step only.  Once a day's
-margins are chosen, the day settles from arrays: containers are fit into
-each step's remaining headroom, and each step is checked for a violation
-(actual usage above prediction plus margin on either metric), which
-advances that host-day's violation clock.  Days settle independently:
+Each day starts by showing every strategy the day's error and usage windows
+(`start_day`), read-only views of the zero-padded histories, from which the
+strategy answers the whole day's margins in one call.  Each window at step t
+ends at step t-1, so no margin sees the step it covers.  Then, each step,
+per host, the engine reads every metric's margin back with `select`.  Once a
+day's margins are collected, the day settles from arrays: containers are fit
+into each step's remaining headroom, and each step is checked for a
+violation (actual usage above prediction plus margin on either metric),
+which advances that host-day's violation clock.  Days settle independently:
 violation clocks reset at midnight, strategy and agent state carry across.
 
 Agents learn while they explore: when a learned strategy explores, the
@@ -130,20 +131,18 @@ def run(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
     usage = np.array([[h.series[m]["usage"][start:hi * spd] for m in METRICS] for h in hosts])
     pred = np.array([[h.series[m]["prediction"][start:hi * spd] for m in METRICS]
                      for h in hosts])
-    # Histories front-padded with `pad` zeros, one tuple per (host, metric):
-    # metric j's window ending at range step r-1 is entries [first[j] + r, pad + r),
-    # which for the errors is also row r of `error_windows[j]`.
+    # Histories front-padded with `pad` zeros: metric j's window ending at
+    # range step r-1 is entries [first[j] + r, pad + r), row r of its window view.
     sizes = [strat.window_size for strat in strats]
     pad = max(sizes)
-    f_cpu, f_ram = first = [pad - size for size in sizes]
+    first = [pad - size for size in sizes]
     zeros = np.zeros((len(hosts), 2, pad))
     error_hist = np.concatenate([zeros, usage - pred], axis=2)
+    usage_hist = np.concatenate([zeros, usage], axis=2)
     states = np.clip(error_hist, -1.0, 1.0) if learning else None  # the agents' states
-    error_rows = [[tuple(row) for row in host] for host in error_hist.tolist()]
-    usage_rows = [[tuple(row) for row in host]
-                  for host in np.concatenate([zeros, usage], axis=2).tolist()]
-    error_windows = [window_view(error_hist[:, j, first[j]:], size)
-                     for j, size in enumerate(sizes)]
+    windows = [(window_view(error_hist[:, j, first[j]:], size),
+                window_view(usage_hist[:, j, first[j]:], size))
+               for j, size in enumerate(sizes)]
     margins = np.zeros(usage.shape)
     select_cpu, select_ram = (strat.select for strat in strats)
     new_obs = tuple.__new__  # builds an Observation without NamedTuple's Python-level __new__
@@ -158,23 +157,14 @@ def run(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
         span = slice(day_start, day_start + spd)
         day_cpu = [[] for _ in hosts]
         day_ram = [[] for _ in hosts]
-        for strat, windows in zip(strats, error_windows):
-            strat.start_day(host_ids, windows[:, span])
+        for strat, (error_windows, usage_windows) in zip(strats, windows):
+            strat.start_day(host_ids, error_windows[:, span], usage_windows[:, span])
 
         for k in range(spd):
-            r = day_start + k
             for i, hid in enumerate(host_ids):
-                e_cpu, e_ram = error_rows[i]
-                h_cpu, h_ram = usage_rows[i]
-                # Both margins are chosen before either day list grows: list
-                # growth between the two selects interleaves with the agents'
-                # temporaries and raised train's peak RSS by about 0.15 MB.
-                m_cpu = select_cpu(new_obs(Observation, (hid, k, e_cpu[f_cpu + r:pad + r],
-                                                         h_cpu[f_cpu + r:pad + r])))
-                m_ram = select_ram(new_obs(Observation, (hid, k, e_ram[f_ram + r:pad + r],
-                                                         h_ram[f_ram + r:pad + r])))
-                day_cpu[i].append(m_cpu)
-                day_ram[i].append(m_ram)
+                obs = new_obs(Observation, (hid, k))
+                day_cpu[i].append(select_cpu(obs))
+                day_ram[i].append(select_ram(obs))
         margins[:, 0, span] = day_cpu
         margins[:, 1, span] = day_ram
 

@@ -1,9 +1,11 @@
 """Margin strategies: how much headroom to keep above the predicted usage.
 
-A strategy sees a short window of recent prediction errors and usage for
-one (host, metric) pair and answers with a margin fraction in
-[0, MARGIN_MAX].  All strategies are deterministic given their seed and
-the observation sequence, which is what makes runs reproducible.
+A strategy is built for one metric.  Before each simulated day it is shown
+the day's windows of recent prediction errors and usage for every host, and
+answers the whole day's margin fractions in [0, MARGIN_MAX] at once
+(`day_margins`); the engine then reads them back one (host, step) at a time
+through `select`.  All strategies are deterministic given their seed and the
+sequence of days they are shown, which is what makes runs reproducible.
 """
 
 from __future__ import annotations
@@ -21,19 +23,11 @@ MARGIN_MAX = 0.99
 
 
 class Observation(NamedTuple):
-    """What a strategy may look at when choosing the next margin.
-
-    `step` is the step's index within the current day.  A strategy is built
-    for one metric, so the windows are that metric's.  They are ordered
-    oldest first and front-padded with zeros while the simulation is younger
-    than the window length.  `error_window` holds raw prediction errors
-    (usage - prediction); `usage_window` holds raw usage.
-    """
+    """Which of the day's margins `select` reads: host `host_id` at `step`,
+    the step's index within the current day."""
 
     host_id: str
     step: int
-    error_window: tuple[float, ...]
-    usage_window: tuple[float, ...]
 
 
 def clamp_margin(value: float) -> float:
@@ -42,25 +36,45 @@ def clamp_margin(value: float) -> float:
 
 class MarginStrategy(ABC):
     """Contract: before each day's steps, `start_day` receives that day's
-    host ids and every error window the day's observations will hold:
-    `error_windows[i, k]` is the error window of `host_ids[i]` at step k of
-    the day, a read-only (hosts, steps, window_size) array.  Then `select`
-    is called once per (host, step) in step order, hosts in `host_ids` order
-    within a step, with `obs.step` == k and `obs.error_window` equal to
-    `error_windows[i, k]`.  `select` returns a margin in
-    [0, MARGIN_MAX] and must be deterministic given the construction seed
-    and the sequence of calls."""
+    host ids and windows, read-only (hosts, steps, window_size) arrays:
+    `error_windows[i, k]` holds the raw prediction errors (usage -
+    prediction) and `usage_windows[i, k]` the raw usage of `host_ids[i]` in
+    the `window_size` steps before step k of the day, oldest first and
+    front-padded with zeros while the run is younger than the window.
+    `start_day` asks `day_margins` for the day's (hosts, steps) margins, each
+    in [0, MARGIN_MAX]; a strategy keeps whatever state it needs across days
+    and must be deterministic given its construction seed and the sequence of
+    days.  `select` then returns margin (host, step) of that answer, and
+    computes nothing."""
 
-    #: window length this strategy wants in its observations
+    #: window length this strategy wants in the windows it is shown
     window_size: int = 10
 
-    def start_day(self, host_ids: list[str], error_windows: np.ndarray) -> None:
-        """Prepare for a day's selects; by default nothing."""
+    def start_day(self, host_ids: list[str], error_windows: np.ndarray,
+                  usage_windows: np.ndarray) -> None:
+        """Take the day's margins from `day_margins`, one row per host."""
+        margins = np.asarray(self.day_margins(host_ids, error_windows, usage_windows),
+                             dtype=float)
+        expected = (len(host_ids), error_windows.shape[1])
+        if margins.shape != expected:
+            raise DomainError(f"{type(self).__name__}.day_margins returned shape "
+                              f"{margins.shape}, expected (hosts, steps) = {expected}")
+        # host id -> a memoryview of its row, which reads out Python floats
+        # without holding them
+        self._day = dict(zip(host_ids, map(memoryview, margins)))
 
     @abstractmethod
-    def select(self, obs: Observation) -> float:
+    def day_margins(self, host_ids: list[str], error_windows: np.ndarray,
+                    usage_windows: np.ndarray) -> np.ndarray:
+        """The day's margins, (len(host_ids), steps)."""
         raise NotImplementedError
 
+    def select(self, obs: Observation) -> float:
+        return self._day[obs.host_id][obs.step]
+
+
+# Each built-in kind binds `select` under its own class, so a tracer that
+# wraps `<Kind>.select` counts that kind's selections alone.
 
 class FixedMargin(MarginStrategy):
     """The same margin at every step."""
@@ -70,18 +84,24 @@ class FixedMargin(MarginStrategy):
             raise DomainError(f"fixed margin must be in [0, 1), got {margin}")
         self.margin = clamp_margin(margin)
 
-    def select(self, obs: Observation) -> float:
-        return self.margin
+    def day_margins(self, host_ids, error_windows, usage_windows):
+        return np.full(error_windows.shape[:2], self.margin)
+
+    select = MarginStrategy.select
 
 
 class RandomMargin(MarginStrategy):
-    """A fresh uniform draw from [0, MARGIN_MAX) at every step."""
+    """A fresh uniform draw from [0, MARGIN_MAX) at every step, drawn in
+    step order, hosts in order within a step."""
 
     def __init__(self, seed: int):
         self.rng = np.random.default_rng(seed)
 
-    def select(self, obs: Observation) -> float:
-        return float(self.rng.uniform(0.0, MARGIN_MAX))
+    def day_margins(self, host_ids, error_windows, usage_windows):
+        hosts, steps = error_windows.shape[:2]
+        return self.rng.uniform(0.0, MARGIN_MAX, size=(steps, hosts)).T
+
+    select = MarginStrategy.select
 
 
 class ErrorFeedbackMargin(MarginStrategy):
@@ -95,9 +115,12 @@ class ErrorFeedbackMargin(MarginStrategy):
             raise DomainError(f"base margin must be in [0, 1), got {base}")
         self.base = base
 
-    def select(self, obs: Observation) -> float:
-        newest_error = obs.error_window[-1]
-        return clamp_margin(self.base + max(0.0, newest_error))
+    def day_margins(self, host_ids, error_windows, usage_windows):
+        newest = error_windows[:, :, -1]
+        # where() rather than maximum(): max(0.0, e) is +0.0 for e == -0.0
+        return np.minimum(self.base + np.where(newest > 0.0, newest, 0.0), MARGIN_MAX)
+
+    select = MarginStrategy.select
 
 
 class UsageStddevMargin(MarginStrategy):
@@ -111,14 +134,19 @@ class UsageStddevMargin(MarginStrategy):
             raise DomainError(f"stddev window must be >= 2, got {window}")
         self.window_size = window
 
-    def select(self, obs: Observation) -> float:
-        # np.std's own steps (pairwise sums, in-place square) without its
-        # Python wrapper; the result is bit-identical to `w.std()`.
-        w = np.asarray(obs.usage_window, dtype=float)
-        n = w.size
-        dev = w - np.add.reduce(w) / n
-        np.multiply(dev, dev, out=dev)
-        return clamp_margin(float(np.sqrt(np.add.reduce(dev) / n)))
+    def day_margins(self, host_ids, error_windows, usage_windows):
+        # np.std's own steps (pairwise sums along each window, in-place
+        # square) without its Python wrapper; each value is bit-identical to
+        # `window.std()`.  One host at a time keeps the temporaries small.
+        n = self.window_size
+        out = np.empty(usage_windows.shape[:2])
+        for windows, host_out in zip(usage_windows, out):
+            dev = windows - (np.add.reduce(windows, axis=-1) / n)[:, None]
+            np.multiply(dev, dev, out=dev)
+            np.sqrt(np.add.reduce(dev, axis=-1) / n, out=host_out)
+        return np.minimum(out, MARGIN_MAX, out=out)
+
+    select = MarginStrategy.select
 
 
 class LearnedMargin(MarginStrategy):
@@ -130,21 +158,19 @@ class LearnedMargin(MarginStrategy):
     transitions; without it the agent only acts.
 
     An agent's actor does not change within a day (agents learn after the
-    day settles), so `start_day` runs each agent's actor once over the
+    day settles), so `day_margins` runs each agent's actor once over the
     day's error windows, clipped to [-1, 1]: one pass for a shared agent,
-    one per host otherwise.  `select` then only explores and squashes, in
-    step order.
+    one per host otherwise.  It then explores and squashes each raw output
+    with `act`, in step order, hosts in order within a step, so the warmup
+    draws and the exploration noise are drawn as a per-step walk would.
     """
 
     def __init__(self, pool, explore: bool):
         self.pool = pool
         self.explore = explore
         self.window_size = pool.window_size
-        # host id -> (agent, the day's raw actor outputs): a memoryview of the
-        # pass's output, which reads out Python floats without holding them
-        self._day = {}
 
-    def start_day(self, host_ids, error_windows) -> None:
+    def day_margins(self, host_ids, error_windows, usage_windows):
         states = np.clip(error_windows, -1.0, 1.0)
         agents = [self.pool.agent_for(hid) for hid in host_ids]
         if self.pool.shared:
@@ -152,11 +178,17 @@ class LearnedMargin(MarginStrategy):
                 len(host_ids), -1)
         else:
             raws = [agent.policy(host_states) for agent, host_states in zip(agents, states)]
-        self._day = dict(zip(host_ids, zip(agents, map(memoryview, raws))))
+        out = np.empty(error_windows.shape[:2])
+        # memoryviews read and write Python floats without numpy scalars
+        hosts = list(zip([agent.act for agent in agents], map(memoryview, raws),
+                         map(memoryview, out)))
+        explore = self.explore
+        for k in range(out.shape[1]):
+            for act, raw, margin in hosts:
+                margin[k] = act(raw[k], explore)
+        return out
 
-    def select(self, obs: Observation) -> float:
-        agent, raw = self._day[obs.host_id]
-        return agent.act(raw[obs.step], self.explore)
+    select = MarginStrategy.select
 
 
 STRATEGY_KINDS = ("fixed", "random", "feedback", "scavenger", "releaser")

@@ -53,6 +53,7 @@ from marginsim.traces import (
     make_series,
     SyntheticConfig,
 )
+from test_strategies import reference_select
 
 CPU, RAM = MetricKind.CPU, MetricKind.RAM
 
@@ -288,27 +289,35 @@ class TestCausality:
 
 
 class Recording(MarginStrategy):
-    """Keeps every Observation it receives and the margin it answered."""
+    """Keeps every day's host ids and windows it is shown, whether they were
+    read-only, and the margins it answered."""
 
     def __init__(self, window):
         self.window_size = window
-        self.seen = []
-        self.answers = []
+        self.days = []
+        self.calls = 0
 
-    def select(self, obs):
-        self.seen.append(obs)
-        self.answers.append(0.01 * (len(self.seen) % 7))
-        return self.answers[-1]
+    def day_margins(self, host_ids, error_windows, usage_windows):
+        hosts, steps = error_windows.shape[:2]
+        answers = 0.01 * (np.arange(self.calls, self.calls + hosts * steps) % 7)
+        self.calls += hosts * steps
+        answers = answers.reshape(steps, hosts).T
+        self.days.append((list(host_ids), np.array(error_windows), np.array(usage_windows),
+                          error_windows.flags.writeable or usage_windows.flags.writeable,
+                          answers))
+        return answers
 
 
 class RecordingLearned(LearnedMargin):
+    """Keeps every day's error windows it is shown."""
+
     def __init__(self, pool, explore):
         super().__init__(pool, explore)
-        self.seen = []
+        self.windows = []
 
-    def select(self, obs):
-        self.seen.append(obs)
-        return super().select(obs)
+    def day_margins(self, host_ids, error_windows, usage_windows):
+        self.windows.append(np.array(error_windows))
+        return super().day_margins(host_ids, error_windows, usage_windows)
 
 
 def padded_window(values, t, start, size):
@@ -327,8 +336,9 @@ def test_window_view_is_the_sliding_window_view(shape, size):
 
 
 class TestWindowParity:
-    """Windows match a direct reading of the trace, and each strategy's
-    own previous answer is the margin the run recorded a step earlier."""
+    """Every window a strategy is shown matches a direct reading of the
+    trace up to the step before, zero-padded back to the range start (no
+    lookahead), and each (host, step) margin is the one its day answered."""
 
     START, STEPS = 15, 30  # day_range (1, 3) at 15 steps per day
 
@@ -342,24 +352,25 @@ class TestWindowParity:
         strategies = {CPU: Recording(3), RAM: Recording(7)}
         sim = SimulationConfig(seed=1, day_range=(1, 3))
         result = run(dc, CostModel(), sim, strategies)
-        hosts = len(dc.hosts)
+        host_ids = [h.spec.host_id for h in dc.hosts]
         for j, metric in enumerate((CPU, RAM)):
             strat = strategies[metric]
-            assert len(strat.seen) == self.STEPS * hosts
-            for n, obs in enumerate(strat.seen):
-                r, i = divmod(n, hosts)
-                t = self.START + r
-                series = dc.hosts[i].series[metric]
-                errors = (series["usage"] - series["prediction"]).tolist()
-                assert obs.host_id == dc.hosts[i].spec.host_id
-                assert obs.step == r % 15
-                assert obs.error_window == padded_window(
-                    errors, t, self.START, strat.window_size)
-                assert obs.usage_window == padded_window(
-                    series["usage"].tolist(), t, self.START, strat.window_size)
-                assert result.margins[i, j, r] == strat.answers[n]
-                if r:
-                    assert result.margins[i, j, r - 1] == strat.answers[n - hosts]
+            size = strat.window_size
+            assert len(strat.days) == 2
+            for d, (ids, errors, usage, writeable, answers) in enumerate(strat.days):
+                assert ids == host_ids and not writeable
+                assert errors.shape == usage.shape == (len(host_ids), 15, size)
+                for i, host in enumerate(dc.hosts):
+                    series = host.series[metric]
+                    trace_errors = (series["usage"] - series["prediction"]).tolist()
+                    for k in range(15):
+                        r = 15 * d + k
+                        t = self.START + r
+                        assert tuple(errors[i, k].tolist()) == padded_window(
+                            trace_errors, t, self.START, size)
+                        assert tuple(usage[i, k].tolist()) == padded_window(
+                            series["usage"].tolist(), t, self.START, size)
+                        assert result.margins[i, j, r] == answers[i, k]
 
     def test_train_next_state_is_next_steps_state(self):
         dc = self.build()
@@ -376,13 +387,13 @@ class TestWindowParity:
         strategies = {CPU: RecordingLearned(pool, explore=True), RAM: Recording(7)}
         sim = SimulationConfig(seed=1, day_range=(1, 3))
         result = run(dc, CostModel(), sim, strategies)
+        assert len(strategies[CPU].windows) == 2
         for i, hid in enumerate(host_ids):
-            seen = [obs for obs in strategies[CPU].seen if obs.host_id == hid]
+            shown = np.concatenate([day[i] for day in strategies[CPU].windows])
             transitions = stored[hid]
-            assert len(seen) == len(transitions) == self.STEPS
+            assert len(shown) == len(transitions) == self.STEPS
             for k, transition in enumerate(transitions):
-                assert np.array_equal(transition.state,
-                                      np.clip(seen[k].error_window, -1.0, 1.0))
+                assert np.array_equal(transition.state, np.clip(shown[k], -1.0, 1.0))
                 assert transition.action == result.margins[i, 0, k]
                 if k + 1 < self.STEPS:
                     assert np.array_equal(transition.next_state, transitions[k + 1].state)
@@ -416,9 +427,12 @@ def reference_margin(agent, window, explore, explored):
 
 def reference_run(dc, cost, sim, strategies):
     """`run` restated step by step, without its shortcuts: every window a
-    fresh tuple of a list slice, each learned margin from its own one-row
-    actor pass (`reference_margin`), one `margins` write per host-step, and
-    the clamp as min/max."""
+    fresh tuple of a list slice, each built-in margin from its per-call
+    reference (`reference_select`) and each learned one from its own one-row
+    actor pass (`reference_margin`), never from the strategy's own
+    `day_margins`; one `margins` write per host-step, and the clamp as
+    min/max.  Only the test strategies (`Probe`, `Cycle`) answer their days
+    themselves, from windows built here."""
     strats = [strategies[m] for m in METRICS]
     learning = [j for j, strat in enumerate(strats)
                 if isinstance(strat, LearnedMargin) and strat.explore]
@@ -448,21 +462,22 @@ def reference_run(dc, cost, sim, strategies):
         containers = [[] for _ in hosts]
         violations = [[] for _ in hosts]
         for j, strat in enumerate(strats):
-            if not isinstance(strat, LearnedMargin):
-                strat.start_day(host_ids, np.array(
-                    [[error_rows[i][j][first[j] + r:pad + r] for r in day_steps]
-                     for i in range(len(hosts))]))
+            if isinstance(strat, (Probe, Cycle)):
+                strat.start_day(host_ids, *(np.array(
+                    [[rows[i][j][first[j] + r:pad + r] for r in day_steps]
+                     for i in range(len(hosts))]) for rows in (error_rows, usage_rows)))
         for r in day_steps:
             for i, hid in enumerate(host_ids):
                 for j, strat in enumerate(strats):
                     errors = tuple(error_rows[i][j][first[j] + r:pad + r])
+                    usages = tuple(usage_rows[i][j][first[j] + r:pad + r])
                     if isinstance(strat, LearnedMargin):
                         margins[i, j, r] = reference_margin(
                             strat.pool.agent_for(hid), errors, strat.explore, explored)
+                    elif isinstance(strat, (Probe, Cycle)):
+                        margins[i, j, r] = strat.select(Observation(hid, r - day_start))
                     else:
-                        margins[i, j, r] = strat.select(Observation(
-                            hid, r - day_start, errors,
-                            tuple(usage_rows[i][j][first[j] + r:pad + r])))
+                        margins[i, j, r] = reference_select(strat, errors, usages)
                 host = hosts[i]
                 (u_cpu, u_ram), (p_cpu, p_ram) = usage[i, :, r], pred[i, :, r]
                 m_cpu, m_ram = margins[i, :, r]
@@ -506,43 +521,44 @@ def reference_run(dc, cost, sim, strategies):
 
 
 class Probe(MarginStrategy):
-    """Answers from every Observation field, its metric, its own previous
-    answer for the host and the day's windows it was shown, so any field the
-    loop gets wrong changes the margins."""
+    """Answers each (host, step) from every value of both its windows, the
+    host id, the step, its metric and its own previous answer for the host,
+    in step order, so any window or row the engine gets wrong changes the
+    margins."""
 
     def __init__(self, window, metric):
         self.window_size = window
         self.metric = metric
         self.last = {}
-        self.day = {}
 
-    def start_day(self, host_ids, error_windows):
-        self.day = dict(zip(host_ids, error_windows.tolist()))
-
-    def select(self, obs):
-        window = self.day[obs.host_id][obs.step]
-        assert tuple(window) == obs.error_window
-        value = clamp_margin(
-            0.5 * self.last.get(obs.host_id, 0.0) + 0.3 * max(obs.error_window[-1], 0.0)
-            + 0.1 * obs.usage_window[0] + 0.01 * len(obs.host_id)
-            + (0.02 if self.metric is CPU else 0.0)
-            + 0.001 * obs.step + 0.05 * window[0])
-        self.last[obs.host_id] = value
-        return value
+    def day_margins(self, host_ids, error_windows, usage_windows):
+        out = np.empty(error_windows.shape[:2])
+        for k in range(out.shape[1]):
+            for i, hid in enumerate(host_ids):
+                errors, usage = error_windows[i, k].tolist(), usage_windows[i, k].tolist()
+                value = clamp_margin(
+                    0.5 * self.last.get(hid, 0.0) + 0.3 * max(errors[-1], 0.0)
+                    + 0.1 * usage[0] + 0.02 * sum(usage) + 0.05 * errors[0]
+                    + 0.03 * sum(errors) + 0.01 * len(hid)
+                    + (0.02 if self.metric is CPU else 0.0) + 0.001 * k)
+                self.last[hid] = out[i, k] = value
+        return out
 
 
 class Cycle(MarginStrategy):
-    """Answers the given values in turn, whatever it observes; they may lie
-    outside [0, MARGIN_MAX], so headrooms go below 0 and above 1."""
+    """Answers the given values in turn, step by step and hosts in order
+    within a step, whatever it is shown; they may lie outside [0,
+    MARGIN_MAX], so headrooms go below 0 and above 1."""
 
     def __init__(self, values):
-        self.values = values
+        self.values = np.array(values)
         self.calls = 0
 
-    def select(self, obs):
-        value = self.values[self.calls % len(self.values)]
-        self.calls += 1
-        return value
+    def day_margins(self, host_ids, error_windows, usage_windows):
+        hosts, steps = error_windows.shape[:2]
+        turns = np.arange(self.calls, self.calls + hosts * steps) % len(self.values)
+        self.calls += hosts * steps
+        return self.values[turns].reshape(steps, hosts).T
 
 
 class TestLoopParity:
