@@ -9,7 +9,7 @@ few hand-written strategies plus a small actor-critic agent that learns the
 margin from the prediction-error history.
 """
 
-from marginsim.agent import DdpgAgent, DdpgConfig, OuProcess, ReplayBuffer, Transition
+from marginsim.agent import DdpgAgent, DdpgConfig, OuProcess, ReplayBuffer
 from marginsim.costs import CostModel, DayLedger, containers_fitting, discount_for, settle_day
 from marginsim.engine import SimulationConfig, compare_strategies, run, train_test_split
 from marginsim.strategies import (

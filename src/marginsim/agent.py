@@ -85,16 +85,6 @@ class DdpgConfig:
 _FIELD_TYPES = {"int": int, "float": float, "str": str}
 
 
-@dataclass(frozen=True)
-class Transition:
-    """One experience tuple; state vectors are error windows, oldest first."""
-
-    state: np.ndarray
-    action: float
-    reward: float
-    next_state: np.ndarray
-
-
 @dataclass
 class UpdateStats:
     """What one `store_and_learn` call did."""
@@ -152,15 +142,16 @@ class ReplayBuffer:
             self._rows = np.empty((self.capacity, 2 * self.state_dim + 3))
         return self._rows
 
-    def add(self, transition: Transition) -> None:
+    def add(self, state: np.ndarray, action: float, reward: float,
+            next_state: np.ndarray) -> None:
         i = self.insert_pos
         w = self.state_dim
         row = self.rows[i]
-        row[:w] = transition.state
-        row[w] = transition.action
-        row[w + 1:2 * w + 1] = transition.next_state
+        row[:w] = state
+        row[w] = action
+        row[w + 1:2 * w + 1] = next_state
         row[-2] = 0.0  # the spare column
-        row[-1] = transition.reward
+        row[-1] = reward
         self.insert_pos = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
@@ -266,13 +257,12 @@ class DdpgAgent:
         # squash_into's operations on Python floats: the same IEEE results, np.exp included.
         return min(max(1.0 / (1.0 + float(np.exp(-raw))), 0.0), MARGIN_MAX)
 
-    def store_and_learn(self, transition: Transition) -> UpdateStats:
+    def store_and_learn(self, state: np.ndarray, action: float, reward: float,
+                        next_state: np.ndarray) -> UpdateStats:
         """Store one transition (reward normalized by `reward_scale`) and,
         once the replay is warm, run one batch update of critic and actor."""
         stats = UpdateStats()
-        i = self.replay.insert_pos
-        self.replay.add(transition)
-        self.replay.rows[i, -1] /= self.reward_scale
+        self.replay.add(state, action, reward / self.reward_scale, next_state)
         self.store_calls += 1
         if self.replay.size >= max(self.config.batch_size, self.config.warmup_steps):
             batch = self.replay.sample(self.config.batch_size)

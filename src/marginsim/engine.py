@@ -1,4 +1,4 @@
-"""The step-by-step simulator: replay a trace under margin strategies.
+"""The day-by-day simulator: replay a trace under margin strategies.
 
 Each day starts by showing every strategy the day's error and usage windows
 (`start_day`), read-only views of the zero-padded histories, from which the
@@ -11,11 +11,11 @@ violation (actual usage above prediction plus margin on either metric),
 which advances that host-day's violation clock.  Days settle independently:
 violation clocks reset at midnight, strategy and agent state carry across.
 
-Agents learn while they explore: when a learned strategy explores, the
-day's transitions are buffered, the settled penalty is attributed back onto
-the day's rewards, and only then is the day fed to those agents in step
-order, so the reward an agent sees is consistent with what the day actually
-earned.  The step length is the trace's own.
+A learned strategy that explores learns from each day once it has settled:
+the engine attributes the day's penalty back onto its per-step rewards and
+hands them, with the day's error windows, to the strategy's `end_day`, so
+the reward an agent sees is consistent with what the day actually earned.
+The step length is the trace's own.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from marginsim.agent import AgentPool, Transition
 from marginsim.costs import (
     CostModel,
     DayLedger,
@@ -105,10 +104,10 @@ def run(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
     """Replay `dc` over `sim.day_range` under the given per-metric strategies.
 
     Margins at step t are chosen from windows ending at t-1 (front-padded
-    with zeros at the start of the range), so there is no lookahead.  The
-    agents of the learned strategies that explore receive one transition per
-    (host, step) with the day's penalty attributed per
-    `sim.reward_attribution`; every other strategy only acts.
+    with zeros at the start of the range), so there is no lookahead.  Each
+    learned strategy that explores gets every settled day's rewards, the
+    penalty attributed per `sim.reward_attribution`, through `end_day`, and
+    its losses make the step log; every other strategy only acts.
     """
     dc.validate()
     cost.validate()
@@ -139,7 +138,6 @@ def run(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
     zeros = np.zeros((len(hosts), 2, pad))
     error_hist = np.concatenate([zeros, usage - pred], axis=2)
     usage_hist = np.concatenate([zeros, usage], axis=2)
-    states = np.clip(error_hist, -1.0, 1.0) if learning else None  # the agents' states
     windows = [(window_view(error_hist[:, j, first[j]:], size),
                 window_view(usage_hist[:, j, first[j]:], size))
                for j, size in enumerate(sizes)]
@@ -190,20 +188,17 @@ def run(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
                                           (containers[i] * ppm * ts).tolist(),
                                           violated[i], penalties[i])
                        for i in range(len(hosts))]
-            for k in range(spd):
+            # The day's windows plus the one that ends at its last step; the
+            # losses, (step, host, learned metric), flatten in (host, metric) order.
+            rows = slice(day_start, day_start + spd + 1)
+            day_losses = np.stack([strats[j].end_day(windows[j][0][:, rows], rewards)
+                                   for j in learning], axis=-1).reshape(spd, -1)
+            for k, losses in enumerate(day_losses):
                 r = day_start + k
-                losses: list[float] = []
-                for i, hid in enumerate(host_ids):
-                    for j in learning:
-                        agent = strats[j].pool.agent_for(hid)
-                        stats = agent.store_and_learn(Transition(
-                            states[i, j, first[j] + r:pad + r], margins[i, j, r],
-                            rewards[i][k], states[i, j, first[j] + r + 1:pad + r + 1]))
-                        if stats.updated:
-                            losses.append(stats.critic_loss)
+                losses = losses[~np.isnan(losses)]
                 step_log.append(StepLogRow(
                     start + r,
-                    float(np.mean(losses)) if losses else math.nan,
+                    float(np.mean(losses)) if losses.size else math.nan,
                     float(np.mean([host_rewards[k] for host_rewards in rewards])),
                     # ravel copies in selection order, so the sum runs in that order
                     float(np.mean(margins[:, :, r].ravel()))))
@@ -260,14 +255,15 @@ class ComparisonTable:
 
 
 def compare_strategies(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
-                       specs, pools: dict[MetricKind, AgentPool] | None = None,
+                       specs, pools: dict | None = None,
                        baseline: str | None = None) -> ComparisonTable:
     """Evaluate each strategy spec over the same range and report ratios.
 
     Every spec gets fresh strategy instances (seeded by name from the run
     seed, so repeated runs and sibling strategies are reproducible) bound to
-    both metrics.  None explores, so no agent learns.  Ratios are taken
-    against `baseline` (default: the first spec's label).
+    both metrics, a releaser to its metric's agent pool in `pools`.  None
+    explores, so no agent learns.  Ratios are taken against `baseline`
+    (default: the first spec's label).
     """
     from marginsim.reporting import ErrorCdfs, build_report
 

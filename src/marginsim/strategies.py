@@ -10,6 +10,7 @@ sequence of days they are shown, which is what makes runs reproducible.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -32,6 +33,16 @@ class Observation(NamedTuple):
 
 def clamp_margin(value: float) -> float:
     return min(max(value, 0.0), MARGIN_MAX)
+
+
+def _check_param(kind: str, value: float) -> None:
+    """Raise DomainError unless `value` is a valid parameter of strategy `kind`."""
+    if not math.isfinite(value):
+        raise DomainError(f"{kind} parameter must be finite, got {value}")
+    if kind == "scavenger" and (value < 2 or value != int(value)):
+        raise DomainError(f"stddev window must be an integer >= 2, got {value}")
+    if kind in ("fixed", "feedback") and not (0.0 <= value < 1.0):
+        raise DomainError(f"{kind} margin must be in [0, 1), got {value}")
 
 
 class MarginStrategy(ABC):
@@ -80,8 +91,7 @@ class FixedMargin(MarginStrategy):
     """The same margin at every step."""
 
     def __init__(self, margin: float):
-        if not (0.0 <= margin < 1.0):
-            raise DomainError(f"fixed margin must be in [0, 1), got {margin}")
+        _check_param("fixed", margin)
         self.margin = clamp_margin(margin)
 
     def day_margins(self, host_ids, error_windows, usage_windows):
@@ -111,8 +121,7 @@ class ErrorFeedbackMargin(MarginStrategy):
     """
 
     def __init__(self, base: float = 0.05):
-        if not (0.0 <= base < 1.0):
-            raise DomainError(f"base margin must be in [0, 1), got {base}")
+        _check_param("feedback", base)
         self.base = base
 
     def day_margins(self, host_ids, error_windows, usage_windows):
@@ -130,8 +139,7 @@ class UsageStddevMargin(MarginStrategy):
     """
 
     def __init__(self, window: int = 10):
-        if window < 2:
-            raise DomainError(f"stddev window must be >= 2, got {window}")
+        _check_param("scavenger", window)
         self.window_size = window
 
     def day_margins(self, host_ids, error_windows, usage_windows):
@@ -153,16 +161,17 @@ class LearnedMargin(MarginStrategy):
     """Margin chosen by a trained (or training) agent.
 
     `pool` maps a host id to its agent; a pool backed by a single shared
-    agent returns that agent for every host.  With `explore` set the agent
-    adds its exploration noise, and `engine.run` trains it on the run's
-    transitions; without it the agent only acts.
+    agent returns that agent for every host; an agent's state is an error
+    window clipped to [-1, 1].  With `explore` set the agent adds its
+    exploration noise and learns from each settled day (`end_day`);
+    without it the agent only acts.
 
     An agent's actor does not change within a day (agents learn after the
     day settles), so `day_margins` runs each agent's actor once over the
-    day's error windows, clipped to [-1, 1]: one pass for a shared agent,
-    one per host otherwise.  It then explores and squashes each raw output
-    with `act`, in step order, hosts in order within a step, so the warmup
-    draws and the exploration noise are drawn as a per-step walk would.
+    day's states: one pass for a shared agent, one per host otherwise.  It
+    then explores and squashes each raw output with `act`, in step order,
+    hosts in order within a step, so the warmup draws and the exploration
+    noise are drawn as a per-step walk would.
     """
 
     def __init__(self, pool, explore: bool):
@@ -187,6 +196,24 @@ class LearnedMargin(MarginStrategy):
             for act, raw, margin in hosts:
                 margin[k] = act(raw[k], explore)
         return out
+
+    def end_day(self, error_windows: np.ndarray, rewards) -> np.ndarray:
+        """Learn from the settled day, one `store_and_learn` per (step, host)
+        in step order: the action is the day's margin, `rewards[i][k]` the
+        reward, and `error_windows` the day's windows plus the one that ends
+        at its last step, step k + 1's being step k's next state.  Returns
+        the (steps, hosts) critic losses, NaN where no update ran."""
+        states = np.clip(error_windows, -1.0, 1.0)
+        agents = [self.pool.agent_for(hid) for hid in self._day]
+        actions = list(self._day.values())
+        losses = np.full((states.shape[1] - 1, len(agents)), np.nan)
+        for k, step_losses in enumerate(losses):
+            for i, agent in enumerate(agents):
+                stats = agent.store_and_learn(states[i, k], actions[i][k], rewards[i][k],
+                                              states[i, k + 1])
+                if stats.updated:
+                    step_losses[i] = stats.critic_loss
+        return losses
 
     select = MarginStrategy.select
 
@@ -217,8 +244,7 @@ class StrategySpec:
             param = float(param_text)
         except ValueError:
             raise DomainError(f"bad strategy parameter in {token!r}") from None
-        if kind == "scavenger" and param != int(param):
-            raise DomainError(f"scavenger window must be an integer, got {param_text!r}")
+        _check_param(kind, param)
         return cls(kind, param)
 
     @property
@@ -227,7 +253,8 @@ class StrategySpec:
             return self.kind
         if self.kind == "scavenger":
             return f"{self.kind}:{int(self.param)}"
-        return f"{self.kind}:{self.param:g}"
+        text = f"{self.param:g}"  # 6 significant digits; repr where that loses any
+        return f"{self.kind}:{text if float(text) == self.param else repr(self.param)}"
 
     @property
     def slug(self) -> str:

@@ -23,7 +23,6 @@ from marginsim.agent import (
     DdpgConfig,
     OuProcess,
     ReplayBuffer,
-    Transition,
     SHARED,
     build_pool,
 )
@@ -236,12 +235,12 @@ class TestOuProcess:
 class TestReplayBuffer:
     @staticmethod
     def transition(reward, window=2):
-        return Transition(np.full(window, reward), 0.5, reward, np.full(window, reward))
+        return np.full(window, reward), 0.5, reward, np.full(window, reward)
 
     def test_evicts_oldest(self):
         buf = ReplayBuffer(capacity=8, state_dim=2, seed=15)
         for r in range(12):
-            buf.add(self.transition(float(r)))
+            buf.add(*self.transition(float(r)))
         assert buf.size == 8
         assert sorted(buf.rows[:, -1]) == [float(r) for r in range(4, 12)]
         _, _, rewards, _ = columns(buf.sample(1000))
@@ -250,7 +249,7 @@ class TestReplayBuffer:
     def test_sampling_is_uniform(self):
         buf = ReplayBuffer(capacity=16, state_dim=2, seed=16)
         for r in range(16):
-            buf.add(self.transition(float(r)))
+            buf.add(*self.transition(float(r)))
         _, _, rewards, _ = columns(buf.sample(160_000))
         counts = np.bincount(rewards.astype(int), minlength=16)
         assert np.all(np.abs(counts - 10_000) < 500)
@@ -261,20 +260,20 @@ class TestReplayBuffer:
 
     def test_state_round_trip(self):
         buf = ReplayBuffer(capacity=4, state_dim=3, seed=18)
-        t = Transition(np.array([0.1, 0.2, 0.3]), 0.4, 1.5, np.array([0.2, 0.3, 0.4]))
-        buf.add(t)
+        state, next_state = np.array([0.1, 0.2, 0.3]), np.array([0.2, 0.3, 0.4])
+        buf.add(state, 0.4, 1.5, next_state)
         states, actions, rewards, next_states = columns(buf.sample(5))
-        assert np.all(states == t.state)
+        assert np.all(states == state)
         assert np.all(actions == 0.4)
         assert np.all(rewards == 1.5)
-        assert np.all(next_states == t.next_state)
+        assert np.all(next_states == next_state)
 
     def test_add_writes_every_column(self):
         # Rows are not initialised; a stored row holds only what `add`
         # wrote, the spare column included.
         buf = ReplayBuffer(capacity=4, state_dim=3, seed=19)
         buf.rows[...] = np.nan
-        buf.add(self.transition(1.0, window=3))
+        buf.add(*self.transition(1.0, window=3))
         rows = buf.sample(3).rows
         assert np.isfinite(rows).all()
         assert (rows[:, -2] == 0.0).all()
@@ -288,7 +287,7 @@ class TestLearning:
             s = rng.uniform(-1, 1, size=agent.config.window)
             a = float(rng.uniform(0, MARGIN_MAX))
             s2 = rng.uniform(-1, 1, size=agent.config.window)
-            stats.append(agent.store_and_learn(Transition(s, a, reward_fn(s, a), s2)))
+            stats.append(agent.store_and_learn(s, a, reward_fn(s, a), s2))
         return stats
 
     def test_no_update_until_replay_is_warm(self):
@@ -306,14 +305,14 @@ class TestLearning:
 
     def test_reward_is_normalized_on_store(self):
         agent = DdpgAgent.create(tiny_config(), seed=21, reward_scale=2.0)
-        agent.store_and_learn(Transition(np.zeros(4), 0.1, 3.0, np.zeros(4)))
+        agent.store_and_learn(np.zeros(4), 0.1, 3.0, np.zeros(4))
         assert agent.replay.rows[0, -1] == pytest.approx(1.5)  # the reward column
 
     def test_stored_reward_is_the_exact_quotient(self):
         agent = DdpgAgent.create(tiny_config(), seed=22, reward_scale=3.7)
         rewards = np.random.default_rng(23).normal(size=40)
         for reward in rewards:
-            agent.store_and_learn(Transition(np.zeros(4), 0.1, reward, np.zeros(4)))
+            agent.store_and_learn(np.zeros(4), 0.1, reward, np.zeros(4))
         assert agent.replay.rows[:40, -1].tobytes() == (rewards / 3.7).tobytes()
 
     def test_critic_regresses_to_constant_reward(self):
@@ -342,8 +341,7 @@ class TestLearning:
         agent = DdpgAgent.create(config, seed=25)
         before = [l.weights.copy() for l in agent.critic.layers]
         for _ in range(4):
-            stats = agent.store_and_learn(
-                Transition(np.zeros(4), 0.1, math.nan, np.zeros(4)))
+            stats = agent.store_and_learn(np.zeros(4), 0.1, math.nan, np.zeros(4))
         assert stats.skipped_nonfinite
         assert not stats.updated
         for layer, prev in zip(agent.critic.layers, before):
@@ -375,7 +373,7 @@ class TestLearning:
         probe = np.full((1, 4), 0.2)
         drifted = agent.actor.forward(probe)
         for i in range(1, 33):
-            agent.store_and_learn(Transition(np.zeros(4), 0.1, 0.0, np.zeros(4)))
+            agent.store_and_learn(np.zeros(4), 0.1, 0.0, np.zeros(4))
             synced = np.array_equal(agent.target_actor.forward(probe), drifted)
             assert synced == (i == 32)
 
@@ -552,9 +550,8 @@ class TestLeanUpdateParity:
         rng = np.random.default_rng(41)
 
         def add_transition():
-            agent.replay.add(Transition(rng.uniform(-1, 1, size=4),
-                                        float(rng.uniform(0, MARGIN_MAX)),
-                                        float(rng.normal()), rng.uniform(-1, 1, size=4)))
+            agent.replay.add(rng.uniform(-1, 1, size=4), float(rng.uniform(0, MARGIN_MAX)),
+                             float(rng.normal()), rng.uniform(-1, 1, size=4))
 
         for _ in range(40):
             add_transition()
@@ -585,8 +582,7 @@ class TestCheckpoint:
         rng = np.random.default_rng(seed)
         for _ in range(40):
             s = rng.uniform(-1, 1, size=4)
-            agent.store_and_learn(
-                Transition(s, float(rng.uniform(0, 0.9)), float(rng.normal()), s))
+            agent.store_and_learn(s, float(rng.uniform(0, 0.9)), float(rng.normal()), s)
 
     def test_round_trip_policy_equality(self, tmp_path):
         config = tiny_config()
@@ -648,7 +644,7 @@ class TestCheckpoint:
         rng = np.random.default_rng(37)
         for _ in range(8):
             s = rng.uniform(-1, 1, size=500)
-            stats = loaded.store_and_learn(Transition(s, 0.2, float(rng.normal()), s))
+            stats = loaded.store_and_learn(s, 0.2, float(rng.normal()), s)
         assert stats.updated
         assert loaded.actor_opt.step_count == loaded.critic_opt.step_count == 1
         assert loaded.critic_buffers.rows == 8

@@ -278,6 +278,23 @@ compare = fixed:0.1, fixed:0.1
         with pytest.raises(ConfigError, match="duplicate"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("key,token", [
+        ("cpu", "scavenger:1"), ("ram", "fixed:1.5"), ("compare", "feedback:-0.5"),
+        ("compare", "scavenger:inf"), ("cpu", "fixed:nan"),
+    ])
+    def test_strategy_parameter_out_of_range_names_file_and_key(self, tmp_path, key, token):
+        path = write_scenario(tmp_path / "s.cfg", f"""
+[scenario]
+seed = 1
+[synthetic]
+num_hosts = 1
+num_days = 2
+[strategies]
+{key} = {token}
+""")
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: strategies\.{key}: "):
+            load_scenario(path)
+
     def test_bad_reward_attribution(self, tmp_path):
         path = write_scenario(tmp_path / "s.cfg", """
 [scenario]

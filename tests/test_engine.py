@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import strategies as st
 
-from marginsim.agent import SHARED, DdpgConfig, Transition, build_pool
+from marginsim.agent import SHARED, DdpgConfig, build_pool
 from marginsim.costs import (
     CostModel,
     DayLedger,
@@ -380,9 +380,9 @@ class TestWindowParity:
         pool = build_pool(ddpg, CPU, host_ids, 5, 0.01)
         stored = {hid: [] for hid in host_ids}
         for hid, agent in pool.items():
-            def record(transition, hid=hid, learn=agent.store_and_learn):
+            def record(*transition, hid=hid, learn=agent.store_and_learn):
                 stored[hid].append(transition)
-                return learn(transition)
+                return learn(*transition)
             agent.store_and_learn = record
         strategies = {CPU: RecordingLearned(pool, explore=True), RAM: Recording(7)}
         sim = SimulationConfig(seed=1, day_range=(1, 3))
@@ -392,11 +392,16 @@ class TestWindowParity:
             shown = np.concatenate([day[i] for day in strategies[CPU].windows])
             transitions = stored[hid]
             assert len(shown) == len(transitions) == self.STEPS
-            for k, transition in enumerate(transitions):
-                assert np.array_equal(transition.state, np.clip(shown[k], -1.0, 1.0))
-                assert transition.action == result.margins[i, 0, k]
+            for k, (state, action, _, next_state) in enumerate(transitions):
+                assert np.array_equal(state, np.clip(shown[k], -1.0, 1.0))
+                assert action == result.margins[i, 0, k]
                 if k + 1 < self.STEPS:
-                    assert np.array_equal(transition.next_state, transitions[k + 1].state)
+                    assert np.array_equal(next_state, transitions[k + 1][0])
+            # The last next state is the window that ends at the range's last step.
+            series = dc.hosts[i].series[CPU]
+            last = padded_window((series["usage"] - series["prediction"]).tolist(),
+                                 self.START + self.STEPS, self.START, 3)
+            assert np.array_equal(transitions[-1][3], np.clip(last, -1.0, 1.0))
 
 
 def row_forward(net, state):
@@ -508,9 +513,8 @@ def reference_run(dc, cost, sim, strategies):
             for i, host in enumerate(hosts):
                 for j in learning:
                     stats = strats[j].pool.agent_for(host.spec.host_id).store_and_learn(
-                        Transition(states[i, j, first[j] + r:pad + r], margins[i, j, r],
-                                   rewards[i][k],
-                                   states[i, j, first[j] + r + 1:pad + r + 1]))
+                        states[i, j, first[j] + r:pad + r], margins[i, j, r], rewards[i][k],
+                        states[i, j, first[j] + r + 1:pad + r + 1])
                     if stats.updated:
                         losses.append(stats.critic_loss)
             step_log.append(StepLogRow(

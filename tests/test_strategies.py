@@ -321,6 +321,8 @@ class TestStrategySpec:
         ("scavenger", "scavenger", None),
         ("scavenger:12", "scavenger", 12.0),
         ("releaser", "releaser", None),
+        # more digits than :g keeps, so the label falls back to repr
+        ("fixed:0.1234567", "fixed", 0.1234567),
     ])
     def test_parse(self, token, kind, param):
         spec = StrategySpec.parse(token)
@@ -330,6 +332,8 @@ class TestStrategySpec:
 
     @pytest.mark.parametrize("token", [
         "fixed", "fixed:x", "random:3", "releaser:1", "scavenger:2.5", "unknown",
+        "scavenger:inf", "scavenger:nan", "fixed:nan", "feedback:-inf",
+        "scavenger:1", "fixed:1.5", "feedback:-0.5",
     ])
     def test_parse_rejects(self, token):
         with pytest.raises(DomainError):

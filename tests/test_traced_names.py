@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from marginsim import engine
-from marginsim.agent import SHARED, DdpgAgent, DdpgConfig, Transition, build_pool
+from marginsim.agent import SHARED, DdpgAgent, DdpgConfig, build_pool
 from marginsim.costs import CostModel
 from marginsim.strategies import StrategySpec
 from marginsim.traces import MetricKind, SyntheticConfig, generate_synthetic
@@ -40,8 +40,8 @@ def test_traced_update_identities(tracer, discount, passes):
     with tracer.installed():
         agent = DdpgAgent.create(config, seed=61)
         for _ in range(12):
-            agent.store_and_learn(Transition(rng.uniform(-1, 1, size=4), 0.1,
-                                             float(rng.normal()), rng.uniform(-1, 1, size=4)))
+            agent.store_and_learn(rng.uniform(-1, 1, size=4), 0.1,
+                                  float(rng.normal()), rng.uniform(-1, 1, size=4))
     metrics = tracer.metrics()
     updates = metrics["agent.updates"]
     assert updates == 5 and tracer.missing == set()
