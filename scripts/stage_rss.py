@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Print the process's peak RSS after each pipeline stage.
+"""Print the process's peak RSS, and its children's, after each pipeline stage.
 
 Runs the scenario's stages in order (generate, train when it binds a
 releaser, evaluate), `--passes` times, in this one process, and prints
-`ru_maxrss` (in MB, as perfbench's `peak_rss_mb`) after each stage.  Like
+after each stage, in MB, the process's own `ru_maxrss` (as perfbench's
+`peak_rss_mb`) and that of its largest reaped child (`RUSAGE_CHILDREN`:
+the processes train forks to learn in; 0 until one has run, unless a
+launcher such as a pyenv shim reaped children before it exec'd Python).  Like
 perfbench's child process, it sets the BLAS/OpenMP thread variables to 1
 unless they are already set, and sends the stages' stdout to a string.
 Start a fresh process per sample and interleave the two sides when
@@ -43,7 +46,7 @@ def main(argv=None) -> int:
 
     learns = bool(load_scenario(args.scenario).learned_metrics())
     stages = ("generate", "train", "evaluate") if learns else ("generate", "evaluate")
-    print("pass\tstage\tru_maxrss_mb")
+    print("pass\tstage\tru_maxrss_mb\tchildren_maxrss_mb")
     for n in range(1, args.passes + 1):
         for stage in stages:
             with contextlib.redirect_stdout(io.StringIO()):
@@ -51,8 +54,9 @@ def main(argv=None) -> int:
             if code != 0:
                 print(f"{stage} exited {code}", file=sys.stderr)
                 return code
-            rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-            print(f"{n}\t{stage}\t{rss_mb:.3f}", flush=True)
+            own, children = (resource.getrusage(who).ru_maxrss / 1024.0
+                             for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+            print(f"{n}\t{stage}\t{own:.3f}\t{children:.3f}", flush=True)
     return 0
 
 

@@ -462,3 +462,69 @@ def build_pool(config: DdpgConfig, metric, scopes: list[str], root_seed: int,
                                 reward_scale)
         for scope in scopes
     })
+
+
+def capture_day(pool: AgentPool, learn):
+    """Run `learn()`, a day of `store_and_learn` calls on `pool`'s agents,
+    and return its result, what the day changed in each agent, and the
+    replay rows the day appended.
+
+    The changes are picklable: the four nets' parameters, both Adam states'
+    moments and step counts once the workspace is built, the replay's fill,
+    insert position and rng state, and `store_calls`.  The rows are
+    contiguous arrays, oldest first; `apply_day` writes all of it into
+    another copy of the pool, such as the one in the parent of a forked
+    process.
+    """
+    agents = list(pool.agents.values())
+    stores_before = [agent.store_calls for agent in agents]
+    result = learn()
+    changes, rows = [], []
+    for agent, before in zip(agents, stores_before):
+        replay = agent.replay
+        opts = (None if agent.actor_opt is None else
+                [(opt.m, opt.v, opt.step_count) for opt in (agent.actor_opt, agent.critic_opt)])
+        changes.append(([net.params for net in _nets(agent)], opts, replay.size,
+                        replay.insert_pos, replay.rng.bit_generator.state, agent.store_calls))
+        rows += [replay.rows[span] for span in _appended(replay, agent.store_calls - before)]
+    return result, changes, rows
+
+
+def apply_day(pool: AgentPool, changes, src) -> None:
+    """Write a day that `capture_day` captured on a copy of `pool` into
+    `pool`'s agents in place, reading the appended replay rows from the
+    binary file `src` straight into each replay's rows.  Raises EOFError
+    if `src` ends first, leaving the agents part-written."""
+    for agent, (params, opts, size, insert_pos, rng_state, stores) in zip(
+            pool.agents.values(), changes):
+        for net, values in zip(_nets(agent), params):
+            net.params[...] = values
+        if opts is not None:
+            if agent.actor_opt is None:
+                agent._workspace()
+            for opt, (m, v, count) in zip((agent.actor_opt, agent.critic_opt), opts):
+                opt.m[...] = m
+                opt.v[...] = v
+                opt.step_count = count
+        replay = agent.replay
+        appended = stores - agent.store_calls
+        replay.size, replay.insert_pos = size, insert_pos
+        replay.rng.bit_generator.state = rng_state
+        agent.store_calls = stores
+        for span in _appended(replay, appended):
+            view = memoryview(replay.rows[span]).cast("B")
+            if src.readinto(view) != len(view):
+                raise EOFError("replay rows ended early")
+
+
+def _nets(agent: DdpgAgent) -> tuple[DenseNet, ...]:
+    return agent.actor, agent.critic, agent.target_actor, agent.target_critic
+
+
+def _appended(replay: ReplayBuffer, count: int) -> list[slice]:
+    """The spans of `replay.rows` that its last `count` adds wrote, oldest first."""
+    n = min(count, replay.capacity)
+    start = (replay.insert_pos - n) % replay.capacity
+    if start + n <= replay.capacity:
+        return [slice(start, start + n)] if n else []
+    return [slice(start, replay.capacity), slice(0, replay.insert_pos)]

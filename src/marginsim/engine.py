@@ -15,17 +15,25 @@ A learned strategy that explores learns from each day once it has settled:
 the engine attributes the day's penalty back onto its per-step rewards and
 hands them, with the day's error windows, to the strategy's `end_day`, so
 the reward an agent sees is consistent with what the day actually earned.
-The step length is the trace's own.
+When both metrics learn and two cores are free, their `end_day` calls run
+side by side: the CPU learner's in a child forked for that day, which sends
+back its losses and what the day changed in its agents, and the RAM
+learner's here.  The parent writes those changes into its own agents, so
+every next day starts from the state that learning in one process leaves,
+and the outputs keep their bytes.  The step length is the trace's own.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from marginsim.agent import apply_day, capture_day
 from marginsim.costs import (
     CostModel,
     DayLedger,
@@ -33,7 +41,7 @@ from marginsim.costs import (
     containers_fitting,
     settle_day,
 )
-from marginsim.errors import DomainError
+from marginsim.errors import DomainError, MarginSimError
 from marginsim.strategies import LearnedMargin, MarginStrategy, Observation
 from marginsim.traces import Datacenter, MetricKind
 
@@ -134,6 +142,9 @@ def run(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
     # range step r-1 is entries [first[j] + r, pad + r), row r of its window view.
     sizes = [strat.window_size for strat in strats]
     pad = max(sizes)
+    if pad > dc.num_days() * spd:
+        raise DomainError(f"strategy window {pad} is longer than the trace's "
+                          f"{dc.num_days() * spd} steps")
     first = [pad - size for size in sizes]
     zeros = np.zeros((len(hosts), 2, pad))
     error_hist = np.concatenate([zeros, usage - pred], axis=2)
@@ -191,8 +202,9 @@ def run(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
             # The day's windows plus the one that ends at its last step; the
             # losses, (step, host, learned metric), flatten in (host, metric) order.
             rows = slice(day_start, day_start + spd + 1)
-            day_losses = np.stack([strats[j].end_day(windows[j][0][:, rows], rewards)
-                                   for j in learning], axis=-1).reshape(spd, -1)
+            day_losses = np.stack(
+                _end_days([(METRICS[j], strats[j], windows[j][0][:, rows]) for j in learning],
+                          rewards), axis=-1).reshape(spd, -1)
             for k, losses in enumerate(day_losses):
                 r = day_start + k
                 losses = losses[~np.isnan(losses)]
@@ -204,6 +216,94 @@ def run(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
                     float(np.mean(margins[:, :, r].ravel()))))
 
     return RunResult(ledgers, margins, start, step_log)
+
+
+def usable_cores() -> int:
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _end_days(learners, rewards) -> list[np.ndarray]:
+    """Each learner's `end_day(windows, rewards)` losses, in order; a
+    learner is a (metric, LearnedMargin, windows) triple.
+
+    The learners share no state, so they learn side by side in
+    `min(len(learners), usable_cores())` processes when `os.fork` exists:
+    every learner but the last in a forked child, which sends back its
+    losses and what its day changed in its agents (`capture_day`), and the
+    rest here.  The parent writes each child's changes into its own agents
+    (`apply_day`), so they hold what learning here would have left.  A child
+    that fails or dies fails the run, naming its metric; every child is
+    reaped, and killed first if this process fails.
+    """
+    forked = min(len(learners), usable_cores()) - 1 if hasattr(os, "fork") else 0
+    children = []  # (pid, metric, pool, read end), in learner order
+    try:
+        for metric, strat, windows in learners[:forked]:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _learn_in_child(strat, windows, rewards, write_fd)
+            os.close(write_fd)
+            children.append((pid, metric, strat.pool, open(read_fd, "rb")))
+        own = [strat.end_day(windows, rewards) for _, strat, windows in learners[forked:]]
+        losses = []
+        while children:
+            losses.append(_collect(*children.pop(0)))
+        return losses + own
+    finally:
+        if children:
+            import signal  # only on failure: nothing else loads it
+            for pid, _, _, src in children:
+                src.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _learn_in_child(strat, windows, rewards, write_fd: int):
+    """A forked child's whole life: learn the day, write the outcome to
+    `write_fd` (an error message, or the losses and agent changes followed
+    by the appended replay rows) and leave by `os._exit`, so it never
+    returns into the parent's frames, exit handlers or buffered output."""
+    status = 1
+    try:
+        with open(write_fd, "wb") as out:
+            try:
+                losses, changes, rows = capture_day(
+                    strat.pool, lambda: strat.end_day(windows, rewards))
+                message = (losses, changes)
+            except Exception as exc:
+                message, rows = f"{type(exc).__name__}: {exc}", []
+            pickle.dump(message, out, pickle.HIGHEST_PROTOCOL)
+            for segment in rows:
+                out.write(segment)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _collect(pid: int, metric: MetricKind, pool, src) -> np.ndarray:
+    """Read a child's outcome into `pool`, reap the child and return its
+    losses; raise MarginSimError, naming `metric`, if it failed."""
+    try:
+        with src:
+            message = pickle.load(src)
+            if not isinstance(message, str):
+                losses, changes = message
+                apply_day(pool, changes, src)
+    except (EOFError, pickle.UnpicklingError):
+        message = "it ended before sending its day"
+    finally:
+        # A child still writing stops at the closed pipe.
+        _, status = os.waitpid(pid, 0)
+    if os.WIFSIGNALED(status):
+        import signal  # only on failure: nothing else loads it
+        message = f"killed by {signal.Signals(os.WTERMSIG(status)).name}"
+    if isinstance(message, str):
+        raise MarginSimError(f"{metric.value} learner process failed: {message}")
+    return losses
 
 
 def window_view(hist: np.ndarray, size: int) -> np.ndarray:

@@ -552,6 +552,27 @@ ram = fixed:0.1
                      str(tmp_path / "out" / "checkpoints")]) == 2
         assert "window" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("token,window", [
+        ("scavenger:1e30", int(1e30)), ("scavenger:100000000", 100000000)])
+    def test_window_longer_than_the_trace_exits_2(self, tmp_path, capsys, token, window):
+        # 1 host, 2 days of 3-minute steps: 960 steps.
+        path = write_scenario(tmp_path / "long.cfg", f"""
+[scenario]
+seed = 5
+output_dir = {tmp_path / "out"}
+[synthetic]
+num_hosts = 1
+num_days = 2
+[strategies]
+cpu = fixed:0.1
+ram = fixed:0.1
+compare = fixed:0.05, {token}
+baseline = fixed:0.05
+""")
+        assert main(["evaluate", path]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: strategy window {window} is longer than the trace's 960 steps\n"
+
     def test_bad_scenario_exit_code(self, tmp_path, capsys):
         assert main(["generate", str(tmp_path / "missing.cfg")]) == 2
         assert capsys.readouterr().err.startswith("error:")
@@ -589,12 +610,15 @@ class TestStageRssScript:
             capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         header, *lines = done.stdout.splitlines()
-        assert header == "pass\tstage\tru_maxrss_mb"
+        assert header == "pass\tstage\tru_maxrss_mb\tchildren_maxrss_mb"
         rows = [line.split("\t") for line in lines]
-        assert [(n, stage) for n, stage, _ in rows] == [
+        assert [(n, stage) for n, stage, _, _ in rows] == [
             ("1", "generate"), ("1", "train"), ("1", "evaluate")]
-        peaks = [float(mb) for _, _, mb in rows]
+        peaks = [float(mb) for _, _, mb, _ in rows]
         assert 0 < peaks[0] <= peaks[1] <= peaks[2]
+        # Train learns the CPU agent in a forked child when two cores are free.
+        children = [float(mb) for _, _, _, mb in rows]
+        assert children[0] == 0 and children[1] == children[2]
         assert (out / "comparison.csv").is_file()
 
 

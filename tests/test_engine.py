@@ -1,8 +1,12 @@
 """Simulator tests against handcrafted traces and a straight-line oracle."""
 
+import atexit
 import csv
 import json
 import math
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ from marginsim.costs import (
     containers_fitting,
     settle_day,
 )
-from marginsim import reporting
+from marginsim import engine, reporting
 from marginsim.engine import (
     METRICS,
     RunResult,
@@ -31,7 +35,7 @@ from marginsim.engine import (
     window_view,
     _attribute_rewards,
 )
-from marginsim.errors import DomainError
+from marginsim.errors import DomainError, MarginSimError
 from marginsim.reporting import ErrorCdfs, build_report, nearest_rank, write_report_files
 from marginsim.strategies import (
     MARGIN_MAX,
@@ -42,6 +46,7 @@ from marginsim.strategies import (
     Observation,
     RandomMargin,
     StrategySpec,
+    UsageStddevMargin,
     clamp_margin,
 )
 from marginsim.traces import (
@@ -671,6 +676,158 @@ class TestLoopParity:
             full = [int(containers_fitting(cost, spec, 1.0, 1.0))] * 15
             assert full[0] > 0
             assert ledger.potential_saving == settle_day(cost, full, 0, 96).potential_saving
+
+
+def agent_fields(agent):
+    """Every field of `agent` that acting or learning changes, as values
+    that compare with ==: arrays as bytes."""
+    replay = agent.replay
+    opts = [] if agent.actor_opt is None else [
+        (opt.m.tobytes(), opt.v.tobytes(), opt.step_count)
+        for opt in (agent.actor_opt, agent.critic_opt)]
+    return {
+        "params": [net.params.tobytes() for net in (agent.actor, agent.critic,
+                                                    agent.target_actor, agent.target_critic)],
+        "opts": opts,
+        "rows": replay.rows[:replay.size].tobytes(),
+        "size": replay.size,
+        "insert_pos": replay.insert_pos,
+        "rngs": [rng.bit_generator.state
+                 for rng in (replay.rng, agent.noise.rng, agent.warmup_rng)],
+        "ou_state": agent.noise.state,
+        "counters": (agent.explore_calls, agent.store_calls),
+    }
+
+
+class TestForkedLearning:
+    """With two usable cores the CPU learner's days run in forked children;
+    with one, in this process.  Both leave the same results and agents."""
+
+    @staticmethod
+    def trace():
+        return generate_synthetic(SyntheticConfig(seed=41, num_hosts=3, num_days=4,
+                                                  step_minutes=96, spike_prob_per_step=0.1,
+                                                  prediction_noise_sigma=0.08))
+
+    @staticmethod
+    def learners(dc, per_host, capacity):
+        ddpg = DdpgConfig(window=4, batch_size=8, warmup_steps=10, replay_capacity=capacity,
+                          steps_per_day=15, target_update_days=1, discount=0.5)
+        scopes = [h.spec.host_id for h in dc.hosts] if per_host else [SHARED]
+        return {m: LearnedMargin(build_pool(ddpg, m, scopes, 13, 0.01), explore=True)
+                for m in METRICS}
+
+    def run_days(self, monkeypatch, cores, per_host, capacity):
+        monkeypatch.setattr(engine, "usable_cores", lambda: cores)
+        forks = []
+        fork = os.fork
+
+        def counting_fork():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        dc = self.trace()
+        strategies = self.learners(dc, per_host, capacity)
+        results = [run(dc, CostModel(), SimulationConfig(seed=3, day_range=days), strategies)
+                   for days in ((0, 2), (2, 4))]
+        return results, strategies, len(forks)
+
+    # A shared agent stores 45 rows a day and a per-host one 15, so each
+    # capacity wraps the ring within a day, whole (12) or in part (20, 64).
+    @pytest.mark.parametrize("per_host,capacity", [
+        (False, 12), (False, 64), (True, 12), (True, 20)])
+    def test_forked_days_match_in_process_days(self, monkeypatch, per_host, capacity):
+        forked, forked_strats, forks = self.run_days(monkeypatch, 2, per_host, capacity)
+        local, local_strats, no_forks = self.run_days(monkeypatch, 1, per_host, capacity)
+        assert (forks, no_forks) == (4, 0)
+        for got, want in zip(forked, local):
+            assert got.margins.tobytes() == want.margins.tobytes()
+            assert got.ledgers == want.ledgers
+            assert repr(got.step_log) == repr(want.step_log)
+        for metric in METRICS:
+            pools = forked_strats[metric].pool, local_strats[metric].pool
+            for (scope, agent), (_, twin) in zip(*(pool.items() for pool in pools)):
+                assert agent.replay.insert_pos != agent.replay.size  # the ring wrapped
+                assert agent.actor_opt is not None
+                assert agent_fields(agent) == agent_fields(twin), (metric, scope)
+
+
+class FailingLearner(LearnedMargin):
+    """A learner whose `end_day` first calls `fail()`."""
+
+    def __init__(self, pool, fail):
+        super().__init__(pool, explore=True)
+        self.fail = fail
+
+    def end_day(self, error_windows, rewards):
+        self.fail()
+        return super().end_day(error_windows, rewards)
+
+
+def raise_runtime_error():
+    raise RuntimeError("learner broke")
+
+
+class TestForkedLearningFailures:
+    """The CPU learner learns in a forked child, the RAM learner here.  Any
+    failure fails the run and leaves no child behind."""
+
+    def run_with(self, monkeypatch, cpu_fail=lambda: None, ram_fail=lambda: None):
+        monkeypatch.setattr(engine, "usable_cores", lambda: 2)
+        dc = TestForkedLearning.trace()
+        learners = TestForkedLearning.learners(dc, False, 64)
+        strategies = {CPU: FailingLearner(learners[CPU].pool, cpu_fail),
+                      RAM: FailingLearner(learners[RAM].pool, ram_fail)}
+        try:
+            run(dc, CostModel(), SimulationConfig(seed=3, day_range=(0, 1)), strategies)
+        finally:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+
+    def test_child_error_names_its_metric(self, monkeypatch):
+        with pytest.raises(MarginSimError, match=r"^cpu learner .*RuntimeError: learner broke"):
+            self.run_with(monkeypatch, cpu_fail=raise_runtime_error)
+
+    def test_killed_child_names_its_metric_and_signal(self, monkeypatch):
+        with pytest.raises(MarginSimError, match=r"^cpu learner .*SIGKILL"):
+            self.run_with(monkeypatch,
+                          cpu_fail=lambda: os.kill(os.getpid(), signal.SIGKILL))
+
+    def test_parent_failure_kills_the_child(self, monkeypatch):
+        began = time.monotonic()
+        with pytest.raises(RuntimeError, match="learner broke"):
+            self.run_with(monkeypatch, cpu_fail=lambda: time.sleep(60),
+                          ram_fail=raise_runtime_error)
+        assert time.monotonic() - began < 30
+
+    def test_child_leaves_by_os_exit(self, monkeypatch, tmp_path):
+        # SystemExit is no Exception, and exit handlers would run on a normal
+        # interpreter exit: the child skips both.
+        marker = tmp_path / "exit-handler-ran"
+
+        def exit_child():
+            atexit.register(marker.touch)
+            raise SystemExit(0)
+
+        with pytest.raises(MarginSimError, match=r"^cpu learner .*ended before"):
+            self.run_with(monkeypatch, cpu_fail=exit_child)
+        assert not marker.exists()
+
+
+class TestWindowBound:
+    @pytest.mark.parametrize("window", [961, 10**30])
+    def test_window_longer_than_the_trace_is_rejected(self, window):
+        dc = flat_dc(0.5, 0.4, days=2, step_minutes=3)
+        with pytest.raises(DomainError, match=rf"window {window} .* 960 steps"):
+            run(dc, CostModel(), sim_for(dc),
+                {CPU: FixedMargin(0.1), RAM: UsageStddevMargin(window)})
+
+    def test_window_as_long_as_the_trace_runs(self):
+        dc = flat_dc(0.5, 0.4, days=2, step_minutes=96)
+        result = run(dc, CostModel(), sim_for(dc, days=1),
+                     {CPU: FixedMargin(0.1), RAM: UsageStddevMargin(30)})
+        assert len(result.ledgers) == 1
 
 
 class TestConservation:
