@@ -5,8 +5,9 @@ Runs the scenario's stages in order (generate, train when it binds a
 releaser, evaluate), `--passes` times, in this one process, and prints
 after each stage, in MB, the process's own `ru_maxrss` (as perfbench's
 `peak_rss_mb`) and that of its largest reaped child (`RUSAGE_CHILDREN`:
-the processes train forks to learn in; 0 until one has run, unless a
-launcher such as a pyenv shim reaped children before it exec'd Python).  Like
+the processes train forks to learn in and evaluate forks to write reports
+from; 0 until one has run, unless a launcher such as a pyenv shim reaped
+children before it exec'd Python).  Like
 perfbench's child process, it sets the BLAS/OpenMP thread variables to 1
 unless they are already set, and sends the stages' stdout to a string.
 Start a fresh process per sample and interleave the two sides when

@@ -21,8 +21,10 @@ from marginsim.engine import (
     METRICS,
     SimulationConfig,
     compare_strategies,
+    processes_for,
     reward_scale_for,
     run,
+    side_by_side,
     train_test_split,
 )
 from marginsim.errors import CheckpointError, ConfigError, MarginSimError
@@ -160,8 +162,19 @@ def cmd_evaluate(cfg: ScenarioConfig, checkpoint_override: str | None) -> int:
     table = compare_strategies(dc, cfg.cost, sim, cfg.compare, pools=pools,
                                baseline=cfg.baseline)
     reports_dir = cfg.output_dir / "reports"
-    for spec in cfg.compare:
-        write_report_files(table.reports[spec.label], reports_dir / spec.slug)
+
+    def write_share(specs):
+        for spec in specs:
+            write_report_files(table.reports[spec.label], reports_dir / spec.slug)
+
+    # No report depends on another, so they are dealt round robin to as
+    # many writer processes as there are usable cores.
+    width = processes_for(len(cfg.compare))
+    try:
+        side_by_side([cfg.compare[i::width] for i in range(width)], write_share,
+                     lambda specs: "report writer")
+    except OSError as exc:
+        raise MarginSimError(f"cannot write reports: {exc}") from exc
     comparison_path = cfg.output_dir / "comparison.csv"
     write_comparison(table, comparison_path)
     print(f"evaluated days [{test_range[0]}, {test_range[1]}) "

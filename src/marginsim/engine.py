@@ -21,6 +21,11 @@ back its losses and what the day changed in its agents, and the RAM
 learner's here.  The parent writes those changes into its own agents, so
 every next day starts from the state that learning in one process leaves,
 and the outputs keep their bytes.  The step length is the trace's own.
+
+`side_by_side` is the package's one way to use more than one core: it
+forks a child per task but the last, pipes each child's result back, and
+reaps (or, when something fails, kills and reaps) every child.  The
+learners above use it, and so does evaluate to write its reports.
 """
 
 from __future__ import annotations
@@ -225,85 +230,133 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _end_days(learners, rewards) -> list[np.ndarray]:
-    """Each learner's `end_day(windows, rewards)` losses, in order; a
-    learner is a (metric, LearnedMargin, windows) triple.
+def processes_for(tasks: int) -> int:
+    """How many processes `tasks` independent tasks run in: one per usable
+    core, at most one per task, and one where `os.fork` does not exist."""
+    return min(tasks, usable_cores()) if hasattr(os, "fork") else 1
 
-    The learners share no state, so they learn side by side in
-    `min(len(learners), usable_cores())` processes when `os.fork` exists:
-    every learner but the last in a forked child, which sends back its
-    losses and what its day changed in its agents (`capture_day`), and the
-    rest here.  The parent writes each child's changes into its own agents
-    (`apply_day`), so they hold what learning here would have left.  A child
-    that fails or dies fails the run, naming its metric; every child is
-    reaped, and killed first if this process fails.
+
+def side_by_side(tasks: list, run, name, away=None, receive=None) -> list:
+    """`run(task)` for every task, results in task order, side by side:
+    with p = `processes_for(len(tasks))`, each of the first p - 1 tasks runs
+    in a child forked for it, and the rest run here.
+
+    The child runs `away(task)` (default: `run(task)` and no segments),
+    which returns a picklable message and the byte segments that follow it
+    down a pipe; here `receive(task, message, src)` (default: the message)
+    reads the rest from the binary file `src` and returns the task's result.
+    The child leaves by `os._exit`, so it never returns into this
+    process's frames, exit handlers or buffered output.  A child that fails
+    or dies fails the call with a MarginSimError that begins with
+    `name(task)` (and names the signal that killed it); every child is
+    reaped, and killed first if this process fails.  Where
+    `os.sched_setaffinity` exists, each process keeps to a core of its own
+    while the tasks run, and this process gets its cores back after.
     """
-    forked = min(len(learners), usable_cores()) - 1 if hasattr(os, "fork") else 0
-    children = []  # (pid, metric, pool, read end), in learner order
+    forked = processes_for(len(tasks)) - 1
+    children = []  # (pid, task, read end), in task order
+    # Each process runs on a core of its own: left alone, the scheduler can
+    # keep a short-lived child on its parent's core for all of its life.
+    cpus = sorted(os.sched_getaffinity(0)) if forked and hasattr(os, "sched_setaffinity") else []
     try:
-        for metric, strat, windows in learners[:forked]:
+        if cpus:
+            os.sched_setaffinity(0, {cpus[forked % len(cpus)]})
+        for i, task in enumerate(tasks[:forked]):
             read_fd, write_fd = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
             if pid == 0:
-                _learn_in_child(strat, windows, rewards, write_fd)
+                _run_in_child(lambda: away(task) if away else (run(task), ()), write_fd,
+                              cpus[i % len(cpus)] if cpus else None)
             os.close(write_fd)
-            children.append((pid, metric, strat.pool, open(read_fd, "rb")))
-        own = [strat.end_day(windows, rewards) for _, strat, windows in learners[forked:]]
-        losses = []
+            children.append((pid, task, open(read_fd, "rb")))
+        own = [run(task) for task in tasks[forked:]]
+        results = []
         while children:
-            losses.append(_collect(*children.pop(0)))
-        return losses + own
+            results.append(_collect(*children.pop(0), name, receive))
+        return results + own
     finally:
+        if cpus:
+            os.sched_setaffinity(0, cpus)
         if children:
             import signal  # only on failure: nothing else loads it
-            for pid, _, _, src in children:
+            for pid, _, src in children:
                 src.close()
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
 
 
-def _learn_in_child(strat, windows, rewards, write_fd: int):
-    """A forked child's whole life: learn the day, write the outcome to
-    `write_fd` (an error message, or the losses and agent changes followed
-    by the appended replay rows) and leave by `os._exit`, so it never
-    returns into the parent's frames, exit handlers or buffered output."""
+def _run_in_child(work, write_fd: int, cpu: int | None):
+    """A forked child's whole life: move to core `cpu` (if given), run
+    `work()`, write its outcome to `write_fd` (an error message, or the
+    message and its segments) and leave by `os._exit`."""
     status = 1
     try:
         with open(write_fd, "wb") as out:
             try:
-                losses, changes, rows = capture_day(
-                    strat.pool, lambda: strat.end_day(windows, rewards))
-                message = (losses, changes)
+                if cpu is not None:
+                    os.sched_setaffinity(0, {cpu})
+                message, segments = work()
+                error = None
             except Exception as exc:
-                message, rows = f"{type(exc).__name__}: {exc}", []
-            pickle.dump(message, out, pickle.HIGHEST_PROTOCOL)
-            for segment in rows:
+                error, message, segments = f"{type(exc).__name__}: {exc}", None, ()
+            pickle.dump((error, message), out, pickle.HIGHEST_PROTOCOL)
+            for segment in segments:
                 out.write(segment)
         status = 0
     finally:
         os._exit(status)
 
 
-def _collect(pid: int, metric: MetricKind, pool, src) -> np.ndarray:
-    """Read a child's outcome into `pool`, reap the child and return its
-    losses; raise MarginSimError, naming `metric`, if it failed."""
+def _collect(pid: int, task, src, name, receive):
+    """Read a child's outcome from `src`, reap the child and return the
+    task's result; raise MarginSimError, led by `name(task)`, if it failed."""
     try:
         with src:
-            message = pickle.load(src)
-            if not isinstance(message, str):
-                losses, changes = message
-                apply_day(pool, changes, src)
+            error, result = pickle.load(src)
+            if error is None and receive is not None:
+                result = receive(task, result, src)
     except (EOFError, pickle.UnpicklingError):
-        message = "it ended before sending its day"
+        error = "it ended before sending its result"
     finally:
         # A child still writing stops at the closed pipe.
         _, status = os.waitpid(pid, 0)
     if os.WIFSIGNALED(status):
         import signal  # only on failure: nothing else loads it
-        message = f"killed by {signal.Signals(os.WTERMSIG(status)).name}"
-    if isinstance(message, str):
-        raise MarginSimError(f"{metric.value} learner process failed: {message}")
-    return losses
+        error = f"killed by {signal.Signals(os.WTERMSIG(status)).name}"
+    if error is not None:
+        raise MarginSimError(f"{name(task)} process failed: {error}")
+    return result
+
+
+def _end_days(learners, rewards) -> list[np.ndarray]:
+    """Each learner's `end_day(windows, rewards)` losses, in order; a
+    learner is a (metric, LearnedMargin, windows) triple.
+
+    The learners share no state, so they learn `side_by_side`.  A child
+    sends back its losses and what its day changed in its agents
+    (`capture_day`), and the parent writes those changes into its own
+    agents (`apply_day`), so they hold what learning here would have left.
+    """
+    def learn(learner):
+        _, strat, windows = learner
+        return strat.end_day(windows, rewards)
+
+    def away(learner):
+        losses, changes, rows = capture_day(learner[1].pool, lambda: learn(learner))
+        return (losses, changes), rows
+
+    def receive(learner, message, src):
+        losses, changes = message
+        apply_day(learner[1].pool, changes, src)
+        return losses
+
+    return side_by_side(learners, learn, lambda learner: f"{learner[0].value} learner",
+                        away, receive)
 
 
 def window_view(hist: np.ndarray, size: int) -> np.ndarray:

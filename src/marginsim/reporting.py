@@ -12,8 +12,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -61,10 +60,18 @@ class ErrorCdfs:
 
     They depend only on the trace and the range, so one instance serves
     every strategy's report of an evaluate run.  Its report.json member and
-    its cdf_*.csv bodies are encoded on first use and then reused.
+    its cdf_*.csv bodies are encoded once, when it is built, so that
+    evaluate's report writer processes inherit them rather than each
+    encoding them again.
     """
 
     by_metric: dict[str, dict[str, list[tuple[float, float]]]]
+    # The `"error_cdf": {...}` member as `json.dump(indent=1)` writes it one
+    # level inside report.json: keys escaped as json escapes them, floats in
+    # json's text, an empty CDF as `[]`.
+    json_member: str = field(init=False, repr=False)
+    # cdf_<metric>.csv contents by metric value, hosts in sorted order.
+    csv_bodies: dict[str, str] = field(init=False, repr=False)
 
     @classmethod
     def for_range(cls, dc: Datacenter, day_range: tuple[int, int]) -> "ErrorCdfs":
@@ -73,28 +80,18 @@ class ErrorCdfs:
         return cls({m.value: error_cdf(dc, m, start_step=lo * spd, end_step=hi * spd)
                     for m in METRICS})
 
-    @cached_property
-    def json_member(self) -> str:
-        """The `"error_cdf": {...}` member as `json.dump(indent=1)` writes it
-        one level inside report.json: keys escaped as json escapes them,
-        floats in json's text, an empty CDF as `[]`.  Streamed, so no chunk
-        list is held."""
+    def __post_init__(self):
         buf = io.StringIO()
-        buf.writelines(_json_member_chunks(self.by_metric))
-        return buf.getvalue()
-
-    @cached_property
-    def csv_bodies(self) -> dict[str, str]:
-        """cdf_<metric>.csv contents by metric value, hosts in sorted order."""
-        bodies = {}
+        buf.writelines(_json_member_chunks(self.by_metric))  # streamed: no chunk list is held
+        self.json_member = buf.getvalue()
+        self.csv_bodies = {}
         for metric, by_host in self.by_metric.items():
             buf = io.StringIO()
             writer = csv.writer(buf)
             writer.writerow(CDF_HEADER)
             for hid in sorted(by_host):
                 writer.writerows([hid, repr(err), repr(prob)] for err, prob in by_host[hid])
-            bodies[metric] = buf.getvalue()
-        return bodies
+            self.csv_bodies[metric] = buf.getvalue()
 
 
 def _json_float(value: float) -> str:

@@ -1,17 +1,22 @@
 """Scenario parsing and end-to-end CLI tests on tiny synthetic runs."""
 
 import csv
+import errno
 import importlib.util
 import inspect
 import math
+import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from marginsim import cli, engine
 from marginsim.agent import DdpgConfig
 from marginsim.cli import main
 from marginsim.config import _SCHEMA, load_scenario
@@ -576,6 +581,120 @@ baseline = fixed:0.05
     def test_bad_scenario_exit_code(self, tmp_path, capsys):
         assert main(["generate", str(tmp_path / "missing.cfg")]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestForkedReports:
+    """With two usable cores evaluate writes its reports from two processes:
+    a forked child writes releaser and scavenger, this process fixed:0.05."""
+
+    @pytest.fixture
+    def scenario(self, tmp_path):
+        path = smoke_scenario(tmp_path)
+        assert main(["train", path]) == 0
+        return path
+
+    @staticmethod
+    def evaluate(monkeypatch, scenario, out, cores):
+        """Exit code and forks of an evaluate into `out` with `cores` cores."""
+        monkeypatch.setattr(engine, "usable_cores", lambda: cores)
+        forks = []
+        fork = os.fork
+
+        def counting_fork():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        checkpoints = str(Path(scenario).parent / "out" / "checkpoints")
+        cpus = os.sched_getaffinity(0)
+        try:
+            code = main(["evaluate", scenario, "--output-dir", str(out),
+                         "--checkpoint-dir", checkpoints])
+        finally:
+            monkeypatch.setattr(os, "fork", fork)
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            assert os.sched_getaffinity(0) == cpus
+        return code, len(forks)
+
+    def test_forked_writers_match_one_writer(self, monkeypatch, tmp_path, scenario):
+        two, one = tmp_path / "two", tmp_path / "one"
+        assert self.evaluate(monkeypatch, scenario, two, 2) == (0, 1)
+        assert self.evaluate(monkeypatch, scenario, one, 1) == (0, 0)
+        files = sorted(p.relative_to(one) for p in one.rglob("*") if p.is_file())
+        assert len(files) == 1 + 3 * 5
+        assert sorted(p.relative_to(two) for p in two.rglob("*") if p.is_file()) == files
+        for name in files:
+            assert (two / name).read_bytes() == (one / name).read_bytes(), name
+
+    def test_one_report_forks_nothing(self, monkeypatch, tmp_path, scenario):
+        one_spec = write_scenario(tmp_path / "one.cfg", Path(scenario).read_text().replace(
+            "compare = releaser, fixed:0.05, scavenger", "compare = fixed:0.05"))
+        out = tmp_path / "single"
+        assert self.evaluate(monkeypatch, one_spec, out, 2) == (0, 0)
+        assert (out / "reports" / "fixed_0p05" / "report.json").is_file()
+
+    def failed_evaluate(self, monkeypatch, capsys, scenario, out, blocked):
+        """Evaluate with a file where report `blocked`'s directory goes:
+        exits 2 with one error line naming it, and no comparison.csv."""
+        (out / "reports").mkdir(parents=True)
+        (out / "reports" / blocked).write_text("")
+        capsys.readouterr()
+        assert self.evaluate(monkeypatch, scenario, out, 2) == (2, 1)
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not (out / "comparison.csv").exists()
+        return err
+
+    def test_failing_child_share_exits_2(self, monkeypatch, capsys, tmp_path, scenario):
+        out = tmp_path / "child"
+        err = self.failed_evaluate(monkeypatch, capsys, scenario, out, "releaser")
+        assert err == (f"error: report writer process failed: FileExistsError: "
+                       f"[Errno {errno.EEXIST}] File exists: '{out / 'reports' / 'releaser'}'\n")
+
+    def test_failing_parent_share_kills_the_child(self, monkeypatch, capsys, tmp_path,
+                                                  scenario):
+        parent = os.getpid()
+        write = cli.write_report_files
+
+        def slow_in_child(report, outdir):
+            if os.getpid() != parent:
+                time.sleep(60)
+            return write(report, outdir)
+
+        monkeypatch.setattr(cli, "write_report_files", slow_in_child)
+        out = tmp_path / "parent"
+        began = time.monotonic()
+        err = self.failed_evaluate(monkeypatch, capsys, scenario, out, "fixed_0p05")
+        assert time.monotonic() - began < 30
+        assert err == (f"error: cannot write reports: [Errno {errno.EEXIST}] File exists: "
+                       f"'{out / 'reports' / 'fixed_0p05'}'\n")
+
+    def test_killed_writer_names_the_signal(self, monkeypatch, capsys, tmp_path, scenario):
+        parent = os.getpid()
+
+        def killed_in_child(report, outdir):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(cli, "write_report_files", killed_in_child)
+        out = tmp_path / "killed"
+        assert self.evaluate(monkeypatch, scenario, out, 2) == (2, 1)
+        assert capsys.readouterr().err == (
+            "error: report writer process failed: killed by SIGKILL\n")
+        assert not (out / "comparison.csv").exists()
+
+    def test_failing_fork_leaks_no_descriptor(self, monkeypatch, capsys, tmp_path, scenario):
+        def no_fork():
+            raise OSError(errno.EAGAIN, "no more processes")
+
+        monkeypatch.setattr(engine, "usable_cores", lambda: 2)
+        monkeypatch.setattr(os, "fork", no_fork)
+        before = sorted(os.listdir("/proc/self/fd"))
+        assert main(["evaluate", scenario]) == 2
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        assert capsys.readouterr().err == (
+            f"error: cannot write reports: [Errno {errno.EAGAIN}] no more processes\n")
 
 
 class TestSweepScript:

@@ -2,6 +2,7 @@
 
 import atexit
 import csv
+import errno
 import json
 import math
 import os
@@ -729,8 +730,10 @@ class TestForkedLearning:
         monkeypatch.setattr(os, "fork", counting_fork)
         dc = self.trace()
         strategies = self.learners(dc, per_host, capacity)
+        cpus = os.sched_getaffinity(0)
         results = [run(dc, CostModel(), SimulationConfig(seed=3, day_range=days), strategies)
                    for days in ((0, 2), (2, 4))]
+        assert os.sched_getaffinity(0) == cpus
         return results, strategies, len(forks)
 
     # A shared agent stores 45 rows a day and a per-host one 15, so each
@@ -779,11 +782,13 @@ class TestForkedLearningFailures:
         learners = TestForkedLearning.learners(dc, False, 64)
         strategies = {CPU: FailingLearner(learners[CPU].pool, cpu_fail),
                       RAM: FailingLearner(learners[RAM].pool, ram_fail)}
+        cpus = os.sched_getaffinity(0)
         try:
             run(dc, CostModel(), SimulationConfig(seed=3, day_range=(0, 1)), strategies)
         finally:
             with pytest.raises(ChildProcessError):
                 os.waitpid(-1, os.WNOHANG)
+            assert os.sched_getaffinity(0) == cpus
 
     def test_child_error_names_its_metric(self, monkeypatch):
         with pytest.raises(MarginSimError, match=r"^cpu learner .*RuntimeError: learner broke"):
@@ -800,6 +805,16 @@ class TestForkedLearningFailures:
             self.run_with(monkeypatch, cpu_fail=lambda: time.sleep(60),
                           ram_fail=raise_runtime_error)
         assert time.monotonic() - began < 30
+
+    def test_failing_fork_leaks_no_descriptor(self, monkeypatch):
+        def no_fork():
+            raise OSError(errno.EAGAIN, "no more processes")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        before = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError, match="no more processes"):
+            self.run_with(monkeypatch)
+        assert sorted(os.listdir("/proc/self/fd")) == before
 
     def test_child_leaves_by_os_exit(self, monkeypatch, tmp_path):
         # SystemExit is no Exception, and exit handlers would run on a normal

@@ -110,3 +110,41 @@ def test_traced_releaser_runs_each_actor_once_a_day(tracer, mode, per_host):
     assert (m["nets.forward_trace.in_update"] > 0) == (mode == "train")
     assert m["agent.act.calls"] == m["strategies.releaser.calls"] == 2 * hosts * days * spd
     assert m["agent.warmup_actions"] == (agents * 8 if mode == "train" else 0)
+
+
+def test_traced_evaluate_runs_every_strategy_in_this_process(tracer, monkeypatch, tmp_path):
+    # Evaluate writes some reports from a forked child, whose calls the
+    # tracer never sees.  The strategy runs must stay here, where it
+    # counts them as the benchmark's traced coverage requires.
+    from tracing import STRATEGY_CLASSES
+
+    from marginsim import cli
+
+    kinds = ["fixed", "random", "feedback", "scavenger"]
+    scenario = tmp_path / "evaluate.cfg"
+    scenario.write_text(f"""
+[scenario]
+seed = 68
+output_dir = {tmp_path / "out"}
+[trace]
+step_minutes = 96
+[synthetic]
+num_hosts = 3
+num_days = 2
+[strategies]
+cpu = fixed:0.1
+ram = fixed:0.1
+compare = fixed:0.05, random, feedback, scavenger:5
+baseline = fixed:0.05
+""")
+    monkeypatch.setattr(engine, "usable_cores", lambda: 2)
+    with tracer.installed():
+        assert cli.main(["evaluate", str(scenario)]) == 0
+    m = tracer.metrics()
+    assert tracer.missing == set()
+    assert all(m[f"strategies.{kind}.calls"] for kind in kinds)
+    assert m["reporting.write_report_files.calls"] >= 1
+    assert m["engine.host_steps"] == len(kinds) * 3 * 15
+    assert m["costs.accumulate_violation.calls"] == m["engine.host_steps"]
+    assert (sum(m[f"strategies.{kind}.calls"] for kind in STRATEGY_CLASSES)
+            == 2 * m["engine.host_steps"])
