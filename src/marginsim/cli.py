@@ -28,7 +28,9 @@ from marginsim.engine import (
     train_test_split,
 )
 from marginsim.errors import CheckpointError, ConfigError, MarginSimError
+from marginsim.fileio import remove_temporaries
 from marginsim.reporting import (
+    REPORT_FILES,
     render_comparison,
     write_comparison,
     write_report_files,
@@ -173,8 +175,13 @@ def cmd_evaluate(cfg: ScenarioConfig, checkpoint_override: str | None) -> int:
     try:
         side_by_side([cfg.compare[i::width] for i in range(width)], write_share,
                      lambda specs: "report writer")
-    except OSError as exc:
-        raise MarginSimError(f"cannot write reports: {exc}") from exc
+    except BaseException as exc:
+        # Every writer is reaped by now; one killed mid-write left its temporary file.
+        remove_temporaries(reports_dir / spec.slug / name
+                           for spec in cfg.compare for name in REPORT_FILES)
+        if isinstance(exc, OSError):
+            raise MarginSimError(f"cannot write reports: {exc}") from exc
+        raise
     comparison_path = cfg.output_dir / "comparison.csv"
     write_comparison(table, comparison_path)
     print(f"evaluated days [{test_range[0]}, {test_range[1]}) "

@@ -3,13 +3,14 @@
 Each day starts by showing every strategy the day's error and usage windows
 (`start_day`), read-only views of the zero-padded histories, from which the
 strategy answers the whole day's margins in one call.  Each window at step t
-ends at step t-1, so no margin sees the step it covers.  Then, each step,
-per host, the engine reads every metric's margin back with `select`.  Once a
-day's margins are collected, the day settles from arrays: containers are fit
-into each step's remaining headroom, and each step is checked for a
-violation (actual usage above prediction plus margin on either metric),
-which advances that host-day's violation clock.  Days settle independently:
-violation clocks reset at midnight, strategy and agent state carry across.
+ends at step t-1, so no margin sees the step it covers.  Then the engine
+reads one metric's whole day back with `select`, host by host, before the
+other metric's.  Once a day's margins are collected, the day settles from
+arrays: containers are fit into each step's remaining headroom, and each
+step is checked for a violation (actual usage above prediction plus margin
+on either metric), which advances that host-day's violation clock.  Days
+settle independently: violation clocks reset at midnight, strategy and
+agent state carry across.
 
 A learned strategy that explores learns from each day once it has settled:
 the engine attributes the day's penalty back onto its per-step rewards and
@@ -158,10 +159,11 @@ def run(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
                 window_view(usage_hist[:, j, first[j]:], size))
                for j, size in enumerate(sizes)]
     margins = np.zeros(usage.shape)
-    select_cpu, select_ram = (strat.select for strat in strats)
-    new_obs = tuple.__new__  # builds an Observation without NamedTuple's Python-level __new__
+    selects = [strat.select for strat in strats]
     specs = [host.spec for host in hosts]
     host_ids = [spec.host_id for spec in specs]
+    # Each host's day of Observations, built once (tuple.__new__ skips NamedTuple's __new__).
+    obs_rows = [[tuple.__new__(Observation, (hid, k)) for k in range(spd)] for hid in host_ids]
 
     ledgers: list[DayLedger] = []
     step_log: list[StepLogRow] = []
@@ -169,18 +171,10 @@ def run(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
     for day in range(lo, hi):
         day_start = (day - lo) * spd
         span = slice(day_start, day_start + spd)
-        day_cpu = [[] for _ in hosts]
-        day_ram = [[] for _ in hosts]
         for strat, (error_windows, usage_windows) in zip(strats, windows):
             strat.start_day(host_ids, error_windows[:, span], usage_windows[:, span])
-
-        for k in range(spd):
-            for i, hid in enumerate(host_ids):
-                obs = new_obs(Observation, (hid, k))
-                day_cpu[i].append(select_cpu(obs))
-                day_ram[i].append(select_ram(obs))
-        margins[:, 0, span] = day_cpu
-        margins[:, 1, span] = day_ram
+        for j, select in enumerate(selects):
+            margins[:, j, span] = [list(map(select, row)) for row in obs_rows]
 
         # The day settles from arrays, indexed (host, metric, step).
         m, p, u = margins[:, :, span], pred[:, :, span], usage[:, :, span]

@@ -33,9 +33,18 @@ def atomic_write(path: str | Path):
         raise
 
 
+def remove_temporaries(paths) -> None:
+    """Delete the `<name>.tmp` files that `atomic_write`s of `paths` leave
+    when their process is killed mid-write; absent ones are skipped."""
+    for path in map(Path, paths):
+        with contextlib.suppress(FileNotFoundError, NotADirectoryError):
+            path.with_name(path.name + ".tmp").unlink()
+
+
 def csv_prefix(fields: list[str]) -> str:
     """`fields` as csv.writer writes them at the start of a row, through the
     delimiter before the next field."""
     buf = io.StringIO()
-    csv.writer(buf).writerow(fields)
-    return buf.getvalue()[:-2] + ","
+    # The empty field that follows keeps a lone empty field from being quoted.
+    csv.writer(buf).writerow([*fields, ""])
+    return buf.getvalue()[:-2]

@@ -9,10 +9,10 @@ be compared byte for byte.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -62,7 +62,7 @@ class ErrorCdfs:
     every strategy's report of an evaluate run.  Its report.json member and
     its cdf_*.csv bodies are encoded once, when it is built, so that
     evaluate's report writer processes inherit them rather than each
-    encoding them again.
+    encoding them again.  A non-finite CDF value raises DomainError.
     """
 
     by_metric: dict[str, dict[str, list[tuple[float, float]]]]
@@ -81,47 +81,28 @@ class ErrorCdfs:
                     for m in METRICS})
 
     def __post_init__(self):
-        buf = io.StringIO()
-        buf.writelines(_json_member_chunks(self.by_metric))  # streamed: no chunk list is held
-        self.json_member = buf.getvalue()
-        self.csv_bodies = {}
+        metrics, self.csv_bodies = [], {}
         for metric, by_host in self.by_metric.items():
-            buf = io.StringIO()
-            writer = csv.writer(buf)
-            writer.writerow(CDF_HEADER)
-            for hid in sorted(by_host):
-                writer.writerows([hid, repr(err), repr(prob)] for err, prob in by_host[hid])
-            self.csv_bodies[metric] = buf.getvalue()
-
-
-def _json_float(value: float) -> str:
-    """A float as json writes it (`allow_nan`'s names for the non-finite)."""
-    if value != value:
-        return "NaN"
-    if value == math.inf:
-        return "Infinity"
-    if value == -math.inf:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-def _json_member_chunks(by_metric):
-    """`ErrorCdfs.json_member` in pieces, one point at a time, so that
-    building it holds little more than the text itself."""
-    yield '"error_cdf": {'
-    for i, (metric, by_host) in enumerate(by_metric.items()):
-        yield f'{"," if i else ""}\n  {encode_basestring_ascii(metric)}: {{'
-        for j, (hid, points) in enumerate(by_host.items()):
-            yield f'{"," if j else ""}\n   {encode_basestring_ascii(hid)}: '
-            if not points:
-                yield "[]"
-                continue
-            for k, (err, prob) in enumerate(points):
-                yield (f'{"," if k else "["}\n    [\n     {_json_float(err)},\n     '
-                       f'{_json_float(prob)}\n    ]')
-            yield "\n   ]"
-        yield "\n  }" if by_host else "}"
-    yield "\n }" if by_metric else "}"
+            hosts, csv_rows = [], {}
+            for hid, points in by_host.items():
+                # Each value is formatted once: json and csv.writer both
+                # write a finite float as its repr.
+                text = list(map(float.__repr__, chain.from_iterable(points)))
+                errs, probs = text[::2], text[1::2]
+                cdf = "[\n    [\n     " + "\n    ],\n    [\n     ".join(
+                    map(",\n     ".join, zip(errs, probs))) + "\n    ]\n   ]" if text else "[]"
+                if "n" in cdf:  # the repr of nan, inf or -inf; a finite one has no "n"
+                    raise DomainError(f"{metric} error CDF of host {hid!r} is not finite")
+                hosts.append(f"\n   {encode_basestring_ascii(hid)}: {cdf}")
+                prefix = csv_prefix([hid])
+                csv_rows[hid] = prefix + ("\r\n" + prefix).join(
+                    map(",".join, zip(errs, probs))) + "\r\n" if text else ""
+            metrics.append(f"\n  {encode_basestring_ascii(metric)}: "
+                           + ("{" + ",".join(hosts) + "\n  }" if hosts else "{}"))
+            self.csv_bodies[metric] = ",".join(CDF_HEADER) + "\r\n" + "".join(
+                csv_rows[hid] for hid in sorted(csv_rows))
+        self.json_member = '"error_cdf": ' + ("{" + ",".join(metrics) + "\n }" if metrics
+                                              else "{}")
 
 
 @dataclass
@@ -180,6 +161,11 @@ MARGIN_HEADER = ["host", "metric", "step", "margin"]
 CDF_HEADER = ["host", "error", "cum_prob"]
 TRAINING_LOG_HEADER = ["step", "critic_loss", "mean_reward", "mean_margin"]
 COMPARISON_HEADER = ["strategy", "potential", "penalty", "net", "net_ratio", "penalty_ratio"]
+
+
+# What `write_report_files` writes into a report directory.
+REPORT_FILES = ("ledger.csv", "margins.csv", *(f"cdf_{m.value}.csv" for m in METRICS),
+                "report.json")
 
 
 def write_report_files(report: EvaluationReport, outdir: str | Path) -> list[Path]:

@@ -56,7 +56,9 @@ class MarginStrategy(ABC):
     in [0, MARGIN_MAX]; a strategy keeps whatever state it needs across days
     and must be deterministic given its construction seed and the sequence of
     days.  `select` then returns margin (host, step) of that answer, and
-    computes nothing."""
+    computes nothing.  The engine reads one metric's whole day, host by host,
+    before the other metric's, but the order of `select` calls is not part
+    of this contract."""
 
     #: window length this strategy wants in the windows it is shown
     window_size: int = 10

@@ -22,6 +22,7 @@ from marginsim.cli import main
 from marginsim.config import _SCHEMA, load_scenario
 from marginsim.engine import SimulationConfig, compare_strategies, train_test_split
 from marginsim.errors import ConfigError
+from marginsim.fileio import atomic_write
 from marginsim.strategies import StrategySpec
 from marginsim.traces import (
     DEFAULT_STEP_MINUTES,
@@ -637,7 +638,7 @@ class TestForkedReports:
     def failed_evaluate(self, monkeypatch, capsys, scenario, out, blocked):
         """Evaluate with a file where report `blocked`'s directory goes:
         exits 2 with one error line naming it, and no comparison.csv."""
-        (out / "reports").mkdir(parents=True)
+        (out / "reports").mkdir(parents=True, exist_ok=True)
         (out / "reports" / blocked).write_text("")
         capsys.readouterr()
         assert self.evaluate(monkeypatch, scenario, out, 2) == (2, 1)
@@ -669,6 +670,41 @@ class TestForkedReports:
         assert time.monotonic() - began < 30
         assert err == (f"error: cannot write reports: [Errno {errno.EEXIST}] File exists: "
                        f"'{out / 'reports' / 'fixed_0p05'}'\n")
+
+    def test_writer_killed_mid_file_leaves_no_temporary(self, monkeypatch, capsys, tmp_path,
+                                                        scenario):
+        parent = os.getpid()
+        write = cli.write_report_files
+        out = tmp_path / "held"
+        reports = out / "reports"
+        temporary = reports / "releaser" / "margins.csv.tmp"
+        held = []
+
+        def held_in_child(report, outdir):
+            if os.getpid() != parent:
+                outdir.mkdir(parents=True, exist_ok=True)
+                with atomic_write(outdir / "margins.csv") as fh:
+                    fh.write("host,metric")
+                    time.sleep(60)
+            # The parent's share fails only once the child holds a temporary file.
+            deadline = time.monotonic() + 30
+            while not temporary.exists() and time.monotonic() < deadline:
+                time.sleep(0.005)
+            held.append(temporary.exists())
+            return write(report, outdir)
+
+        monkeypatch.setattr(cli, "write_report_files", held_in_child)
+        # Temporaries of other names, or outside this run's report
+        # directories, are not the killed writer's.
+        kept = [reports / "releaser" / "notes.tmp", reports / "old_run" / "margins.csv.tmp"]
+        for path in kept:
+            path.parent.mkdir(parents=True)
+            path.write_text("")
+        err = self.failed_evaluate(monkeypatch, capsys, scenario, out, "fixed_0p05")
+        assert held == [True]
+        assert err == (f"error: cannot write reports: [Errno {errno.EEXIST}] File exists: "
+                       f"'{reports / 'fixed_0p05'}'\n")
+        assert sorted(reports.rglob("*.tmp")) == sorted(kept)
 
     def test_killed_writer_names_the_signal(self, monkeypatch, capsys, tmp_path, scenario):
         parent = os.getpid()

@@ -3,6 +3,7 @@
 import atexit
 import csv
 import errno
+import io
 import json
 import math
 import os
@@ -37,7 +38,13 @@ from marginsim.engine import (
     _attribute_rewards,
 )
 from marginsim.errors import DomainError, MarginSimError
-from marginsim.reporting import ErrorCdfs, build_report, nearest_rank, write_report_files
+from marginsim.reporting import (
+    REPORT_FILES,
+    ErrorCdfs,
+    build_report,
+    nearest_rank,
+    write_report_files,
+)
 from marginsim.strategies import (
     MARGIN_MAX,
     ErrorFeedbackMargin,
@@ -1151,7 +1158,7 @@ class TestReportBytes:
             written = write_report_files(report, got)
             reference_report_files(report, want)
             names = sorted(p.name for p in want.iterdir())
-            assert sorted(p.name for p in written) == names
+            assert sorted(p.name for p in written) == names == sorted(REPORT_FILES)
             assert sorted(p.name for p in got.iterdir()) == names
             for name in names:
                 assert (got / name).read_bytes() == (want / name).read_bytes(), name
@@ -1176,6 +1183,40 @@ class TestSharedErrorCdfs:
         assert sorted(calls, key=METRICS.index) == list(METRICS)
         shared = table.reports[labels[0]].error_cdfs
         assert all(report.error_cdfs is shared for report in table.reports.values())
+
+
+# Host ids with the characters csv must quote or json must escape.
+odd_text = st.text(st.sampled_from('ab,"\r\n é→\U0001f600'), max_size=6)
+cdf_points = st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                                st.floats(allow_nan=False, allow_infinity=False)), max_size=5)
+
+
+class TestErrorCdfsEncoding:
+    """ErrorCdfs' encodings against json.dumps and csv.writer."""
+
+    @given(st.dictionaries(odd_text, st.dictionaries(odd_text, cdf_points, max_size=4),
+                           max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_encodings_match_reference_writers(self, by_metric):
+        cdfs = ErrorCdfs(by_metric)
+        # one level inside an object: without the '{\n ' before and '\n}' after
+        assert cdfs.json_member == json.dumps({"error_cdf": by_metric}, indent=1)[3:-2]
+        assert list(cdfs.csv_bodies) == list(by_metric)
+        for metric, by_host in by_metric.items():
+            buf = io.StringIO()
+            writer = csv.writer(buf)
+            writer.writerow(["host", "error", "cum_prob"])
+            for hid in sorted(by_host):
+                writer.writerows([hid, repr(err), repr(prob)] for err, prob in by_host[hid])
+            assert cdfs.csv_bodies[metric] == buf.getvalue()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_non_finite_value_is_rejected(self, value, column):
+        point = [0.25, 0.5]
+        point[column] = value
+        with pytest.raises(DomainError, match="ram error CDF of host 'h1' is not finite"):
+            ErrorCdfs({"cpu": {"h0": [(0.1, 1.0)]}, "ram": {"h1": [(0.1, 0.5), tuple(point)]}})
 
 
 class TestNearestRank:

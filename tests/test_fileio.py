@@ -1,15 +1,19 @@
 """Atomic output files: a write that fails partway leaves the old file whole
 and no temporary file behind."""
 
+import csv
 import dataclasses
+import io
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from marginsim import agent as agent_module
 from marginsim.agent import DdpgAgent, DdpgConfig
 from marginsim.costs import CostModel
 from marginsim.engine import ComparisonRow, ComparisonTable, SimulationConfig, compare_strategies
-from marginsim.fileio import atomic_write
+from marginsim.fileio import atomic_write, csv_prefix
 from marginsim.reporting import write_comparison, write_report_files
 from marginsim.strategies import StrategySpec
 from marginsim.traces import SyntheticConfig, generate_synthetic
@@ -103,3 +107,10 @@ def test_report_failing_midway_keeps_old_files(tmp_path):
     with pytest.raises(Injected):
         write_report_files(dataclasses.replace(report, margin_series=series), tmp_path)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old
+
+
+@given(st.lists(st.text(st.sampled_from('ab,"\r\n é'), max_size=4), min_size=1, max_size=3))
+def test_csv_prefix_is_the_start_of_a_csv_writer_row(fields):
+    buf = io.StringIO()
+    csv.writer(buf).writerow([*fields, "1.5"])
+    assert csv_prefix(fields) + "1.5\r\n" == buf.getvalue()
