@@ -17,7 +17,6 @@ from marginsim.strategies import (
     FixedMargin,
     LearnedMargin,
     MarginStrategy,
-    Observation,
     RandomMargin,
     UsageStddevMargin,
 )

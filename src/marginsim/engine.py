@@ -4,13 +4,13 @@ Each day starts by showing every strategy the day's error and usage windows
 (`start_day`), read-only views of the zero-padded histories, from which the
 strategy answers the whole day's margins in one call.  Each window at step t
 ends at step t-1, so no margin sees the step it covers.  Then the engine
-reads one metric's whole day back with `select`, host by host, before the
-other metric's.  Once a day's margins are collected, the day settles from
-arrays: containers are fit into each step's remaining headroom, and each
-step is checked for a violation (actual usage above prediction plus margin
-on either metric), which advances that host-day's violation clock.  Days
-settle independently: violation clocks reset at midnight, strategy and
-agent state carry across.
+reads one metric's whole day back with `select(host_id, step)`, host by
+host, before the other metric's.  Once a day's margins are collected, the
+day settles from arrays: containers are fit into each step's remaining
+headroom, and each step is checked for a violation (actual usage above
+prediction plus margin on either metric), which advances that host-day's
+violation clock.  Days settle independently: violation clocks reset at
+midnight, strategy and agent state carry across.
 
 A learned strategy that explores learns from each day once it has settled:
 the engine attributes the day's penalty back onto its per-step rewards and
@@ -35,6 +35,7 @@ import math
 import os
 import pickle
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -48,7 +49,7 @@ from marginsim.costs import (
     settle_day,
 )
 from marginsim.errors import DomainError, MarginSimError
-from marginsim.strategies import LearnedMargin, MarginStrategy, Observation
+from marginsim.strategies import LearnedMargin, MarginStrategy
 from marginsim.traces import Datacenter, MetricKind
 
 METRICS = (MetricKind.CPU, MetricKind.RAM)
@@ -162,8 +163,7 @@ def run(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
     selects = [strat.select for strat in strats]
     specs = [host.spec for host in hosts]
     host_ids = [spec.host_id for spec in specs]
-    # Each host's day of Observations, built once (tuple.__new__ skips NamedTuple's __new__).
-    obs_rows = [[tuple.__new__(Observation, (hid, k)) for k in range(spd)] for hid in host_ids]
+    day_steps = range(spd)
 
     ledgers: list[DayLedger] = []
     step_log: list[StepLogRow] = []
@@ -174,7 +174,8 @@ def run(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
         for strat, (error_windows, usage_windows) in zip(strats, windows):
             strat.start_day(host_ids, error_windows[:, span], usage_windows[:, span])
         for j, select in enumerate(selects):
-            margins[:, j, span] = [list(map(select, row)) for row in obs_rows]
+            margins[:, j, span] = [list(map(select, repeat(hid, spd), day_steps))
+                                   for hid in host_ids]
 
         # The day settles from arrays, indexed (host, metric, step).
         m, p, u = margins[:, :, span], pred[:, :, span], usage[:, :, span]

@@ -195,8 +195,15 @@ def write_report_files(report: EvaluationReport, outdir: str | Path) -> list[Pat
         for (hid, metric), margins in report.margin_series.items():
             # Only the host id can need quoting; step and repr(margin) never do.
             prefix = csv_prefix([hid, metric.value])
-            rows = map(str.__add__, steps, map(repr, margins.tolist()))
-            fh.write(prefix + ("\r\n" + prefix).join(rows) + "\r\n")
+            # A series that is constant bit for bit (so 0.0 and -0.0 differ)
+            # is formatted once: every fixed strategy's is.
+            raw = margins.tobytes()
+            if raw == raw[:margins.itemsize] * len(margins):
+                text = repr(margins.item(0))
+                fh.write(prefix + (text + "\r\n" + prefix).join(steps) + text + "\r\n")
+            else:
+                rows = map(str.__add__, steps, map(repr, margins.tolist()))
+                fh.write(prefix + ("\r\n" + prefix).join(rows) + "\r\n")
     written.append(margins_path)
 
     for metric_value, body in report.error_cdfs.csv_bodies.items():

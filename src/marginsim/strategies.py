@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -21,14 +20,6 @@ from marginsim.errors import DomainError
 from marginsim.traces import MetricKind
 
 MARGIN_MAX = 0.99
-
-
-class Observation(NamedTuple):
-    """Which of the day's margins `select` reads: host `host_id` at `step`,
-    the step's index within the current day."""
-
-    host_id: str
-    step: int
 
 
 def clamp_margin(value: float) -> float:
@@ -55,10 +46,10 @@ class MarginStrategy(ABC):
     `start_day` asks `day_margins` for the day's (hosts, steps) margins, each
     in [0, MARGIN_MAX]; a strategy keeps whatever state it needs across days
     and must be deterministic given its construction seed and the sequence of
-    days.  `select` then returns margin (host, step) of that answer, and
-    computes nothing.  The engine reads one metric's whole day, host by host,
-    before the other metric's, but the order of `select` calls is not part
-    of this contract."""
+    days.  `select(host_id, step)` then returns that host's margin at `step`,
+    the step's index within the day, and computes nothing.  The engine reads
+    one metric's whole day, host by host, before the other metric's, but the
+    order of `select` calls is not part of this contract."""
 
     #: window length this strategy wants in the windows it is shown
     window_size: int = 10
@@ -82,8 +73,8 @@ class MarginStrategy(ABC):
         """The day's margins, (len(host_ids), steps)."""
         raise NotImplementedError
 
-    def select(self, obs: Observation) -> float:
-        return self._day[obs.host_id][obs.step]
+    def select(self, host_id: str, step: int) -> float:
+        return self._day[host_id][step]
 
 
 # Each built-in kind binds `select` under its own class, so a tracer that

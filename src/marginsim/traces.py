@@ -384,13 +384,9 @@ def error_cdf(dc: Datacenter, metric: MetricKind,
         series = host.series[metric][start_step:end_step]
         usage, prediction = series["usage"], series["prediction"]
         under = usage > prediction
-        errors = sorted((usage[under] - prediction[under]).tolist())
-        points: list[tuple[float, float]] = []
-        total = len(errors)
-        for i, e in enumerate(errors, start=1):
-            if points and points[-1][0] == e:
-                points[-1] = (e, i / total)
-            else:
-                points.append((e, i / total))
-        out[host.spec.host_id] = points
+        errors, counts = np.unique(usage[under] - prediction[under], return_counts=True)
+        # Each distinct error's count of errors at or below it, over the
+        # total: int64 / int64 divides as Python's int / int does.
+        out[host.spec.host_id] = list(zip(errors.tolist(),
+                                          (np.cumsum(counts) / counts.sum()).tolist()))
     return out

@@ -2,6 +2,7 @@
 
 import atexit
 import csv
+import dataclasses
 import errno
 import io
 import json
@@ -51,7 +52,6 @@ from marginsim.strategies import (
     FixedMargin,
     LearnedMargin,
     MarginStrategy,
-    Observation,
     RandomMargin,
     StrategySpec,
     UsageStddevMargin,
@@ -493,7 +493,7 @@ def reference_run(dc, cost, sim, strategies):
                         margins[i, j, r] = reference_margin(
                             strat.pool.agent_for(hid), errors, strat.explore, explored)
                     elif isinstance(strat, (Probe, Cycle)):
-                        margins[i, j, r] = strat.select(Observation(hid, r - day_start))
+                        margins[i, j, r] = strat.select(hid, r - day_start)
                     else:
                         margins[i, j, r] = reference_select(strat, errors, usages)
                 host = hosts[i]
@@ -1154,14 +1154,41 @@ class TestReportBytes:
         assert any(not s.outliers for s in summaries)
 
         for label, report in table.reports.items():
-            got, want = tmp_path / "got" / label, tmp_path / "want" / label
-            written = write_report_files(report, got)
-            reference_report_files(report, want)
-            names = sorted(p.name for p in want.iterdir())
-            assert sorted(p.name for p in written) == names == sorted(REPORT_FILES)
-            assert sorted(p.name for p in got.iterdir()) == names
-            for name in names:
-                assert (got / name).read_bytes() == (want / name).read_bytes(), name
+            self.assert_matches_reference(report, tmp_path / label)
+
+    def test_constant_series_match_reference(self, tmp_path):
+        dc = flat_dc(0.5, 0.4, days=2, hosts=3)
+        sim = SimulationConfig(seed=3, day_range=(1, 2))
+        report = compare_strategies(dc, CostModel(), sim,
+                                    [StrategySpec.parse("fixed:0")]).reports["fixed:0"]
+        self.assert_matches_reference(report, tmp_path / "fixed_0")
+
+        steps = 1440 // 96
+        mixed = np.zeros(steps)
+        mixed[::2] = -0.0
+        last_differs = np.full(steps, 0.05)
+        last_differs[-1] = 0.06
+        signed = dict(zip(report.margin_series, [
+            np.full(steps, -0.0), mixed, -mixed, last_differs, np.full(steps, 0.05),
+            np.full(steps, 1 / 3)]))
+        self.assert_matches_reference(
+            dataclasses.replace(report, margin_series=signed), tmp_path / "signed")
+        rows = (tmp_path / "signed" / "got" / "margins.csv").read_text().splitlines()
+        # host h00's cpu series is all -0.0; its ram series mixes both zeros
+        assert {row.rsplit(",", 1)[1] for row in rows[1:1 + steps]} == {"-0.0"}
+        assert {row.rsplit(",", 1)[1] for row in rows[1 + steps:1 + 2 * steps]} == {
+            "0.0", "-0.0"}
+
+    @staticmethod
+    def assert_matches_reference(report, outdir):
+        got, want = outdir / "got", outdir / "want"
+        written = write_report_files(report, got)
+        reference_report_files(report, want)
+        names = sorted(p.name for p in want.iterdir())
+        assert sorted(p.name for p in written) == names == sorted(REPORT_FILES)
+        assert sorted(p.name for p in got.iterdir()) == names
+        for name in names:
+            assert (got / name).read_bytes() == (want / name).read_bytes(), name
 
 
 class TestSharedErrorCdfs:

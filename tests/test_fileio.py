@@ -99,8 +99,10 @@ def test_report_failing_midway_keeps_old_files(tmp_path):
     old = {p.name: p.read_bytes() for p in written}
 
     class Broken:
-        def tolist(self):
+        def tobytes(self):
             raise Injected("lost the series")
+
+        tolist = tobytes
 
     series = dict(report.margin_series)
     series[list(series)[1]] = Broken()

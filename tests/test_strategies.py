@@ -13,7 +13,6 @@ from marginsim.strategies import (
     FixedMargin,
     LearnedMargin,
     MarginStrategy,
-    Observation,
     RandomMargin,
     StrategySpec,
     UsageStddevMargin,
@@ -48,7 +47,7 @@ def day_of(strat, error_windows, usage_windows=None, host_ids=None):
     hosts, steps = error_windows.shape[:2]
     host_ids = host_ids or [f"h{i}" for i in range(hosts)]
     strat.start_day(host_ids, error_windows, usage_windows)
-    return [[strat.select(Observation(hid, k)) for k in range(steps)] for hid in host_ids]
+    return [[strat.select(hid, k) for k in range(steps)] for hid in host_ids]
 
 
 def margin_for(strat, errors=(0.0,) * 10, usage=(0.0,) * 10):
@@ -63,18 +62,6 @@ def zero_day(hosts, steps, window=10):
 
 window_values = st.lists(
     st.floats(min_value=-1, max_value=1, allow_nan=False), min_size=10, max_size=10)
-
-
-class TestObservation:
-    def test_fields_in_order(self):
-        assert Observation._fields == ("host_id", "step")
-        o = Observation("h0", 3)
-        assert o.host_id == "h0" and o.step == 3
-
-    @pytest.mark.parametrize("name", Observation._fields)
-    def test_immutable(self, name):
-        with pytest.raises(AttributeError):
-            setattr(Observation("h0", 0), name, 0.5)
 
 
 class TestFixed:

@@ -475,6 +475,42 @@ class TestErrorCdf:
             at_sigma = max((p for v, p in cdf[hid] if v <= 0.05), default=0.0)
             assert at_sigma == pytest.approx(brute)
 
+    @staticmethod
+    def reference_points(usage, prediction):
+        """One host's CDF points, walked one sorted positive error at a time."""
+        errors = sorted(u - p for u, p in zip(usage, prediction) if u > p)
+        points, total = [], len(errors)
+        for i, e in enumerate(errors, start=1):
+            if points and points[-1][0] == e:
+                points[-1] = (e, i / total)
+            else:
+                points.append((e, i / total))
+        return points
+
+    # Few distinct levels, so errors repeat; a host whose usage never tops
+    # its prediction has no points.
+    levels = st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.5, 0.7, 1.0, 1 / 3])
+
+    @given(st.lists(st.lists(st.tuples(levels, levels), min_size=4, max_size=4),
+                    min_size=1, max_size=60),
+           st.integers(0, 3), st.integers(0, 60))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_per_error_walk(self, rows, start, end):
+        hosts = [HostTrace(HostSpec(f"h{i}", 8, 64.0), {
+            MetricKind.CPU: make_series([row[i][0] for row in rows], [row[i][1] for row in rows]),
+            MetricKind.RAM: flat_series(len(rows), 0.2, 0.4 + i)}) for i in range(4)]
+        dc = Datacenter("t", hosts, 3)
+        for metric in MetricKind:
+            got = error_cdf(dc, metric, start, end)
+            want = {}
+            for host in hosts:
+                series = host.series[metric][start:end]
+                want[host.spec.host_id] = self.reference_points(
+                    series["usage"].tolist(), series["prediction"].tolist())
+            assert got == want
+            assert repr(got) == repr(want)  # Python floats, the same texts
+        assert error_cdf(dc, MetricKind.RAM) == {f"h{i}": [] for i in range(4)}
+
     @given(st.lists(st.tuples(
         st.floats(min_value=0, max_value=1, allow_nan=False),
         st.floats(min_value=0, max_value=1, allow_nan=False)), min_size=1, max_size=50))
