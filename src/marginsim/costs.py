@@ -103,13 +103,15 @@ class DaySettlement:
     net_saving: float
 
 
-def settle_day(model: CostModel, per_step_containers: list[int],
+def settle_day(model: CostModel, per_step_containers: np.ndarray | list[int],
                violation_minutes: float, step_minutes: int) -> DaySettlement:
     """Close one host-day: earnings, refund for violations, and the net.
 
-    `per_step_containers` must cover exactly one day on the
-    `step_minutes` grid.  Earnings accumulate step by step in order, which
-    keeps the arithmetic reproducible against a straight-line recomputation.
+    `per_step_containers`, an array or a list of counts, must cover exactly
+    one day on the `step_minutes` grid.  Earnings accumulate step by step in
+    order as a `np.cumsum` of `nb * ppm * step_minutes`, which adds in order
+    and so keeps the arithmetic reproducible against a straight-line
+    recomputation.
     """
     steps_per_day = MINUTES_PER_DAY // step_minutes
     if MINUTES_PER_DAY % step_minutes != 0:
@@ -117,12 +119,12 @@ def settle_day(model: CostModel, per_step_containers: list[int],
     if len(per_step_containers) != steps_per_day:
         raise DomainError(
             f"expected {steps_per_day} per-step counts, got {len(per_step_containers)}")
-    ppm = model.price_per_minute
-    potential = 0.0
-    for nb in per_step_containers:
-        if nb < 0:
-            raise DomainError(f"negative container count {nb}")
-        potential += nb * ppm * step_minutes
+    counts = np.asarray(per_step_containers)
+    negative = counts < 0
+    if negative.any():
+        raise DomainError(f"negative container count {counts[np.argmax(negative)].item()}")
+    # Summed from 0.0, as a loop does: a day of -0.0 terms (price -0.0) is 0.0.
+    potential = 0.0 + np.cumsum(counts * model.price_per_minute * step_minutes)[-1].item()
     penalty = potential * discount_for(model, violation_minutes)
     return DaySettlement(potential, penalty, potential - penalty)
 

@@ -188,7 +188,7 @@ def run(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
             minutes = 0
             for flag in violated[i]:
                 minutes = accumulate_violation(minutes, flag, ts)
-            settled = settle_day(cost, containers[i].tolist(), minutes, ts)
+            settled = settle_day(cost, containers[i], minutes, ts)
             penalties.append(settled.penalty)
             ledgers.append(DayLedger(hid, day, minutes,
                                      settled.potential_saving, settled.penalty,

@@ -186,8 +186,33 @@ class TestSettleDay:
             settle_day(MODEL, [1] * 479, 0, 3)
 
     def test_negative_count(self):
-        with pytest.raises(DomainError):
-            settle_day(MODEL, [1] * 479 + [-1], 0, 3)
+        counts = [1] * 477 + [-2, 1, -1]
+        for given_counts in (counts, np.array(counts)):
+            with pytest.raises(DomainError, match=r"^negative container count -2$"):
+                settle_day(MODEL, given_counts, 0, 3)
+
+    @staticmethod
+    def loop_potential(model, counts, ts):
+        # The per-step loop settle_day once ran: an in-order sum from 0.0.
+        potential = 0.0
+        for nb in counts:
+            potential += nb * model.price_per_minute * ts
+        return potential
+
+    @given(ts=st.sampled_from([3, 15, 96, 1440]),
+           price=st.floats(min_value=0.0, max_value=100.0) | st.just(-0.0),
+           data=st.data())
+    @example(ts=96, price=-0.0, data=None)
+    def test_potential_equals_the_in_order_loop(self, ts, price, data):
+        steps = 1440 // ts
+        counts = (data.draw(st.lists(st.integers(min_value=0, max_value=10**6),
+                                     min_size=steps, max_size=steps))
+                  if data is not None else ([0, 3] * steps)[:steps])
+        model = CostModel(price_per_hour=price)
+        expect = self.loop_potential(model, counts, ts)
+        for given_counts in (counts, np.array(counts, np.int64)):
+            # repr tells -0.0 from 0.0 and a numpy scalar from a float.
+            assert repr(settle_day(model, given_counts, 0, ts).potential_saving) == repr(expect)
 
     def test_matches_walker_bitwise(self):
         import random

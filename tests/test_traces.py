@@ -5,11 +5,13 @@ import io
 import math
 import random
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from marginsim import traces
 from marginsim.costs import CostModel
 from marginsim.engine import SimulationConfig, compare_strategies
 from marginsim.errors import ConfigError, DomainError, TraceParseError, TraceSchemaError
@@ -438,6 +440,135 @@ class TestCsvRoundTrip:
                      "host_id,cpu_cores,ram_gb\nh0,8,64.0\n")
         caps = load_capacities(p)
         assert caps["h0"] == HostSpec("h0", 8, 64.0)
+
+
+def load_outcome(path, caps, step_minutes):
+    """What load_traces gives: its hosts' specs and series bytes in order and
+    its name, or the type and text of what it raises."""
+    try:
+        dc = load_traces(path, caps, step_minutes)
+    except Exception as exc:  # noqa: BLE001  (the exception itself is the outcome)
+        return type(exc), str(exc)
+    return dc.name, [(h.spec, [(m, s.tobytes()) for m, s in h.series.items()])
+                     for h in dc.hosts]
+
+
+def row_parser_outcome(path, caps, step_minutes):
+    with patch.object(traces, "_read_columns", lambda fh, capacities: None):
+        return load_outcome(path, caps, step_minutes)
+
+
+TRACE_DEFECTS = ("bad header", "empty file", "blank line", "4 fields", "6 fields",
+                 "field on the next line", "unknown metric", "unknown host", "quoted host",
+                 "non-numeric step", "float step", "negative step", "step past int64",
+                 "nan value", "out-of-range value", "duplicate step", "missing step")
+
+
+class TestColumnReader:
+    """load_traces reads regular files in column chunks and hands every other
+    file to the row parser; either way it must give what the row parser gives."""
+
+    # One run per defect: hypothesis draws early list entries far more often.
+    @pytest.mark.parametrize("defect", [None, *TRACE_DEFECTS])
+    @settings(max_examples=40, deadline=None)
+    @given(ids=st.lists(st.sampled_from(["h0", "host-1", '"h0"', 'rack "7",b', "a b", "x,y"]),
+                        min_size=1, max_size=4, unique=True),
+           step_minutes=st.sampled_from([360, 720, 1440]), days=st.integers(1, 2),
+           values=st.lists(unit_floats | st.just(-0.0), min_size=1, max_size=8),
+           chunk_lines=st.integers(1, 9), order_seed=st.integers(0, 2**32 - 1) | st.none(),
+           line_end=st.sampled_from(["\r\n", "\n"]), where=st.integers(0, 10**6),
+           drop_capacity=st.booleans())
+    @example(ids=["h0"], step_minutes=720, days=1, values=[0.5], chunk_lines=9,
+             order_seed=None, line_end="\r\n", where=0, drop_capacity=False)
+    def test_equals_the_row_parser(self, tmp_path_factory, defect, ids, step_minutes, days,
+                                   values, chunk_lines, order_seed, line_end, where,
+                                   drop_capacity):
+        n = days * 1440 // step_minutes
+        pool = values * (n + 8)
+        hosts = [HostTrace(HostSpec(hid, 8, 64.0),
+                           {MetricKind.CPU: make_series(pool[i:i + n], pool[i + 1:i + 1 + n]),
+                            MetricKind.RAM: make_series(pool[i + 2:i + 2 + n],
+                                                        pool[i + 3:i + 3 + n])})
+                 for i, hid in enumerate(ids)]
+        path = tmp_path_factory.mktemp("load") / "traces.csv"
+        write_traces(Datacenter("t", hosts, step_minutes), path)
+        header, *rows = path.read_bytes().decode().splitlines(keepends=True)
+        if order_seed is not None:
+            random.Random(order_seed).shuffle(rows)
+        rows = [row[:-2] + line_end for row in rows]
+        i = where % (len(rows) - 1)  # every trace has at least two rows
+        # The last four fields never hold a comma, whatever the host id.
+        host_metric, step, usage, prediction = rows[i][:-len(line_end)].rsplit(",", 3)
+        host, metric = host_metric.rsplit(",", 1)
+        edits = {
+            "bad header": lambda: ["host_id,metric,step,usage\r\n"] + rows,
+            "empty file": lambda: [],
+            "blank line": lambda: [header] + rows[:i] + [line_end] + rows[i:],
+            "4 fields": lambda: [header] + rows[:i] + [
+                f"{host_metric},{step},{usage}{line_end}"] + rows[i + 1:],
+            "6 fields": lambda: [header] + rows[:i] + [
+                f"{rows[i][:-len(line_end)]},0.5{line_end}"] + rows[i + 1:],
+            "field on the next line": lambda: [header] + rows[:i] + [
+                f"{host_metric},{step},{usage}{line_end}",
+                f"{prediction},{rows[i + 1]}"] + rows[i + 2:],
+            "unknown metric": lambda: [header] + rows[:i] + [
+                f"{host},gpu,{step},{usage},{prediction}{line_end}"] + rows[i + 1:],
+            "unknown host": lambda: [header] + rows[:i] + [
+                f"zz,{metric},{step},{usage},{prediction}{line_end}"] + rows[i + 1:],
+            # Quoting a field that needs none is still the same CSV row.
+            "quoted host": lambda: [header] + [
+                f'"{row}'.replace(",", '",', 1) if row.startswith("h0,") else row
+                for row in rows],
+            "non-numeric step": lambda: [header] + rows[:i] + [
+                f"{host_metric},x{step},{usage},{prediction}{line_end}"] + rows[i + 1:],
+            "float step": lambda: [header] + rows[:i] + [
+                f"{host_metric},{step}.0,{usage},{prediction}{line_end}"] + rows[i + 1:],
+            "negative step": lambda: [header] + rows[:i] + [
+                f"{host_metric},-{step},{usage},{prediction}{line_end}"] + rows[i + 1:],
+            "step past int64": lambda: [header] + rows[:i] + [
+                f"{host_metric},{2**63},{usage},{prediction}{line_end}"] + rows[i + 1:],
+            "nan value": lambda: [header] + rows[:i] + [
+                f"{host_metric},{step},nan,{prediction}{line_end}"] + rows[i + 1:],
+            "out-of-range value": lambda: [header] + rows[:i] + [
+                f"{host_metric},{step},{usage},1.5{line_end}"] + rows[i + 1:],
+            "duplicate step": lambda: [header] + rows[:i] + [rows[i]] + rows[i:],
+            "missing step": lambda: [header] + rows[:i] + rows[i + 1:],
+        }
+        lines = edits[defect]() if defect else [header] + rows
+        path.write_text("".join(lines), newline="")
+        # The extra entry's id is a quoted "h0" as raw text: only a quote-aware
+        # reader tells the two apart.
+        caps = {'"h0"': HostSpec('"h0"', 4, 32.0)} | {
+            h.spec.host_id: h.spec for h in hosts[drop_capacity:]}
+        expected = row_parser_outcome(path, caps, step_minutes)
+        with patch.object(traces, "_CHUNK_LINES", chunk_lines):
+            assert load_outcome(path, caps, step_minutes) == expected
+        if defect is None and not drop_capacity:
+            assert not isinstance(expected[0], type)
+
+    @pytest.mark.parametrize("line_end", ["\r\n", "\n"])
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_regular_files_never_reach_the_row_parser(self, tmp_path, monkeypatch,
+                                                      line_end, shuffled):
+        # 2,880 rows: two full chunks and part of a third.
+        dc = generate_synthetic(SyntheticConfig(seed=9, num_hosts=3, num_days=1))
+        path = tmp_path / "traces.csv"
+        write_traces(dc, path)
+        header, *rows = path.read_bytes().decode().splitlines(keepends=True)
+        if shuffled:
+            random.Random(5).shuffle(rows)
+        path.write_text("".join(line[:-2] + line_end for line in [header, *rows]),
+                        newline="")
+
+        def row_parser(*args):
+            raise AssertionError("a regular file fell back to the row parser")
+
+        monkeypatch.setattr(traces, "_read_rows", row_parser)
+        loaded = load_traces(path, {h.spec.host_id: h.spec for h in dc.hosts}, 3)
+        assert [h.spec for h in loaded.hosts] == [h.spec for h in dc.hosts]
+        for a, b in zip(loaded.hosts, dc.hosts):
+            for m in MetricKind:
+                assert a.series[m].tobytes() == b.series[m].tobytes()
 
 
 class TestErrorCdf:
