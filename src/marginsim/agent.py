@@ -10,6 +10,7 @@ hard target-network copies on a fixed period.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -119,8 +120,9 @@ class ReplayBuffer:
     holds the critic's (state, action) input, and its next state and spare
     column become the target critic's input (see `Batch`).
 
-    `rows` is allocated when first used, so an agent that only acts (a
-    loaded agent in evaluate) never holds one.
+    A learning agent's `rows` is allocated with its pool (`build_pool`).
+    Otherwise it is allocated when first used, so an agent that only acts
+    (a loaded agent in evaluate) never holds one.
     """
 
     def __init__(self, capacity: int, state_dim: int, seed: int):
@@ -128,6 +130,7 @@ class ReplayBuffer:
             raise DomainError("capacity must be >= 1")
         self.capacity = capacity
         self.state_dim = state_dim
+        self.shape = (capacity, 2 * state_dim + 3)
         self._rows = None
         self.size = 0
         self.insert_pos = 0
@@ -139,7 +142,7 @@ class ReplayBuffer:
             # Not zero-filled: once the allocator serves an array this size
             # from reused heap memory, zero-filling makes all of it resident,
             # and only rows `add` has written are ever read.
-            self._rows = np.empty((self.capacity, 2 * self.state_dim + 3))
+            self._rows = np.empty(self.shape)
         return self._rows
 
     def add(self, state: np.ndarray, action: float, reward: float,
@@ -213,8 +216,9 @@ class DdpgAgent:
         self.critic = critic
         self.target_actor = clone_net(actor)
         self.target_critic = clone_net(critic)
-        # The update's workspace, built by the first update (`_workspace`),
-        # so an agent that only acts never holds it.
+        # The update's workspace, built with a learning agent's pool or by
+        # the first update (`_workspace`), so an agent that only acts never
+        # holds it.
         self.actor_opt = self.critic_opt = None
         self.actor_buffers = self.critic_buffers = None
         self.reward_scale = reward_scale
@@ -313,6 +317,22 @@ class DdpgAgent:
         self.critic_opt = AdamState(self.critic, lr)
         self.actor_buffers = Buffers(self.actor)
         self.critic_buffers = Buffers(self.critic)
+
+    @property
+    def scalars(self) -> tuple:
+        """What `store_and_learn` changes besides the arrays `build_pool`
+        shares, once the workspace is built: the replay's fill, insert
+        position and rng state, `store_calls` and both Adam step counts.
+        Assigning the tuple back sets them."""
+        replay = self.replay
+        return (replay.size, replay.insert_pos, replay.rng.bit_generator.state,
+                self.store_calls, self.actor_opt.step_count, self.critic_opt.step_count)
+
+    @scalars.setter
+    def scalars(self, values: tuple) -> None:
+        replay = self.replay
+        (replay.size, replay.insert_pos, replay.rng.bit_generator.state,
+         self.store_calls, self.actor_opt.step_count, self.critic_opt.step_count) = values
 
     def _critic_targets(self, batch: Batch) -> np.ndarray:
         """rewards + discount * Q'(s', policy'(s')).  At discount 0 that is the
@@ -456,75 +476,30 @@ class AgentPool:
 def build_pool(config: DdpgConfig, metric, scopes: list[str], root_seed: int,
                reward_scale: float) -> AgentPool:
     """Fresh agents for `metric`, one per scope, seeded from the scenario
-    seed by metric and scope."""
-    return AgentPool({
-        scope: DdpgAgent.create(config, subseed(root_seed, "agent", metric.value, scope),
-                                reward_scale)
-        for scope in scopes
-    })
+    seed by metric and scope, with their update workspace and replay rows.
 
-
-def capture_day(pool: AgentPool, learn):
-    """Run `learn()`, a day of `store_and_learn` calls on `pool`'s agents,
-    and return its result, what the day changed in each agent, and the
-    replay rows the day appended.
-
-    The changes are picklable: the four nets' parameters, both Adam states'
-    moments and step counts once the workspace is built, the replay's fill,
-    insert position and rng state, and `store_calls`.  The rows are
-    contiguous arrays, oldest first; `apply_day` writes all of it into
-    another copy of the pool, such as the one in the parent of a forked
-    process.
+    What learning writes in bulk, the four nets' parameters, both Adam
+    states' moments and the replay rows, is allocated here in anonymous
+    shared memory.  A process forked later, such as a learner that
+    `engine.side_by_side` runs, writes straight into this process's
+    arrays; of what it changes, only each agent's `scalars` stay its own.
     """
-    agents = list(pool.agents.values())
-    stores_before = [agent.store_calls for agent in agents]
-    result = learn()
-    changes, rows = [], []
-    for agent, before in zip(agents, stores_before):
-        replay = agent.replay
-        opts = (None if agent.actor_opt is None else
-                [(opt.m, opt.v, opt.step_count) for opt in (agent.actor_opt, agent.critic_opt)])
-        changes.append(([net.params for net in _nets(agent)], opts, replay.size,
-                        replay.insert_pos, replay.rng.bit_generator.state, agent.store_calls))
-        rows += [replay.rows[span] for span in _appended(replay, agent.store_calls - before)]
-    return result, changes, rows
+    agents = {}
+    for scope in scopes:
+        agent = DdpgAgent.create(config, subseed(root_seed, "agent", metric.value, scope),
+                                 reward_scale)
+        agent.actor, agent.critic, agent.target_actor, agent.target_critic = (
+            DenseNet(net.layers, _shared(net.params.shape))
+            for net in (agent.actor, agent.critic, agent.target_actor, agent.target_critic))
+        agent._workspace()
+        for opt in (agent.actor_opt, agent.critic_opt):
+            opt.m, opt.v = _shared(opt.m.shape), _shared(opt.v.shape)
+        agent.replay._rows = _shared(agent.replay.shape)
+        agents[scope] = agent
+    return AgentPool(agents)
 
 
-def apply_day(pool: AgentPool, changes, src) -> None:
-    """Write a day that `capture_day` captured on a copy of `pool` into
-    `pool`'s agents in place, reading the appended replay rows from the
-    binary file `src` straight into each replay's rows.  Raises EOFError
-    if `src` ends first, leaving the agents part-written."""
-    for agent, (params, opts, size, insert_pos, rng_state, stores) in zip(
-            pool.agents.values(), changes):
-        for net, values in zip(_nets(agent), params):
-            net.params[...] = values
-        if opts is not None:
-            if agent.actor_opt is None:
-                agent._workspace()
-            for opt, (m, v, count) in zip((agent.actor_opt, agent.critic_opt), opts):
-                opt.m[...] = m
-                opt.v[...] = v
-                opt.step_count = count
-        replay = agent.replay
-        appended = stores - agent.store_calls
-        replay.size, replay.insert_pos = size, insert_pos
-        replay.rng.bit_generator.state = rng_state
-        agent.store_calls = stores
-        for span in _appended(replay, appended):
-            view = memoryview(replay.rows[span]).cast("B")
-            if src.readinto(view) != len(view):
-                raise EOFError("replay rows ended early")
-
-
-def _nets(agent: DdpgAgent) -> tuple[DenseNet, ...]:
-    return agent.actor, agent.critic, agent.target_actor, agent.target_critic
-
-
-def _appended(replay: ReplayBuffer, count: int) -> list[slice]:
-    """The spans of `replay.rows` that its last `count` adds wrote, oldest first."""
-    n = min(count, replay.capacity)
-    start = (replay.insert_pos - n) % replay.capacity
-    if start + n <= replay.capacity:
-        return [slice(start, start + n)] if n else []
-    return [slice(start, replay.capacity), slice(0, replay.insert_pos)]
+def _shared(shape: tuple[int, ...]) -> np.ndarray:
+    """A zero-filled float64 array in memory of its own that forked
+    processes share; its pages are taken as they are first written."""
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)

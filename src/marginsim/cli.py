@@ -111,7 +111,12 @@ def cmd_train(cfg: ScenarioConfig) -> int:
     train_range, test_range = train_test_split(dc, cfg.train_fraction)
     scale = reward_scale_for(dc, cfg.cost)
     scopes = agent_scopes(cfg, dc)
-    pools = {m: build_pool(cfg.ddpg, m, scopes, cfg.seed, scale) for m in learned}
+    try:
+        pools = {m: build_pool(cfg.ddpg, m, scopes, cfg.seed, scale) for m in learned}
+    except (MemoryError, OSError, OverflowError) as exc:
+        raise ConfigError(
+            f"{cfg.path}: cannot allocate the agents for [ddpg] window = {cfg.ddpg.window} "
+            f"and replay_capacity = {cfg.ddpg.replay_capacity}: {exc}") from exc
     strategies = {
         m: cfg.bindings[m].build(m, cfg.seed, pool=pools.get(m), explore=True)
         for m in METRICS

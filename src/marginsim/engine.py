@@ -17,11 +17,13 @@ the engine attributes the day's penalty back onto its per-step rewards and
 hands them, with the day's error windows, to the strategy's `end_day`, so
 the reward an agent sees is consistent with what the day actually earned.
 When both metrics learn and two cores are free, their `end_day` calls run
-side by side: the CPU learner's in a child forked for that day, which sends
-back its losses and what the day changed in its agents, and the RAM
-learner's here.  The parent writes those changes into its own agents, so
-every next day starts from the state that learning in one process leaves,
-and the outputs keep their bytes.  The step length is the trace's own.
+side by side: the CPU learner's in a child forked for that day, and the RAM
+learner's here.  The child writes its agents' parameters, optimizer moments
+and replay rows into memory it shares with the parent (`build_pool`
+allocates them there) and sends back its losses and its agents' few
+scalars, which the parent sets.  So every next day starts from the state
+that learning in one process leaves, and the outputs keep their bytes.  The
+step length is the trace's own.
 
 `side_by_side` is the package's one way to use more than one core: it
 forks a child per task but the last, pipes each child's result back, and
@@ -40,7 +42,6 @@ from itertools import repeat
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from marginsim.agent import apply_day, capture_day
 from marginsim.costs import (
     CostModel,
     DayLedger,
@@ -231,16 +232,14 @@ def processes_for(tasks: int) -> int:
     return min(tasks, usable_cores()) if hasattr(os, "fork") else 1
 
 
-def side_by_side(tasks: list, run, name, away=None, receive=None) -> list:
+def side_by_side(tasks: list, run, name) -> list:
     """`run(task)` for every task, results in task order, side by side:
     with p = `processes_for(len(tasks))`, each of the first p - 1 tasks runs
     in a child forked for it, and the rest run here.
 
-    The child runs `away(task)` (default: `run(task)` and no segments),
-    which returns a picklable message and the byte segments that follow it
-    down a pipe; here `receive(task, message, src)` (default: the message)
-    reads the rest from the binary file `src` and returns the task's result.
-    The child leaves by `os._exit`, so it never returns into this
+    A child pipes its task's result back pickled; what it changes in its
+    memory stays its own, except in memory shared before the fork.  The
+    child leaves by `os._exit`, so it never returns into this
     process's frames, exit handlers or buffered output.  A child that fails
     or dies fails the call with a MarginSimError that begins with
     `name(task)` (and names the signal that killed it); every child is
@@ -265,14 +264,13 @@ def side_by_side(tasks: list, run, name, away=None, receive=None) -> list:
                 os.close(write_fd)
                 raise
             if pid == 0:
-                _run_in_child(lambda: away(task) if away else (run(task), ()), write_fd,
-                              cpus[i % len(cpus)] if cpus else None)
+                _run_in_child(run, task, write_fd, cpus[i % len(cpus)] if cpus else None)
             os.close(write_fd)
             children.append((pid, task, open(read_fd, "rb")))
         own = [run(task) for task in tasks[forked:]]
         results = []
         while children:
-            results.append(_collect(*children.pop(0), name, receive))
+            results.append(_collect(*children.pop(0), name))
         return results + own
     finally:
         if cpus:
@@ -285,36 +283,32 @@ def side_by_side(tasks: list, run, name, away=None, receive=None) -> list:
                 os.waitpid(pid, 0)
 
 
-def _run_in_child(work, write_fd: int, cpu: int | None):
+def _run_in_child(run, task, write_fd: int, cpu: int | None):
     """A forked child's whole life: move to core `cpu` (if given), run
-    `work()`, write its outcome to `write_fd` (an error message, or the
-    message and its segments) and leave by `os._exit`."""
+    `run(task)`, write its outcome (an error message or the result) to
+    `write_fd` and leave by `os._exit`."""
     status = 1
     try:
         with open(write_fd, "wb") as out:
             try:
                 if cpu is not None:
                     os.sched_setaffinity(0, {cpu})
-                message, segments = work()
+                result = run(task)
                 error = None
             except Exception as exc:
-                error, message, segments = f"{type(exc).__name__}: {exc}", None, ()
-            pickle.dump((error, message), out, pickle.HIGHEST_PROTOCOL)
-            for segment in segments:
-                out.write(segment)
+                error, result = f"{type(exc).__name__}: {exc}", None
+            pickle.dump((error, result), out, pickle.HIGHEST_PROTOCOL)
         status = 0
     finally:
         os._exit(status)
 
 
-def _collect(pid: int, task, src, name, receive):
+def _collect(pid: int, task, src, name):
     """Read a child's outcome from `src`, reap the child and return the
     task's result; raise MarginSimError, led by `name(task)`, if it failed."""
     try:
         with src:
             error, result = pickle.load(src)
-            if error is None and receive is not None:
-                result = receive(task, result, src)
     except (EOFError, pickle.UnpicklingError):
         error = "it ended before sending its result"
     finally:
@@ -332,26 +326,22 @@ def _end_days(learners, rewards) -> list[np.ndarray]:
     """Each learner's `end_day(windows, rewards)` losses, in order; a
     learner is a (metric, LearnedMargin, windows) triple.
 
-    The learners share no state, so they learn `side_by_side`.  A child
-    sends back its losses and what its day changed in its agents
-    (`capture_day`), and the parent writes those changes into its own
-    agents (`apply_day`), so they hold what learning here would have left.
+    The learners share no state, so they learn `side_by_side`.  Their pools
+    come from `build_pool`, so a learner in a child writes its agents'
+    arrays in this process's memory; it sends back its losses and its
+    agents' `scalars`, which are set here, so every agent holds what
+    learning here would have left.
     """
     def learn(learner):
         _, strat, windows = learner
-        return strat.end_day(windows, rewards)
+        losses = strat.end_day(windows, rewards)
+        return losses, [agent.scalars for agent in strat.pool.agents.values()]
 
-    def away(learner):
-        losses, changes, rows = capture_day(learner[1].pool, lambda: learn(learner))
-        return (losses, changes), rows
-
-    def receive(learner, message, src):
-        losses, changes = message
-        apply_day(learner[1].pool, changes, src)
-        return losses
-
-    return side_by_side(learners, learn, lambda learner: f"{learner[0].value} learner",
-                        away, receive)
+    results = side_by_side(learners, learn, lambda learner: f"{learner[0].value} learner")
+    for (_, strat, _), (_, scalars) in zip(learners, results):
+        for agent, values in zip(strat.pool.agents.values(), scalars):
+            agent.scalars = values
+    return [losses for losses, _ in results]
 
 
 def window_view(hist: np.ndarray, size: int) -> np.ndarray:

@@ -55,10 +55,11 @@ class DenseNet:
     All parameters live in one flat float64 vector, `params`: layer by
     layer, each layer's weights (row-major) and then its bias.  Each layer's
     `weights` (out, in) and `bias` (out,) are views into it, so in-place
-    edits of either are edits of `params`.
+    edits of either are edits of `params`.  A caller may pass the vector to
+    use as `params`, of that size; the layers' values overwrite it.
     """
 
-    def __init__(self, layers: list[Layer]):
+    def __init__(self, layers: list[Layer], params: np.ndarray | None = None):
         if not layers:
             raise DomainError("a network needs at least one layer")
         for prev, nxt in zip(layers, layers[1:]):
@@ -69,7 +70,8 @@ class DenseNet:
         for layer in layers:
             layer.validate()
         self.shapes = [layer.weights.shape for layer in layers]
-        self.params = np.empty(sum(out * inp + out for out, inp in self.shapes))
+        self.params = (np.empty(sum(out * inp + out for out, inp in self.shapes))
+                       if params is None else params)
         self.layers = []
         for (weights, bias), layer in zip(self.views(self.params), layers):
             weights[...] = layer.weights

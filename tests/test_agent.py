@@ -9,6 +9,7 @@ import dataclasses
 import gc
 import io
 import math
+import os
 import re
 import tracemalloc
 import weakref
@@ -740,3 +741,42 @@ class TestAgentPool:
         ram = build_pool(tiny_config(), MetricKind.RAM, [SHARED], 36, 1.0)
         state = np.full(4, -0.2)
         assert margin(cpu.agent_for("h"), state, False) != margin(ram.agent_for("h"), state, False)
+
+    def test_forked_child_learns_into_the_parents_arrays(self):
+        # The child sends nothing back: what it wrote reaches this process
+        # through the memory build_pool shares, and nothing else does.
+        config = tiny_config(replay_capacity=16, steps_per_day=4, target_update_days=1)
+        pool, twin = (build_pool(config, MetricKind.CPU, [SHARED], 38, 1.0) for _ in range(2))
+        agent, expected = pool.agent_for(SHARED), twin.agent_for(SHARED)
+        initial = agent.actor.params.copy()
+
+        def learn(learner):
+            rng = np.random.default_rng(39)
+            for _ in range(12):
+                s = rng.uniform(-1, 1, size=4)
+                stats = learner.store_and_learn(s, float(rng.uniform(0, 0.9)),
+                                                float(rng.normal()), s)
+            return stats.updated
+
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                status = 0 if learn(agent) else 3
+            finally:
+                os._exit(status)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert learn(expected)
+        assert agent.store_calls == agent.replay.size == agent.actor_opt.step_count == 0
+        assert not np.array_equal(agent.actor.params, initial)
+        for net, want in zip((agent.actor, agent.critic, agent.target_actor,
+                              agent.target_critic),
+                             (expected.actor, expected.critic, expected.target_actor,
+                              expected.target_critic)):
+            assert net.params.tobytes() == want.params.tobytes()
+        for opt, want in ((agent.actor_opt, expected.actor_opt),
+                          (agent.critic_opt, expected.critic_opt)):
+            assert opt.m.tobytes() == want.m.tobytes()
+            assert opt.v.tobytes() == want.v.tobytes()
+        assert agent.replay.rows[:12].tobytes() == expected.replay.rows[:12].tobytes()

@@ -579,6 +579,21 @@ baseline = fixed:0.05
         err = capsys.readouterr().err
         assert err == f"error: strategy window {window} is longer than the trace's 960 steps\n"
 
+    @pytest.mark.parametrize("key,line", [("replay_capacity", "replay_capacity = 256"),
+                                          ("window", "window = 4")])
+    def test_oversized_agent_exits_2(self, tmp_path, capsys, key, line):
+        # 10**13 replay rows or actor inputs need more than the 128 TiB of a
+        # process's address space, so allocating them fails without
+        # touching memory, whatever the overcommit setting.
+        path = smoke_scenario(tmp_path)
+        write_scenario(Path(path), Path(path).read_text().replace(line, f"{key} = {10**13}"))
+        assert main(["train", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: cannot allocate the agents for [ddpg] ")
+        assert f"{key} = {10**13}" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_bad_scenario_exit_code(self, tmp_path, capsys):
         assert main(["generate", str(tmp_path / "missing.cfg")]) == 2
         assert capsys.readouterr().err.startswith("error:")
