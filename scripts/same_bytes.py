@@ -2,9 +2,12 @@
 """Check that the working tree writes the same output bytes as a revision.
 
 For each scenario, runs `scripts/run_benchmark.py SCENARIO --clean` with
-PYTHONHASHSEED=0 twice: once from the working tree, and once from REV,
-extracted with `git archive` into a temporary directory that is always
-removed afterwards.  Each side writes into its own temporary output
+PYTHONHASHSEED=0: once from the working tree, and once from REV, extracted
+with `git archive` into a temporary directory that is always removed
+afterwards.  Where `os.sched_setaffinity` exists, the working tree runs a
+second time kept to one CPU, so the learners that run side by side on two
+CPUs run one after the other in one process; that tree must equal the
+first working-tree run.  Each run writes into its own temporary output
 directory, and every output file is compared by sha256.  A scenario inside
 the repository is read from each side's own copy.
 
@@ -41,17 +44,34 @@ def in_checkout(scenario: str, checkout: Path) -> Path:
         return path  # outside the repository: both sides read this file
 
 
-def run_pipeline(checkout: Path, scenario: Path, out_dir: Path) -> None:
+def run_pipeline(checkout: Path, scenario: Path, out_dir: Path, cpus=None) -> None:
+    """The pipeline from `checkout`, kept to the set `cpus` when one is given."""
     subprocess.run([sys.executable, str(checkout / "scripts" / "run_benchmark.py"),
                     str(scenario), "--output-dir", str(out_dir), "--clean"],
                    cwd=checkout, env=dict(os.environ, PYTHONHASHSEED="0"),
-                   check=True, stdout=subprocess.DEVNULL)
+                   check=True, stdout=subprocess.DEVNULL,
+                   preexec_fn=None if cpus is None else lambda: os.sched_setaffinity(0, cpus))
 
 
 def digests(out_dir: Path) -> dict[str, str]:
     """sha256 of every file under `out_dir`, by relative path."""
     return {str(p.relative_to(out_dir)): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in out_dir.rglob("*") if p.is_file()}
+
+
+def report(label: str, ours: dict[str, str], theirs: dict[str, str],
+           ours_name: str, theirs_name: str) -> bool:
+    """Print each file that differs between two trees' digests, or that
+    none does; True when one does."""
+    changed = sorted(name for name in ours.keys() | theirs.keys()
+                     if ours.get(name) != theirs.get(name))
+    for name in changed:
+        where = (f"only in {ours_name}" if name not in theirs
+                 else f"only in {theirs_name}" if name not in ours else "differs")
+        print(f"{label}: {name} {where}")
+    if not changed:
+        print(f"{label}: {len(ours)} files identical")
+    return bool(changed)
 
 
 def main(argv=None) -> int:
@@ -69,28 +89,25 @@ def main(argv=None) -> int:
         except subprocess.CalledProcessError as exc:
             print(f"cannot extract {args.rev}: {exc.stderr.decode().strip()}", file=sys.stderr)
             return 2
+        runs = [("rev", base, None), ("work", ROOT, None)]
+        if hasattr(os, "sched_setaffinity"):
+            runs.append(("one-CPU work", ROOT, {min(os.sched_getaffinity(0))}))
         differ = False
         for n, scenario in enumerate(args.scenarios):
-            trees = []
-            for side, checkout in (("rev", base), ("work", ROOT)):
-                out_dir = tmp / f"out{n}-{side}"
+            trees = {}
+            for side, checkout, cpus in runs:
+                out_dir = tmp / f"out{n}-{side.replace(' ', '-')}"
                 try:
-                    run_pipeline(checkout, in_checkout(scenario, checkout), out_dir)
+                    run_pipeline(checkout, in_checkout(scenario, checkout), out_dir, cpus)
                 except subprocess.CalledProcessError as exc:
                     print(f"{scenario}: the {side} run exited {exc.returncode}", file=sys.stderr)
                     return 2
-                trees.append(digests(out_dir))
-            ours, theirs = trees[1], trees[0]
-            changed = sorted(name for name in ours.keys() | theirs.keys()
-                             if ours.get(name) != theirs.get(name))
-            for name in changed:
-                where = ("only in the working tree" if name not in theirs
-                         else f"only in {args.rev}" if name not in ours else "differs")
-                print(f"{scenario}: {name} {where}")
-            if changed:
-                differ = True
-            else:
-                print(f"{scenario}: {len(ours)} files identical")
+                trees[side] = digests(out_dir)
+            differ |= report(scenario, trees["work"], trees["rev"],
+                             "the working tree", args.rev)
+            if "one-CPU work" in trees:
+                differ |= report(f"{scenario} on one CPU", trees["one-CPU work"], trees["work"],
+                                 "the one-CPU run", "the run on every CPU")
     return 1 if differ else 0
 
 

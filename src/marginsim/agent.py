@@ -25,7 +25,6 @@ from marginsim.nets import (
     adam_step,
     backward,
     clone_into,
-    clone_net,
     load_network,
     mae_loss,
     mse_loss,
@@ -115,35 +114,21 @@ class OuProcess:
 class ReplayBuffer:
     """Fixed-capacity ring buffer with uniform sampling (with replacement).
 
-    Each transition is one row of `rows`: state, action, next state, one
-    spare column, reward.  Sampling gathers whole rows, so a batch already
-    holds the critic's (state, action) input, and its next state and spare
-    column become the target critic's input (see `Batch`).
-
-    A learning agent's `rows` is allocated with its pool (`build_pool`).
-    Otherwise it is allocated when first used, so an agent that only acts
-    (a loaded agent in evaluate) never holds one.
+    Each transition is one row of `rows`, the (capacity, 2 * state_dim + 3)
+    array it is given: state, action, next state, one spare column, reward.
+    Sampling gathers whole rows, so a batch already holds the critic's
+    (state, action) input, and its next state and spare column become the
+    target critic's input (see `Batch`).  Only rows `add` has written are
+    ever read, so `rows` need not be initialised.
     """
 
-    def __init__(self, capacity: int, state_dim: int, seed: int):
-        if capacity < 1:
-            raise DomainError("capacity must be >= 1")
-        self.capacity = capacity
-        self.state_dim = state_dim
-        self.shape = (capacity, 2 * state_dim + 3)
-        self._rows = None
+    def __init__(self, rows: np.ndarray, seed: int):
+        self.rows = rows
+        self.capacity, width = rows.shape
+        self.state_dim = (width - 3) // 2
         self.size = 0
         self.insert_pos = 0
         self.rng = np.random.default_rng(seed)
-
-    @property
-    def rows(self) -> np.ndarray:
-        if self._rows is None:
-            # Not zero-filled: once the allocator serves an array this size
-            # from reused heap memory, zero-filling makes all of it resident,
-            # and only rows `add` has written are ever read.
-            self._rows = np.empty(self.shape)
-        return self._rows
 
     def add(self, state: np.ndarray, action: float, reward: float,
             next_state: np.ndarray) -> None:
@@ -198,7 +183,14 @@ def clamp_margin_into(values: np.ndarray, out: np.ndarray) -> None:
 
 
 class DdpgAgent:
-    """Actor-critic margin policy for one metric (optionally one host)."""
+    """Actor-critic margin policy for one metric (optionally one host).
+
+    What learning writes in bulk, the four nets' parameters, both Adam
+    states' moments and the replay rows, is carved from one arena of the
+    agent's own (`_carve`): one anonymous mapping that a process forked
+    later shares.  Its pages are taken as they are first written, so an
+    agent that only acts holds its parameters and nothing else.
+    """
 
     def __init__(self, config: DdpgConfig, actor: DenseNet, critic: DenseNet,
                  reward_scale: float, seed: int):
@@ -212,18 +204,20 @@ class DdpgAgent:
         if critic.dims() != expected_critic:
             raise CheckpointError(f"critic dims {critic.dims()} != expected {expected_critic}")
         self.config = config
-        self.actor = actor
-        self.critic = critic
-        self.target_actor = clone_net(actor)
-        self.target_critic = clone_net(critic)
+        a, c = actor.params.shape, critic.params.shape
+        arrays = _carve([a, c, a, c, a, a, c, c,
+                         (config.replay_capacity, 2 * config.window + 3)])
+        self.actor, self.critic, self.target_actor, self.target_critic = (
+            DenseNet(net.layers, params)
+            for net, params in zip((actor, critic, actor, critic), arrays))
+        self._moments = arrays[4:6], arrays[6:8]  # the actor's (m, v), the critic's
         # The update's workspace, built with a learning agent's pool or by
         # the first update (`_workspace`), so an agent that only acts never
         # holds it.
         self.actor_opt = self.critic_opt = None
         self.actor_buffers = self.critic_buffers = None
         self.reward_scale = reward_scale
-        self.replay = ReplayBuffer(config.replay_capacity, config.window,
-                                   subseed(seed, "replay"))
+        self.replay = ReplayBuffer(arrays[8], subseed(seed, "replay"))
         self.noise = OuProcess(config.ou_theta, config.ou_mu, config.ou_sigma,
                                subseed(seed, "ou"))
         self.warmup_rng = np.random.default_rng(subseed(seed, "warmup"))
@@ -308,22 +302,22 @@ class DdpgAgent:
         return loss, mean_q
 
     def _workspace(self) -> None:
-        """Adam moments and forward/backward buffers for the online nets;
-        each target net shares its online twin's buffers.  Nothing in them
-        refers back to the agent, so a dropped agent is freed at once rather
-        than by the cycle collector."""
+        """Adam states, over the arena's moments, and forward/backward
+        buffers for the online nets; each target net shares its online
+        twin's buffers.  Nothing in them refers back to the agent, so a
+        dropped agent is freed at once rather than by the cycle collector."""
         lr = self.config.learning_rate
-        self.actor_opt = AdamState(self.actor, lr)
-        self.critic_opt = AdamState(self.critic, lr)
+        self.actor_opt = AdamState(self.actor, lr, *self._moments[0])
+        self.critic_opt = AdamState(self.critic, lr, *self._moments[1])
         self.actor_buffers = Buffers(self.actor)
         self.critic_buffers = Buffers(self.critic)
 
     @property
     def scalars(self) -> tuple:
-        """What `store_and_learn` changes besides the arrays `build_pool`
-        shares, once the workspace is built: the replay's fill, insert
-        position and rng state, `store_calls` and both Adam step counts.
-        Assigning the tuple back sets them."""
+        """What `store_and_learn` changes besides the arena's arrays, once
+        the workspace is built: the replay's fill, insert position and rng
+        state, `store_calls` and both Adam step counts.  Assigning the tuple
+        back sets them."""
         replay = self.replay
         return (replay.size, replay.insert_pos, replay.rng.bit_generator.state,
                 self.store_calls, self.actor_opt.step_count, self.critic_opt.step_count)
@@ -439,7 +433,7 @@ class DdpgAgent:
                     raise CheckpointError(f"{path}: {name}: {exc}") from exc
         try:
             agent = cls(stored, nets["actor"], nets["critic"], reward_scale, seed=0)
-        except (DomainError, CheckpointError) as exc:
+        except (DomainError, CheckpointError, MemoryError, OSError, OverflowError) as exc:
             raise CheckpointError(f"{path}: {exc}") from exc
         clone_into(nets["target_actor"], agent.target_actor)
         clone_into(nets["target_critic"], agent.target_critic)
@@ -476,30 +470,32 @@ class AgentPool:
 def build_pool(config: DdpgConfig, metric, scopes: list[str], root_seed: int,
                reward_scale: float) -> AgentPool:
     """Fresh agents for `metric`, one per scope, seeded from the scenario
-    seed by metric and scope, with their update workspace and replay rows.
+    seed by metric and scope, with their update workspace.
 
-    What learning writes in bulk, the four nets' parameters, both Adam
-    states' moments and the replay rows, is allocated here in anonymous
-    shared memory.  A process forked later, such as a learner that
-    `engine.side_by_side` runs, writes straight into this process's
-    arrays; of what it changes, only each agent's `scalars` stay its own.
+    Each agent's arena is shared with processes forked later, and its
+    workspace is built here, before any fork.  So a learner that
+    `engine.side_by_side` runs in a child writes straight into this
+    process's arrays; of what it changes, only each agent's `scalars` stay
+    its own.
     """
     agents = {}
     for scope in scopes:
         agent = DdpgAgent.create(config, subseed(root_seed, "agent", metric.value, scope),
                                  reward_scale)
-        agent.actor, agent.critic, agent.target_actor, agent.target_critic = (
-            DenseNet(net.layers, _shared(net.params.shape))
-            for net in (agent.actor, agent.critic, agent.target_actor, agent.target_critic))
         agent._workspace()
-        for opt in (agent.actor_opt, agent.critic_opt):
-            opt.m, opt.v = _shared(opt.m.shape), _shared(opt.v.shape)
-        agent.replay._rows = _shared(agent.replay.shape)
         agents[scope] = agent
     return AgentPool(agents)
 
 
-def _shared(shape: tuple[int, ...]) -> np.ndarray:
-    """A zero-filled float64 array in memory of its own that forked
-    processes share; its pages are taken as they are first written."""
-    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
+def _carve(shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Zero-filled float64 arrays of `shapes`, each at a page-aligned offset
+    of one anonymous mapping that forked processes share; its pages are
+    taken as they are first written."""
+    page = mmap.PAGESIZE // 8  # floats
+    sizes = [-(-math.prod(shape) // page) * page for shape in shapes]
+    arena = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=float)
+    arrays, start = [], 0
+    for shape, size in zip(shapes, sizes):
+        arrays.append(arena[start:start + math.prod(shape)].reshape(shape))
+        start += size
+    return arrays

@@ -113,7 +113,7 @@ def cmd_train(cfg: ScenarioConfig) -> int:
     scopes = agent_scopes(cfg, dc)
     try:
         pools = {m: build_pool(cfg.ddpg, m, scopes, cfg.seed, scale) for m in learned}
-    except (MemoryError, OSError, OverflowError) as exc:
+    except (MemoryError, OSError, OverflowError, ValueError) as exc:
         raise ConfigError(
             f"{cfg.path}: cannot allocate the agents for [ddpg] window = {cfg.ddpg.window} "
             f"and replay_capacity = {cfg.ddpg.replay_capacity}: {exc}") from exc

@@ -19,11 +19,11 @@ the reward an agent sees is consistent with what the day actually earned.
 When both metrics learn and two cores are free, their `end_day` calls run
 side by side: the CPU learner's in a child forked for that day, and the RAM
 learner's here.  The child writes its agents' parameters, optimizer moments
-and replay rows into memory it shares with the parent (`build_pool`
-allocates them there) and sends back its losses and its agents' few
-scalars, which the parent sets.  So every next day starts from the state
-that learning in one process leaves, and the outputs keep their bytes.  The
-step length is the trace's own.
+and replay rows into memory it shares with the parent (each agent's arena)
+and sends back its losses and its agents' few scalars, which the parent
+sets.  So every next day starts from the state that learning in one
+process leaves, and the outputs keep their bytes.  The step length is the
+trace's own.
 
 `side_by_side` is the package's one way to use more than one core: it
 forks a child per task but the last, pipes each child's result back, and
@@ -326,11 +326,11 @@ def _end_days(learners, rewards) -> list[np.ndarray]:
     """Each learner's `end_day(windows, rewards)` losses, in order; a
     learner is a (metric, LearnedMargin, windows) triple.
 
-    The learners share no state, so they learn `side_by_side`.  Their pools
-    come from `build_pool`, so a learner in a child writes its agents'
-    arrays in this process's memory; it sends back its losses and its
-    agents' `scalars`, which are set here, so every agent holds what
-    learning here would have left.
+    The learners share no state, so they learn `side_by_side`.  A learner
+    in a child writes its agents' arrays in their arenas, which this
+    process shares; it sends back its losses and its agents' `scalars`,
+    which are set here (in the workspace `build_pool` built), so every
+    agent holds what learning here would have left.
     """
     def learn(learner):
         _, strat, windows = learner

@@ -21,6 +21,7 @@ another path in OpenBLAS and does not.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,7 +115,7 @@ class DenseNet:
                               f"got dims={dims} activations={activations}")
         layers = []
         for fan_in, fan_out, act in zip(dims, dims[1:], activations):
-            bound = 1.0 / np.sqrt(fan_in)
+            bound = 1.0 / math.sqrt(fan_in)
             weights = rng.uniform(-bound, bound, size=(fan_out, fan_in))
             layers.append(Layer(weights, np.zeros(fan_out), act))
         return cls(layers)
@@ -229,9 +230,11 @@ def backward(net: DenseNet, x: np.ndarray, upstream: np.ndarray, trace=None,
 class AdamState:
     """Adam moments for one network (beta1=0.9, beta2=0.999, eps=1e-8),
     flat vectors laid out like `DenseNet.params`, plus two scratch vectors
-    of that size for `adam_step`."""
+    of that size for `adam_step`.  A caller may pass the zero vectors to
+    use as the moments `m` and `v`."""
 
-    def __init__(self, net: DenseNet, learning_rate: float):
+    def __init__(self, net: DenseNet, learning_rate: float,
+                 m: np.ndarray | None = None, v: np.ndarray | None = None):
         if learning_rate <= 0:
             raise DomainError(f"learning_rate must be positive, got {learning_rate}")
         self.learning_rate = learning_rate
@@ -239,8 +242,8 @@ class AdamState:
         self.beta2 = 0.999
         self.eps = 1e-8
         self.step_count = 0
-        self.m = np.zeros_like(net.params)
-        self.v = np.zeros_like(net.params)
+        self.m = np.zeros_like(net.params) if m is None else m
+        self.v = np.zeros_like(net.params) if v is None else v
         self.scratch = (np.empty_like(net.params), np.empty_like(net.params))
 
 
@@ -280,10 +283,6 @@ def clone_into(source: DenseNet, target: DenseNet) -> None:
     if source.shapes != target.shapes or source.activations() != target.activations():
         raise DomainError("cannot copy between different architectures")
     target.params[...] = source.params
-
-
-def clone_net(source: DenseNet) -> DenseNet:
-    return DenseNet(source.layers)
 
 
 def mae_loss(targets: np.ndarray, predictions: np.ndarray):

@@ -8,10 +8,11 @@ verified without reusing any implementation code.
 import dataclasses
 import gc
 import io
+import itertools
 import math
+import mmap
 import os
 import re
-import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -42,6 +43,34 @@ def tiny_config(**overrides):
                 steps_per_day=16, target_update_days=2)
     base.update(overrides)
     return DdpgConfig(**base)
+
+
+def replay_buffer(capacity, state_dim, seed):
+    return ReplayBuffer(np.empty((capacity, 2 * state_dim + 3)), seed)
+
+
+SMAPS = Path("/proc/self/smaps")
+needs_smaps = pytest.mark.skipif(not SMAPS.exists(), reason="no /proc/self/smaps")
+
+
+def arena_rss(agent):
+    """Resident bytes of the mapping that holds the agent's arrays."""
+    address = agent.actor.params.ctypes.data
+    inside = False
+    for line in SMAPS.read_text().splitlines():
+        head = line.split()[0]
+        if not head.endswith(":"):  # a mapping's address range
+            low, high = (int(x, 16) for x in head.split("-"))
+            inside = low <= address < high
+        elif inside and head == "Rss:":
+            return int(line.split()[1]) * 1024
+    raise AssertionError("no mapping holds the agent's parameters")
+
+
+def params_pages(agent):
+    """The bytes of the whole pages the four nets' parameters take."""
+    nets = (agent.actor, agent.critic, agent.target_actor, agent.target_critic)
+    return sum(-(-net.params.nbytes // mmap.PAGESIZE) * mmap.PAGESIZE for net in nets)
 
 
 def random_states(seed, n, window):
@@ -239,7 +268,7 @@ class TestReplayBuffer:
         return np.full(window, reward), 0.5, reward, np.full(window, reward)
 
     def test_evicts_oldest(self):
-        buf = ReplayBuffer(capacity=8, state_dim=2, seed=15)
+        buf = replay_buffer(capacity=8, state_dim=2, seed=15)
         for r in range(12):
             buf.add(*self.transition(float(r)))
         assert buf.size == 8
@@ -248,7 +277,7 @@ class TestReplayBuffer:
         assert rewards.min() >= 4.0
 
     def test_sampling_is_uniform(self):
-        buf = ReplayBuffer(capacity=16, state_dim=2, seed=16)
+        buf = replay_buffer(capacity=16, state_dim=2, seed=16)
         for r in range(16):
             buf.add(*self.transition(float(r)))
         _, _, rewards, _ = columns(buf.sample(160_000))
@@ -257,10 +286,10 @@ class TestReplayBuffer:
 
     def test_sample_empty_rejected(self):
         with pytest.raises(DomainError):
-            ReplayBuffer(capacity=4, state_dim=2, seed=17).sample(1)
+            replay_buffer(capacity=4, state_dim=2, seed=17).sample(1)
 
     def test_state_round_trip(self):
-        buf = ReplayBuffer(capacity=4, state_dim=3, seed=18)
+        buf = replay_buffer(capacity=4, state_dim=3, seed=18)
         state, next_state = np.array([0.1, 0.2, 0.3]), np.array([0.2, 0.3, 0.4])
         buf.add(state, 0.4, 1.5, next_state)
         states, actions, rewards, next_states = columns(buf.sample(5))
@@ -272,7 +301,7 @@ class TestReplayBuffer:
     def test_add_writes_every_column(self):
         # Rows are not initialised; a stored row holds only what `add`
         # wrote, the spare column included.
-        buf = ReplayBuffer(capacity=4, state_dim=3, seed=19)
+        buf = replay_buffer(capacity=4, state_dim=3, seed=19)
         buf.rows[...] = np.nan
         buf.add(*self.transition(1.0, window=3))
         rows = buf.sample(3).rows
@@ -603,43 +632,36 @@ class TestCheckpoint:
             cin = np.concatenate([state, [0.4]])[None, :]
             assert np.array_equal(loaded.critic.forward(cin), agent.critic.forward(cin))
 
+    @needs_smaps
     def test_loaded_agent_allocates_no_replay_until_it_stores(self, tmp_path):
         config = tiny_config(replay_capacity=50_000)  # 50,000 rows of 11 floats: 4.4 MB
         path = tmp_path / "agent.ckpt"
         DdpgAgent.create(config, seed=34).save(path)
-        tracemalloc.start()
-        try:
-            loaded = DdpgAgent.load(path, config)
-            margin(loaded, np.zeros(4), False)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_000_000
+        loaded = DdpgAgent.load(path, config)
+        margin(loaded, np.zeros(4), False)
+        # Of the arena only the parameters' pages are resident: no rows.
+        assert arena_rss(loaded) == params_pages(loaded)
         assert loaded.replay.size == 0
         before = loaded.actor.params.copy()
         self.train_briefly(loaded, 35)
         assert loaded.replay.size == 40
         assert loaded.replay.rows.shape == (50_000, 11)
         assert not np.array_equal(loaded.actor.params, before)
+        assert params_pages(loaded) < arena_rss(loaded) < 400_000
 
+    @needs_smaps
     def test_agent_that_only_acts_builds_no_update_workspace(self, tmp_path):
         # Window 500 makes the parameters dominate what an agent holds: the
-        # four nets' parameters, against five times the online nets' for
-        # the Adam moments, their scratch and the gradient buffers.
+        # four nets' parameters, against four times the online nets' for
+        # the Adam moments.
         config = tiny_config(window=500)
         path = tmp_path / "agent.ckpt"
         DdpgAgent.create(config, seed=36).save(path)
-        tracemalloc.start()
-        try:
-            loaded = DdpgAgent.load(path, config)
-            margin(loaded, np.zeros(500), False)
-            held, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        nets = (loaded.actor, loaded.critic, loaded.target_actor, loaded.target_critic)
-        params_bytes = sum(net.params.nbytes for net in nets)
-        assert params_bytes > 400_000
-        assert held < 1.25 * params_bytes
+        loaded = DdpgAgent.load(path, config)
+        margin(loaded, np.zeros(500), False)
+        assert params_pages(loaded) > 400_000
+        # Of the arena only the parameters' pages are resident: no moments.
+        assert arena_rss(loaded) == params_pages(loaded)
         assert loaded.actor_opt is loaded.critic_opt is None
         assert loaded.actor_buffers is loaded.critic_buffers is None
         rng = np.random.default_rng(37)
@@ -649,6 +671,7 @@ class TestCheckpoint:
         assert stats.updated
         assert loaded.actor_opt.step_count == loaded.critic_opt.step_count == 1
         assert loaded.critic_buffers.rows == 8
+        assert arena_rss(loaded) > 2 * params_pages(loaded)
 
     def test_save_is_atomic_and_rewritable(self, tmp_path):
         agent = DdpgAgent.create(tiny_config(), seed=32)
@@ -703,7 +726,11 @@ class TestCheckpoint:
         ("batch_size 8", "batch_size 100"),  # above replay_capacity 64
         ("reward_scale 2.5", "reward_scale -1.0"),
         ("actor dims", None),
-    ], ids=["critic_loss", "batch_size", "reward_scale", "net_dims"])
+        # More replay rows than an address space holds, or than ssize_t counts.
+        ("replay_capacity 64", f"replay_capacity {10**13}"),
+        ("replay_capacity 64", f"replay_capacity {10**30}"),
+    ], ids=["critic_loss", "batch_size", "reward_scale", "net_dims", "oversized_replay",
+            "replay_beyond_int64"])
     def test_invalid_stored_agent_names_the_file(self, tmp_path, old, new):
         text = AGENT_V1.read_text()
         if new is None:
@@ -741,6 +768,29 @@ class TestAgentPool:
         ram = build_pool(tiny_config(), MetricKind.RAM, [SHARED], 36, 1.0)
         state = np.full(4, -0.2)
         assert margin(cpu.agent_for("h"), state, False) != margin(ram.agent_for("h"), state, False)
+
+    @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="no /proc/self/maps")
+    def test_a_per_host_pool_maps_at_most_one_region_per_agent(self):
+        def mappings():
+            return len(Path("/proc/self/maps").read_text().splitlines())
+
+        before = mappings()
+        pool = build_pool(tiny_config(), MetricKind.CPU, [f"h{i}" for i in range(50)], 40, 1.0)
+        assert mappings() - before <= len(pool.agents) == 50
+
+    def test_an_agents_arrays_share_one_base_and_do_not_overlap(self):
+        agent = build_pool(tiny_config(), MetricKind.CPU, [SHARED], 41, 1.0).agent_for(SHARED)
+        arrays = [net.params for net in (agent.actor, agent.critic, agent.target_actor,
+                                         agent.target_critic)]
+        arrays += [a for opt in (agent.actor_opt, agent.critic_opt) for a in (opt.m, opt.v)]
+        arrays.append(agent.replay.rows)
+        bases = set()
+        for a in arrays:
+            while isinstance(a, np.ndarray) and a.base is not None:
+                a = a.base
+            bases.add(id(a))
+        assert len(bases) == 1
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
 
     def test_forked_child_learns_into_the_parents_arrays(self):
         # The child sends nothing back: what it wrote reaches this process

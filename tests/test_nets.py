@@ -21,7 +21,6 @@ from marginsim.nets import (
     adam_step,
     backward,
     clone_into,
-    clone_net,
     load_network,
     mae_loss,
     mse_loss,
@@ -396,7 +395,7 @@ class TestCopy:
 
     def test_clone_net_detached(self):
         src = small_net(21)
-        dup = clone_net(src)
+        dup = DenseNet(src.layers)
         src.layers[0].weights += 1.0
         assert not np.array_equal(src.layers[0].weights, dup.layers[0].weights)
 
@@ -473,7 +472,7 @@ class TestFlatParameters:
 
     def test_clones_copy_by_value(self):
         src = small_net(41)
-        dup = clone_net(src)
+        dup = DenseNet(src.layers)
         dst = small_net(42)
         clone_into(src, dst)
         for other in (dup, dst):
