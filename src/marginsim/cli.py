@@ -27,7 +27,7 @@ from marginsim.engine import (
     side_by_side,
     train_test_split,
 )
-from marginsim.errors import CheckpointError, ConfigError, MarginSimError
+from marginsim.errors import CheckpointError, ConfigError, DomainError, MarginSimError
 from marginsim.fileio import remove_temporaries
 from marginsim.reporting import (
     REPORT_FILES,
@@ -113,6 +113,8 @@ def cmd_train(cfg: ScenarioConfig) -> int:
     scopes = agent_scopes(cfg, dc)
     try:
         pools = {m: build_pool(cfg.ddpg, m, scopes, cfg.seed, scale) for m in learned}
+    except DomainError:
+        raise
     except (MemoryError, OSError, OverflowError, ValueError) as exc:
         raise ConfigError(
             f"{cfg.path}: cannot allocate the agents for [ddpg] window = {cfg.ddpg.window} "

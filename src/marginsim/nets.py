@@ -230,11 +230,10 @@ def backward(net: DenseNet, x: np.ndarray, upstream: np.ndarray, trace=None,
 class AdamState:
     """Adam moments for one network (beta1=0.9, beta2=0.999, eps=1e-8),
     flat vectors laid out like `DenseNet.params`, plus two scratch vectors
-    of that size for `adam_step`.  A caller may pass the zero vectors to
-    use as the moments `m` and `v`."""
+    of that size for `adam_step`.  The caller passes the zeroed vectors
+    `m` and `v` the moments live in."""
 
-    def __init__(self, net: DenseNet, learning_rate: float,
-                 m: np.ndarray | None = None, v: np.ndarray | None = None):
+    def __init__(self, net: DenseNet, learning_rate: float, m: np.ndarray, v: np.ndarray):
         if learning_rate <= 0:
             raise DomainError(f"learning_rate must be positive, got {learning_rate}")
         self.learning_rate = learning_rate
@@ -242,8 +241,8 @@ class AdamState:
         self.beta2 = 0.999
         self.eps = 1e-8
         self.step_count = 0
-        self.m = np.zeros_like(net.params) if m is None else m
-        self.v = np.zeros_like(net.params) if v is None else v
+        self.m = m
+        self.v = v
         self.scratch = (np.empty_like(net.params), np.empty_like(net.params))
 
 

@@ -13,6 +13,7 @@ import math
 import mmap
 import os
 import re
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -50,7 +51,6 @@ def replay_buffer(capacity, state_dim, seed):
 
 
 SMAPS = Path("/proc/self/smaps")
-needs_smaps = pytest.mark.skipif(not SMAPS.exists(), reason="no /proc/self/smaps")
 
 
 def arena_rss(agent):
@@ -632,24 +632,31 @@ class TestCheckpoint:
             cin = np.concatenate([state, [0.4]])[None, :]
             assert np.array_equal(loaded.critic.forward(cin), agent.critic.forward(cin))
 
-    @needs_smaps
     def test_loaded_agent_allocates_no_replay_until_it_stores(self, tmp_path):
         config = tiny_config(replay_capacity=50_000)  # 50,000 rows of 11 floats: 4.4 MB
         path = tmp_path / "agent.ckpt"
         DdpgAgent.create(config, seed=34).save(path)
-        loaded = DdpgAgent.load(path, config)
-        margin(loaded, np.zeros(4), False)
-        # Of the arena only the parameters' pages are resident: no rows.
-        assert arena_rss(loaded) == params_pages(loaded)
+        tracemalloc.start()
+        try:
+            loaded = DdpgAgent.load(path, config)
+            margin(loaded, np.zeros(4), False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # No private copy of the rows on the heap, and of the arena only
+        # the parameters' pages are resident.
+        assert peak < 1_000_000
+        if SMAPS.exists():
+            assert arena_rss(loaded) == params_pages(loaded)
         assert loaded.replay.size == 0
         before = loaded.actor.params.copy()
         self.train_briefly(loaded, 35)
         assert loaded.replay.size == 40
         assert loaded.replay.rows.shape == (50_000, 11)
         assert not np.array_equal(loaded.actor.params, before)
-        assert params_pages(loaded) < arena_rss(loaded) < 400_000
+        if SMAPS.exists():
+            assert params_pages(loaded) < arena_rss(loaded) < 400_000
 
-    @needs_smaps
     def test_agent_that_only_acts_builds_no_update_workspace(self, tmp_path):
         # Window 500 makes the parameters dominate what an agent holds: the
         # four nets' parameters, against four times the online nets' for
@@ -657,11 +664,19 @@ class TestCheckpoint:
         config = tiny_config(window=500)
         path = tmp_path / "agent.ckpt"
         DdpgAgent.create(config, seed=36).save(path)
-        loaded = DdpgAgent.load(path, config)
-        margin(loaded, np.zeros(500), False)
+        tracemalloc.start()
+        try:
+            loaded = DdpgAgent.load(path, config)
+            margin(loaded, np.zeros(500), False)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert params_pages(loaded) > 400_000
-        # Of the arena only the parameters' pages are resident: no moments.
-        assert arena_rss(loaded) == params_pages(loaded)
+        # The parameters live in the arena: the heap keeps no copy of them.
+        assert held < params_pages(loaded) / 8
+        if SMAPS.exists():
+            # Of the arena only the parameters' pages are resident: no moments.
+            assert arena_rss(loaded) == params_pages(loaded)
         assert loaded.actor_opt is loaded.critic_opt is None
         assert loaded.actor_buffers is loaded.critic_buffers is None
         rng = np.random.default_rng(37)
@@ -671,7 +686,8 @@ class TestCheckpoint:
         assert stats.updated
         assert loaded.actor_opt.step_count == loaded.critic_opt.step_count == 1
         assert loaded.critic_buffers.rows == 8
-        assert arena_rss(loaded) > 2 * params_pages(loaded)
+        if SMAPS.exists():
+            assert arena_rss(loaded) > 2 * params_pages(loaded)
 
     def test_save_is_atomic_and_rewritable(self, tmp_path):
         agent = DdpgAgent.create(tiny_config(), seed=32)

@@ -597,6 +597,16 @@ baseline = fixed:0.05
             assert err.count("\n") == 1
             assert not (tmp_path / "out").exists()
 
+    def test_a_domain_error_while_building_agents_is_not_an_allocation_failure(
+            self, tmp_path, capsys):
+        # A zero price gives a zero reward scale, which the agents refuse.
+        path = smoke_scenario(tmp_path, extra="[cost]\nprice_per_hour = 0")
+        assert main(["train", path]) == 2
+        err = capsys.readouterr().err
+        assert "reward_scale must be positive" in err
+        assert "cannot allocate" not in err
+        assert err.count("\n") == 1
+
     def test_bad_scenario_exit_code(self, tmp_path, capsys):
         assert main(["generate", str(tmp_path / "missing.cfg")]) == 2
         assert capsys.readouterr().err.startswith("error:")

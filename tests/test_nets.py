@@ -28,6 +28,10 @@ from marginsim.nets import (
 )
 
 
+def adam_state(net, learning_rate):
+    return AdamState(net, learning_rate, np.zeros_like(net.params), np.zeros_like(net.params))
+
+
 def loop_forward(net, x):
     """Straight-line reference forward pass using nothing but Python loops."""
     values = list(map(float, x))
@@ -275,7 +279,7 @@ class TestBackward:
 class TestAdam:
     def test_first_step_is_signed_learning_rate(self):
         net = DenseNet([Layer(np.zeros((2, 2)), np.zeros(2), "linear")])
-        state = AdamState(net, 0.01)
+        state = adam_state(net, 0.01)
         grads = [(np.array([[3.0, -4.0], [0.5, -0.25]]), np.array([1.0, -1.0]))]
         adam_step(net, state, flat(grads))
         # With zero moments the first update is alpha * g / (|g| + eps).
@@ -286,7 +290,7 @@ class TestAdam:
 
     def test_zero_gradient_keeps_parameters(self):
         net = small_net(13)
-        state = AdamState(net, 0.01)
+        state = adam_state(net, 0.01)
         before = [layer.weights.copy() for layer in net.layers]
         adam_step(net, state, flat((np.zeros_like(l.weights), np.zeros_like(l.bias))
                                    for l in net.layers))
@@ -298,7 +302,7 @@ class TestAdam:
         results = []
         for _ in range(2):
             net = small_net(14)
-            state = AdamState(net, 0.01)
+            state = adam_state(net, 0.01)
             rng = np.random.default_rng(15)
             for _ in range(10):
                 grads = [(rng.normal(size=l.weights.shape), rng.normal(size=l.bias.shape))
@@ -310,7 +314,7 @@ class TestAdam:
 
     def test_rejects_non_finite(self):
         net = small_net(16)
-        state = AdamState(net, 0.01)
+        state = adam_state(net, 0.01)
         grads = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in net.layers]
         grads[0][0][0, 0] = math.nan
         before = [l.weights.copy() for l in net.layers]
@@ -327,7 +331,7 @@ class TestAdam:
         for seed in range(50):
             rng = np.random.default_rng(seed)
             net = DenseNet.initialize([3, 8, 1], ["relu", "linear"], rng)
-            state = AdamState(net, 0.01)
+            state = adam_state(net, 0.01)
             x = rng.normal(size=(16, 3))
             y = rng.normal(size=16)
             first = mae_loss(y, net.forward(x)[:, 0])[0]
@@ -485,7 +489,7 @@ class TestFlatParameters:
 
     def test_non_finite_gradient_changes_nothing(self):
         net = small_net(43)
-        state = AdamState(net, 0.01)
+        state = adam_state(net, 0.01)
         rng = np.random.default_rng(44)
         for _ in range(3):
             adam_step(net, state, rng.normal(size=net.params.size))
@@ -500,7 +504,7 @@ class TestFlatParameters:
     def test_wrong_gradient_size_rejected(self):
         net = small_net(47)
         with pytest.raises(DomainError):
-            adam_step(net, AdamState(net, 0.01), np.zeros(net.params.size + 1))
+            adam_step(net, adam_state(net, 0.01), np.zeros(net.params.size + 1))
 
     def test_backward_reuses_a_given_trace(self):
         net = small_net(48)
