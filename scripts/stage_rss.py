@@ -2,20 +2,23 @@
 """Print the process's peak RSS, and its children's, after each pipeline stage.
 
 Runs the scenario's stages in order (generate, train when it binds a
-releaser, evaluate), `--passes` times, in this one process, and prints
-after each stage, in MB, the process's own `ru_maxrss` (as perfbench's
-`peak_rss_mb`) and that of its largest reaped child (`RUSAGE_CHILDREN`:
-the processes train forks to learn in and evaluate forks to write reports
-from; 0 until one has run, unless a launcher such as a pyenv shim reaped
-children before it exec'd Python).  Like
+releaser, evaluate), or only those `--stages` names, `--passes` times, in
+this one process, and prints after each stage, in MB, the process's own
+`ru_maxrss` (as perfbench's `peak_rss_mb`) and that of its largest reaped
+child (`RUSAGE_CHILDREN`: the processes generate forks to write its trace
+from, train forks to learn in and evaluate forks to write reports from; 0
+until one has run, unless a launcher such as a pyenv shim reaped children
+before it exec'd Python).  Like
 perfbench's child process, it sets the BLAS/OpenMP thread variables to 1
 unless they are already set, and sends the stages' stdout to a string.
 Start a fresh process per sample and interleave the two sides when
 comparing two checkouts; a fixed PYTHONHASHSEED per pair removes the
-spread that dict layouts add.
+spread that dict layouts add.  `--stages generate` measures generate alone,
+without a train's worth of time per sample.
 
 Usage:
     python3 scripts/stage_rss.py scenarios/benchmark.cfg --passes 4 --output-dir /tmp/rss
+    python3 scripts/stage_rss.py scenarios/benchmark.cfg --stages generate --output-dir /tmp/rss
 """
 
 import argparse
@@ -35,18 +38,26 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from marginsim.cli import main as cli_main  # noqa: E402  (after the thread variables)
 from marginsim.config import load_scenario  # noqa: E402
 
+STAGES = ("generate", "train", "evaluate")
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("scenario", help="scenario config file")
     parser.add_argument("--passes", type=int, default=1, help="pipeline passes (default 1)")
     parser.add_argument("--output-dir", required=True, help="where the stages write")
+    parser.add_argument("--stages", help="comma-separated stages to run, in that order "
+                                         "(default: every stage the scenario has)")
     args = parser.parse_args(argv)
     if args.passes < 1:
         parser.error("--passes must be >= 1")
-
-    learns = bool(load_scenario(args.scenario).learned_metrics())
-    stages = ("generate", "train", "evaluate") if learns else ("generate", "evaluate")
+    if args.stages is None:
+        learns = bool(load_scenario(args.scenario).learned_metrics())
+        stages = STAGES if learns else ("generate", "evaluate")
+    else:
+        stages = args.stages.split(",")
+        if not set(stages) <= set(STAGES):
+            parser.error(f"--stages takes a comma-separated list of {', '.join(STAGES)}")
     print("pass\tstage\tru_maxrss_mb\tchildren_maxrss_mb")
     for n in range(1, args.passes + 1):
         for stage in stages:

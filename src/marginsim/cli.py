@@ -66,7 +66,8 @@ def main(argv=None) -> int:
         if args.command == "train":
             return cmd_train(cfg)
         return cmd_evaluate(cfg, args.checkpoint_dir)
-    except MarginSimError as exc:
+    except (MarginSimError, OSError) as exc:
+        # An OSError names its path: an output that cannot be written, say.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -76,7 +77,10 @@ def cmd_generate(cfg: ScenarioConfig) -> int:
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     trace_path = cfg.output_dir / "traces.csv"
     capacity_path = cfg.output_dir / "capacities.csv"
-    write_traces(dc, trace_path)
+    try:
+        write_traces(dc, trace_path)
+    except OSError as exc:  # a failed fork names no path
+        raise MarginSimError(f"cannot write {trace_path}: {exc}") from exc
     write_capacities([h.spec for h in dc.hosts], capacity_path)
     print(f"wrote {trace_path} and {capacity_path}")
     print(f"hosts: {len(dc.hosts)}  days: {dc.num_days()}  "

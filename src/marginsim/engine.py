@@ -28,7 +28,8 @@ trace's own.
 `side_by_side` is the package's one way to use more than one core: it
 forks a child per task but the last, pipes each child's result back, and
 reaps (or, when something fails, kills and reaps) every child.  The
-learners above use it, and so does evaluate to write its reports.
+learners above use it, generate to write its trace, and evaluate to write
+its reports.
 """
 
 from __future__ import annotations

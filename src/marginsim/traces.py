@@ -9,8 +9,10 @@ the step index.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import shutil
 from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby, islice, repeat
@@ -249,17 +251,51 @@ CAPACITY_HEADER = ["host_id", "cpu_cores", "ram_gb"]
 
 def write_traces(dc: Datacenter, path: str | Path) -> None:
     """Write the datacenter's series as CSV rows sorted by host, metric, step,
-    byte for byte as csv.writer writes them."""
+    byte for byte as csv.writer writes them.
+
+    The host-sorted (host, metric) series are split into one contiguous
+    share per usable core and written `side_by_side`: each share i > 0 by a
+    forked process into the sibling file `<name>.part<i>`, the header and
+    share 0 by this process, which then appends the parts in share order.
+    No part file outlives the call.
+    """
+    from marginsim.engine import processes_for, side_by_side  # engine imports this module
+
+    path = Path(path)
     steps = [f"{step}," for step in range(dc.num_steps())]
-    with atomic_write(path) as fh:
-        csv.writer(fh).writerow(TRACE_HEADER)
-        for host in sorted(dc.hosts, key=lambda h: h.spec.host_id):
-            for metric in (MetricKind.CPU, MetricKind.RAM):
-                # Only the host id can need quoting; step and repr(float) never do.
-                prefix = csv_prefix([host.spec.host_id, metric.value])
-                fh.write("".join([f"{prefix}{step}{usage!r},{prediction!r}\r\n"
-                                  for step, (usage, prediction)
-                                  in zip(steps, host.series[metric].tolist())]))
+    blocks = [(host, metric) for host in sorted(dc.hosts, key=lambda h: h.spec.host_id)
+              for metric in (MetricKind.CPU, MetricKind.RAM)]
+    width = processes_for(len(blocks))
+    parts = [path.with_name(f"{path.name}.part{i}") for i in range(1, width)]
+
+    def write_share(i: int, fh) -> None:
+        for host, metric in blocks[i * len(blocks) // width:(i + 1) * len(blocks) // width]:
+            # Only the host id can need quoting; step and repr(float) never do.
+            prefix = csv_prefix([host.spec.host_id, metric.value])
+            fh.write("".join([f"{prefix}{step}{usage!r},{prediction!r}\r\n"
+                              for step, (usage, prediction)
+                              in zip(steps, host.series[metric].tolist())]))
+
+    def write_part(i: int) -> None:
+        with parts[i - 1].open("w", newline="") as part:
+            write_share(i, part)
+
+    try:
+        with atomic_write(path) as fh:
+            csv.writer(fh).writerow(TRACE_HEADER)
+            # side_by_side runs its last task here: share 0.
+            side_by_side([*range(1, width), 0],
+                         lambda i: write_part(i) if i else write_share(0, fh),
+                         lambda i: "trace writer")
+            fh.flush()
+            for part in parts:
+                with part.open("rb") as src:
+                    shutil.copyfileobj(src, fh.buffer)
+    finally:
+        # Every writer is reaped by now.
+        for part in parts:
+            with contextlib.suppress(FileNotFoundError, NotADirectoryError, IsADirectoryError):
+                part.unlink()
 
 
 def write_capacities(specs: list[HostSpec], path: str | Path) -> None:

@@ -612,6 +612,46 @@ baseline = fixed:0.05
         assert capsys.readouterr().err.startswith("error:")
 
 
+class TestUnwritableOutputs:
+    """A stage that cannot write an output exits 2 with one error line that
+    names the path, and leaves no temporary file and no child behind."""
+
+    @staticmethod
+    def fails(capsys, argv, path):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"'{path}'" in err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("stage,first_output", [("generate", ""), ("train", "checkpoints")])
+    def test_output_dir_names_a_file(self, tmp_path, capsys, stage, first_output):
+        # A directory where traces.csv goes is covered in test_traces.py.
+        path = smoke_scenario(tmp_path)
+        blocked = tmp_path / "file"
+        blocked.write_text("")
+        self.fails(capsys, [stage, path, "--output-dir", str(blocked)],
+                   blocked / first_output)
+
+    @pytest.mark.parametrize("name", ["checkpoints/agent_cpu.ckpt", "training_log.csv"])
+    def test_train_output_is_a_directory(self, tmp_path, capsys, name):
+        path = smoke_scenario(tmp_path)
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        self.fails(capsys, ["train", path], out / name)
+        assert not list(out.rglob("*.tmp"))
+
+    def test_comparison_is_a_directory(self, tmp_path, capsys):
+        path = smoke_scenario(tmp_path)
+        assert main(["train", path]) == 0
+        out = tmp_path / "out"
+        (out / "comparison.csv").mkdir()
+        self.fails(capsys, ["evaluate", path], out / "comparison.csv")
+        assert not list(out.rglob("*.tmp"))
+
+
 class TestForkedReports:
     """With two usable cores evaluate writes its reports from two processes:
     a forked child writes releaser and scavenger, this process fixed:0.05."""
@@ -799,10 +839,24 @@ class TestStageRssScript:
             ("1", "generate"), ("1", "train"), ("1", "evaluate")]
         peaks = [float(mb) for _, _, mb, _ in rows]
         assert 0 < peaks[0] <= peaks[1] <= peaks[2]
-        # Train learns the CPU agent in a forked child when two cores are free.
+        # When two cores are free, generate writes half its trace and train
+        # learns the CPU agent in a forked child.
         children = [float(mb) for _, _, _, mb in rows]
-        assert children[0] == 0 and children[1] == children[2]
+        assert (children[0] > 0) == (len(os.sched_getaffinity(0)) > 1)
+        assert children[0] <= children[1] == children[2]
         assert (out / "comparison.csv").is_file()
+
+    def test_stages_runs_only_those(self, tmp_path):
+        out = tmp_path / "out"
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "stage_rss.py"),
+             str(ROOT / "scenarios" / "smoke.cfg"), "--passes", "2", "--output-dir", str(out),
+             "--stages", "generate"],
+            capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert [line.split("\t")[:2] for line in done.stdout.splitlines()[1:]] == [
+            ["1", "generate"], ["2", "generate"]]
+        assert sorted(p.name for p in out.iterdir()) == ["capacities.csv", "traces.csv"]
 
 
 class TestReadme:

@@ -1,8 +1,10 @@
 """Trace model tests: synthetic generation, CSV round trips, error CDFs."""
 
 import csv
+import errno
 import io
 import math
+import os
 import random
 from pathlib import Path
 from unittest.mock import patch
@@ -11,7 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from marginsim import traces
+from marginsim import engine, traces
+from marginsim.cli import main
+from marginsim.config import load_scenario
 from marginsim.costs import CostModel
 from marginsim.engine import SimulationConfig, compare_strategies
 from marginsim.errors import ConfigError, DomainError, TraceParseError, TraceSchemaError
@@ -31,6 +35,7 @@ from marginsim.traces import (
     write_traces,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 TRACES_V1 = Path(__file__).parent / "data" / "traces_v1.csv"
 # The recipe tests/data/traces_v1.csv was written from.
 TRACES_V1_CONFIG = SyntheticConfig(seed=7, num_hosts=1, num_days=1, step_minutes=15,
@@ -252,10 +257,114 @@ class TestWriteTraces:
         write_traces(dc, path)
         assert path.read_bytes() == reference_trace_csv(dc).encode()
 
-    def test_format_fixture_is_reproduced_byte_for_byte(self, tmp_path):
-        path = tmp_path / "traces.csv"
-        write_traces(generate_synthetic(TRACES_V1_CONFIG), path)
-        assert path.read_bytes() == TRACES_V1.read_bytes()
+    def test_format_fixture_is_reproduced_byte_for_byte(self, monkeypatch, tmp_path):
+        for cores in (1, 2):
+            monkeypatch.setattr(engine, "usable_cores", lambda: cores)
+            path = tmp_path / f"traces{cores}.csv"
+            write_traces(generate_synthetic(TRACES_V1_CONFIG), path)
+            assert path.read_bytes() == TRACES_V1.read_bytes(), cores
+
+
+class TestForkedWriter:
+    """With two usable cores write_traces writes the second half of its
+    (host, metric) series from a forked child, through a part file that this
+    process appends; with one it writes them all here."""
+
+    @staticmethod
+    def forks(monkeypatch, cores, call):
+        """`call()`'s result and the forks it made with `cores` usable cores;
+        it must leave no child, and this process's CPUs as they were."""
+        monkeypatch.setattr(engine, "usable_cores", lambda: cores)
+        made = []
+        fork = os.fork
+
+        def counting_fork():
+            made.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        cpus = os.sched_getaffinity(0)
+        try:
+            result = call()
+        finally:
+            monkeypatch.setattr(os, "fork", fork)
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            assert os.sched_getaffinity(0) == cpus
+        return result, len(made)
+
+    @staticmethod
+    def smoke_trace(tmp_path):
+        return load_scenario(ROOT / "scenarios" / "smoke.cfg").build_datacenter()
+
+    @staticmethod
+    def loaded_trace(tmp_path):
+        """test_round_trip_keeps_host_order_past_ten_hosts's 12 hosts, one
+        renamed to an id that needs quoting, read back from CSV."""
+        dc = generate_synthetic(SyntheticConfig(seed=3, num_hosts=12, num_days=2,
+                                                step_minutes=15))
+        dc.hosts[4].spec = HostSpec('rack "7",b', 8, 64.0)
+        write_traces(dc, tmp_path / "source.csv")
+        write_capacities([h.spec for h in dc.hosts], tmp_path / "caps.csv")
+        return load_traces(tmp_path / "source.csv", load_capacities(tmp_path / "caps.csv"), 15)
+
+    @pytest.mark.parametrize("trace", ["smoke_trace", "loaded_trace"])
+    def test_two_writers_match_one(self, monkeypatch, tmp_path, trace):
+        dc = getattr(self, trace)(tmp_path)
+        two, one = tmp_path / "two.csv", tmp_path / "one.csv"
+        assert self.forks(monkeypatch, 2, lambda: write_traces(dc, two)) == (None, 1)
+        assert self.forks(monkeypatch, 1, lambda: write_traces(dc, one)) == (None, 0)
+        assert two.read_bytes() == one.read_bytes() == reference_trace_csv(dc).encode()
+        assert not [p for p in tmp_path.iterdir() if ".part" in p.name or ".tmp" in p.name]
+
+    def failed_generate(self, monkeypatch, capsys, out):
+        """A two-core generate into `out` that fails: exit 2 with one error
+        line, no part or temporary file left; returns the line and forks."""
+        capsys.readouterr()
+        code, forks = self.forks(monkeypatch, 2, lambda: main(
+            ["generate", str(ROOT / "scenarios" / "smoke.cfg"), "--output-dir", str(out)]))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not [p for p in out.iterdir()
+                    if p.is_file() and (".part" in p.name or ".tmp" in p.name)]
+        return err, forks
+
+    def test_failing_child_share_exits_2(self, monkeypatch, capsys, tmp_path):
+        out = tmp_path / "out"
+        (out / "traces.csv.part1").mkdir(parents=True)
+        (out / "traces.csv").write_text("old")
+        err, forks = self.failed_generate(monkeypatch, capsys, out)
+        assert forks == 1
+        assert err == (f"error: trace writer process failed: IsADirectoryError: "
+                       f"[Errno {errno.EISDIR}] Is a directory: '{out / 'traces.csv.part1'}'\n")
+        assert (out / "traces.csv").read_text() == "old"
+        assert sorted(p.name for p in out.iterdir()) == ["traces.csv", "traces.csv.part1"]
+
+    def test_directory_at_the_trace_exits_2(self, monkeypatch, capsys, tmp_path):
+        # Both shares are written and the part appended; only the replace fails.
+        out = tmp_path / "out"
+        (out / "traces.csv").mkdir(parents=True)
+        err, forks = self.failed_generate(monkeypatch, capsys, out)
+        assert forks == 1
+        trace = out / "traces.csv"
+        assert err == (f"error: cannot write {trace}: [Errno {errno.EISDIR}] Is a directory: "
+                       f"'{out / 'traces.csv.tmp'}' -> '{trace}'\n")
+        assert list(out.iterdir()) == [trace]
+
+    def test_failing_fork_exits_2(self, monkeypatch, capsys, tmp_path):
+        def no_fork():
+            raise OSError(errno.EAGAIN, "no more processes")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        out = tmp_path / "out"
+        out.mkdir()
+        before = sorted(os.listdir("/proc/self/fd"))
+        err, forks = self.failed_generate(monkeypatch, capsys, out)
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        assert err == (f"error: cannot write {out / 'traces.csv'}: "
+                       f"[Errno {errno.EAGAIN}] no more processes\n")
+        assert list(out.iterdir()) == []
 
 
 class TestCsvRoundTrip:
