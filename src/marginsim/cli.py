@@ -28,7 +28,7 @@ from marginsim.engine import (
     train_test_split,
 )
 from marginsim.errors import CheckpointError, ConfigError, DomainError, MarginSimError
-from marginsim.fileio import remove_temporaries
+from marginsim.fileio import check_writable, remove_temporaries
 from marginsim.reporting import (
     REPORT_FILES,
     render_comparison,
@@ -115,6 +115,9 @@ def cmd_train(cfg: ScenarioConfig) -> int:
     train_range, test_range = train_test_split(dc, cfg.train_fraction)
     scale = reward_scale_for(dc, cfg.cost)
     scopes = agent_scopes(cfg, dc)
+    log_path = cfg.output_dir / "training_log.csv"
+    check_writable([*(checkpoint_path(cfg.checkpoint_dir, m, scope)
+                      for m in learned for scope in scopes), log_path])
     try:
         pools = {m: build_pool(cfg.ddpg, m, scopes, cfg.seed, scale) for m in learned}
     except DomainError:
@@ -140,7 +143,6 @@ def cmd_train(cfg: ScenarioConfig) -> int:
             path = checkpoint_path(cfg.checkpoint_dir, metric, scope)
             agent.save(path)
             print(f"wrote {path}")
-    log_path = cfg.output_dir / "training_log.csv"
     write_training_log(result.step_log, log_path)
     print(f"wrote {log_path} ({len(result.step_log)} steps)")
     net = sum(led.net_saving for led in result.ledgers)
@@ -172,8 +174,11 @@ def cmd_evaluate(cfg: ScenarioConfig, checkpoint_override: str | None) -> int:
                           else cfg.checkpoint_dir)
         pools = load_pools(cfg, checkpoint_dir, agent_scopes(cfg, dc))
     sim = SimulationConfig(seed=cfg.seed, day_range=test_range)
-    table = compare_strategies(dc, cfg.cost, sim, cfg.compare, pools=pools,
-                               baseline=cfg.baseline)
+    try:
+        table = compare_strategies(dc, cfg.cost, sim, cfg.compare, pools=pools,
+                                   baseline=cfg.baseline)
+    except OSError as exc:  # a failed fork names no path
+        raise MarginSimError(f"cannot start the error CDF encoder: {exc}") from exc
     reports_dir = cfg.output_dir / "reports"
 
     def write_share(specs):

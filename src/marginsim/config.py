@@ -250,10 +250,17 @@ class _View:
         return self._convert(section, key, required, default, int, "an integer")
 
     def number(self, section, key, required=False, default=None):
-        return self._convert(section, key, required, default, float, "a number")
+        return self._convert(section, key, required, default, _finite, "a finite number")
 
     def boolean(self, section, key, required=False, default=None):
         return self._convert(section, key, required, default, _boolean, "a boolean")
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):  # nan, inf, -inf, or a literal past float's range
+        raise ValueError(text)
+    return value
 
 
 def _boolean(text: str) -> bool:

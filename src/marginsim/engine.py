@@ -28,8 +28,8 @@ trace's own.
 `side_by_side` is the package's one way to use more than one core: it
 forks a child per task but the last, pipes each child's result back, and
 reaps (or, when something fails, kills and reaps) every child.  The
-learners above use it, generate to write its trace, and evaluate to write
-its reports.
+learners above use it, generate to write its trace, and evaluate to encode
+its error CDFs while it runs the strategies, and to write its reports.
 """
 
 from __future__ import annotations
@@ -402,9 +402,10 @@ def compare_strategies(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
     seed, so repeated runs and sibling strategies are reproducible) bound to
     both metrics, a releaser to its metric's agent pool in `pools`.  None
     explores, so no agent learns.  Ratios are taken against `baseline`
-    (default: the first spec's label).
+    (default: the first spec's label).  The reports share one ErrorCdfs,
+    computed here and encoded `side_by_side` with the runs.
     """
-    from marginsim.reporting import ErrorCdfs, build_report
+    from marginsim.reporting import ErrorCdfs, build_report, encode_cdfs
 
     if not specs:
         raise DomainError("need at least one strategy spec")
@@ -415,15 +416,25 @@ def compare_strategies(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
     if baseline not in labels:
         raise DomainError(f"baseline {baseline!r} is not among {labels}")
 
-    error_cdfs = ErrorCdfs.for_range(dc, sim.day_range)
-    reports = {}
-    for spec in specs:
-        strategies = {
-            m: spec.build(m, sim.seed, pool=(pools or {}).get(m), explore=False)
-            for m in METRICS
-        }
-        result = run(dc, cost, sim, strategies)
-        reports[spec.label] = build_report(spec.label, dc, sim, result, error_cdfs)
+    error_cdfs = ErrorCdfs.for_range(dc, sim.day_range, encode=False)
+
+    def run_all():
+        reports = {}
+        for spec in specs:
+            strategies = {
+                m: spec.build(m, sim.seed, pool=(pools or {}).get(m), explore=False)
+                for m in METRICS
+            }
+            result = run(dc, cost, sim, strategies)
+            reports[spec.label] = build_report(spec.label, dc, sim, result, error_cdfs)
+        return reports
+
+    # The CDFs' text depends on nothing the runs do, so a child encodes it
+    # while this process runs every strategy and builds every report.
+    tasks = [("error CDF encoder", lambda: encode_cdfs(error_cdfs.by_metric)),
+             ("strategy", run_all)]
+    (error_cdfs.json_member, error_cdfs.csv_bodies), reports = side_by_side(
+        tasks, lambda task: task[1](), lambda task: task[0])
 
     base = reports[baseline].totals
     rows = []

@@ -1,4 +1,5 @@
-"""Atomic output files, and the CSV row prefix the fast writers share.
+"""Atomic output files, a check that outputs can be written before a stage
+works, and the CSV row prefix the fast writers share.
 
 Every file the package writes goes through `atomic_write`, so a run that
 fails or is killed mid-write leaves either the previous file or none, never
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import io
 import os
 from pathlib import Path
@@ -39,6 +41,23 @@ def remove_temporaries(paths) -> None:
     for path in map(Path, paths):
         with contextlib.suppress(FileNotFoundError, NotADirectoryError):
             path.with_name(path.name + ".tmp").unlink()
+
+
+def check_writable(paths) -> None:
+    """Raise the OSError, naming the path, that writing each of `paths` with
+    `atomic_write` after creating its missing parents would fail with: a
+    directory where the file goes, or a nearest existing ancestor that is
+    not a writable directory.  Creates nothing."""
+    for path in map(Path, paths):
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        missing, parent = path, path.parent
+        while not parent.exists():
+            missing, parent = parent, parent.parent
+        if not parent.is_dir():
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(missing))
+        if not os.access(parent, os.W_OK | os.X_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(missing))
 
 
 def csv_prefix(fields: list[str]) -> str:

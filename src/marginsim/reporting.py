@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -25,9 +25,10 @@ from marginsim.fileio import atomic_write, csv_prefix
 from marginsim.traces import MINUTES_PER_DAY, Datacenter, MetricKind, error_cdf
 
 
-def nearest_rank(sorted_values: list[float], pct: float) -> float:
-    """Nearest-rank percentile: the ceil(pct/100 * n)-th smallest value."""
-    if not sorted_values:
+def nearest_rank(sorted_values, pct: float) -> float:
+    """Nearest-rank percentile: the ceil(pct/100 * n)-th smallest value of a
+    sorted list or array."""
+    if len(sorted_values) == 0:
         raise DomainError("percentile of an empty list")
     if not (0.0 < pct <= 100.0):
         raise DomainError(f"pct must be in (0, 100], got {pct}")
@@ -60,9 +61,10 @@ class ErrorCdfs:
 
     They depend only on the trace and the range, so one instance serves
     every strategy's report of an evaluate run.  Its report.json member and
-    its cdf_*.csv bodies are encoded once, when it is built, so that
-    evaluate's report writer processes inherit them rather than each
-    encoding them again.  A non-finite CDF value raises DomainError.
+    its cdf_*.csv bodies (`encode_cdfs`) are encoded when it is built, so
+    that evaluate's report writer processes inherit them rather than each
+    encoding them again; built with `encode=False`, it holds no text until
+    its builder sets both.  A non-finite CDF value raises DomainError.
     """
 
     by_metric: dict[str, dict[str, list[tuple[float, float]]]]
@@ -72,37 +74,46 @@ class ErrorCdfs:
     json_member: str = field(init=False, repr=False)
     # cdf_<metric>.csv contents by metric value, hosts in sorted order.
     csv_bodies: dict[str, str] = field(init=False, repr=False)
+    encode: InitVar[bool] = True
 
     @classmethod
-    def for_range(cls, dc: Datacenter, day_range: tuple[int, int]) -> "ErrorCdfs":
+    def for_range(cls, dc: Datacenter, day_range: tuple[int, int],
+                  encode: bool = True) -> "ErrorCdfs":
         spd = dc.steps_per_day
         lo, hi = day_range
         return cls({m.value: error_cdf(dc, m, start_step=lo * spd, end_step=hi * spd)
-                    for m in METRICS})
+                    for m in METRICS}, encode)
 
-    def __post_init__(self):
-        metrics, self.csv_bodies = [], {}
-        for metric, by_host in self.by_metric.items():
-            hosts, csv_rows = [], {}
-            for hid, points in by_host.items():
-                # Each value is formatted once: json and csv.writer both
-                # write a finite float as its repr.
-                text = list(map(float.__repr__, chain.from_iterable(points)))
-                errs, probs = text[::2], text[1::2]
-                cdf = "[\n    [\n     " + "\n    ],\n    [\n     ".join(
-                    map(",\n     ".join, zip(errs, probs))) + "\n    ]\n   ]" if text else "[]"
-                if "n" in cdf:  # the repr of nan, inf or -inf; a finite one has no "n"
-                    raise DomainError(f"{metric} error CDF of host {hid!r} is not finite")
-                hosts.append(f"\n   {encode_basestring_ascii(hid)}: {cdf}")
-                prefix = csv_prefix([hid])
-                csv_rows[hid] = prefix + ("\r\n" + prefix).join(
-                    map(",".join, zip(errs, probs))) + "\r\n" if text else ""
-            metrics.append(f"\n  {encode_basestring_ascii(metric)}: "
-                           + ("{" + ",".join(hosts) + "\n  }" if hosts else "{}"))
-            self.csv_bodies[metric] = ",".join(CDF_HEADER) + "\r\n" + "".join(
-                csv_rows[hid] for hid in sorted(csv_rows))
-        self.json_member = '"error_cdf": ' + ("{" + ",".join(metrics) + "\n }" if metrics
-                                              else "{}")
+    def __post_init__(self, encode: bool):
+        if encode:
+            self.json_member, self.csv_bodies = encode_cdfs(self.by_metric)
+
+
+def encode_cdfs(by_metric: dict[str, dict[str, list[tuple[float, float]]]],
+                ) -> tuple[str, dict[str, str]]:
+    """`ErrorCdfs`' report.json member and cdf_*.csv bodies of `by_metric`."""
+    metrics, csv_bodies = [], {}
+    for metric, by_host in by_metric.items():
+        hosts, csv_rows = [], {}
+        for hid, points in by_host.items():
+            # Each value is formatted once: json and csv.writer both
+            # write a finite float as its repr.
+            text = list(map(float.__repr__, chain.from_iterable(points)))
+            errs, probs = text[::2], text[1::2]
+            cdf = "[\n    [\n     " + "\n    ],\n    [\n     ".join(
+                map(",\n     ".join, zip(errs, probs))) + "\n    ]\n   ]" if text else "[]"
+            if "n" in cdf:  # the repr of nan, inf or -inf; a finite one has no "n"
+                raise DomainError(f"{metric} error CDF of host {hid!r} is not finite")
+            hosts.append(f"\n   {encode_basestring_ascii(hid)}: {cdf}")
+            prefix = csv_prefix([hid])
+            csv_rows[hid] = prefix + ("\r\n" + prefix).join(
+                map(",".join, zip(errs, probs))) + "\r\n" if text else ""
+        metrics.append(f"\n  {encode_basestring_ascii(metric)}: "
+                       + ("{" + ",".join(hosts) + "\n  }" if hosts else "{}"))
+        csv_bodies[metric] = ",".join(CDF_HEADER) + "\r\n" + "".join(
+            csv_rows[hid] for hid in sorted(csv_rows))
+    json_member = '"error_cdf": ' + ("{" + ",".join(metrics) + "\n }" if metrics else "{}")
+    return json_member, csv_bodies
 
 
 @dataclass
@@ -119,16 +130,26 @@ class EvaluationReport:
     error_cdfs: ErrorCdfs
 
 
-def margin_summary(host_id: str, metric: MetricKind, margins: list[float]) -> MarginSummary:
+def is_constant(values: np.ndarray) -> bool:
+    """Whether every value of a 1-D array is the first bit for bit (so 0.0
+    and -0.0 differ, and a NaN equals its own bit pattern)."""
+    raw = values.tobytes()
+    return raw == raw[:values.itemsize] * len(values)
+
+
+def margin_summary(host_id: str, metric: MetricKind, margins: np.ndarray) -> MarginSummary:
     """Min / median / 75th percentile plus boxplot outliers (1.5 IQR fences)."""
-    ordered = sorted(margins)
-    q1 = nearest_rank(ordered, 25)
-    q3 = nearest_rank(ordered, 75)
+    if len(margins) and is_constant(margins):
+        # Every quantile is that value and the fences close on it: no outliers.
+        value = margins.item(0)
+        return MarginSummary(host_id, metric, value, value, value, [])
+    ordered = np.sort(margins, kind="stable")  # stable: 0.0 and -0.0 keep their order
+    q1, median, q3 = (float(nearest_rank(ordered, pct)) for pct in (25, 50, 75))
     iqr = q3 - q1
     lo_fence = q1 - 1.5 * iqr
     hi_fence = q3 + 1.5 * iqr
-    outliers = [v for v in ordered if v < lo_fence or v > hi_fence]
-    return MarginSummary(host_id, metric, ordered[0], nearest_rank(ordered, 50), q3, outliers)
+    outliers = ordered[(ordered < lo_fence) | (ordered > hi_fence)].tolist()
+    return MarginSummary(host_id, metric, ordered.item(0), median, q3, outliers)
 
 
 def build_report(strategy: str, dc: Datacenter, sim: SimulationConfig,
@@ -151,7 +172,7 @@ def build_report(strategy: str, dc: Datacenter, sim: SimulationConfig,
 
     series = {(hid, m): result.margins[i, j]
               for i, hid in enumerate(host_order) for j, m in enumerate(METRICS)}
-    summaries = [margin_summary(hid, m, values.tolist()) for (hid, m), values in series.items()]
+    summaries = [margin_summary(hid, m, values) for (hid, m), values in series.items()]
     return EvaluationReport(strategy, sim.day_range, dc.step_minutes, result.ledgers,
                             host_totals, Totals(*grand), summaries, series, error_cdfs)
 
@@ -195,10 +216,9 @@ def write_report_files(report: EvaluationReport, outdir: str | Path) -> list[Pat
         for (hid, metric), margins in report.margin_series.items():
             # Only the host id can need quoting; step and repr(margin) never do.
             prefix = csv_prefix([hid, metric.value])
-            # A series that is constant bit for bit (so 0.0 and -0.0 differ)
-            # is formatted once: every fixed strategy's is.
-            raw = margins.tobytes()
-            if raw == raw[:margins.itemsize] * len(margins):
+            # A series that is constant bit for bit is formatted once: every
+            # fixed strategy's is.
+            if is_constant(margins):
                 text = repr(margins.item(0))
                 fh.write(prefix + (text + "\r\n" + prefix).join(steps) + text + "\r\n")
             else:

@@ -1,4 +1,9 @@
+import os
 import sys
+
+import pytest
+
+from marginsim import engine
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -9,3 +14,33 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """`forks(call, cores=None)` runs `call()`, with `cores` usable cores if
+    given, and returns its result and the number of `os.fork` calls it
+    made.  Whether `call()` returns or raises, it must leave no child
+    process, and this process's CPU affinity as it was."""
+    def watched(call, cores=None):
+        if cores is not None:
+            monkeypatch.setattr(engine, "usable_cores", lambda: cores)
+        made = []
+        fork = os.fork
+
+        def counting_fork():
+            made.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        cpus = os.sched_getaffinity(0)
+        try:
+            result = call()
+        finally:
+            monkeypatch.setattr(os, "fork", fork)
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            assert os.sched_getaffinity(0) == cpus
+        return result, len(made)
+
+    return watched

@@ -16,10 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from marginsim import cli, engine
+from marginsim import cli, reporting
 from marginsim.agent import DdpgConfig
 from marginsim.cli import main
-from marginsim.config import _SCHEMA, load_scenario
+from marginsim.config import _SCHEMA, _section_fields, load_scenario
 from marginsim.engine import SimulationConfig, compare_strategies, train_test_split
 from marginsim.errors import ConfigError
 from marginsim.fileio import atomic_write
@@ -395,6 +395,33 @@ base_load = plenty
             load_scenario(path)
 
 
+# Every key read as a float: discount_tiers, whose last bound is inf, has
+# its own parser.
+NUMBER_KEYS = [(section, key) for section in ("synthetic", "cost", "ddpg")
+               for key, f in _section_fields(section) if f.type == "float"]
+
+
+class TestNonFiniteNumbers:
+    def test_number_keys_are_found(self):
+        assert ("cost", "price_per_hour") in NUMBER_KEYS and len(NUMBER_KEYS) >= 15
+
+    @pytest.mark.parametrize("section,key", NUMBER_KEYS)
+    def test_every_number_key_rejects_non_finite(self, tmp_path, capsys, section, key):
+        out = tmp_path / "out"
+        for token in ("nan", "inf", "-inf", "1e999"):
+            lines = {"synthetic": ["num_hosts = 1", "num_days = 2"]}
+            lines.setdefault(section, []).append(f"{key} = {token}")
+            path = write_scenario(tmp_path / "s.cfg", f"[scenario]\nseed = 1\noutput_dir = {out}\n"
+                                  + "".join(f"[{name}]\n" + "\n".join(body) + "\n"
+                                            for name, body in lines.items()))
+            for stage in ("generate", "train", "evaluate"):
+                assert main([stage, path]) == 2
+                assert capsys.readouterr().err == (
+                    f"error: {path}: {section}.{key} must be a finite number, "
+                    f"got {token!r}\n")
+                assert not out.exists()
+
+
 class TestGenerateCommand:
     def test_writes_trace_files(self, tmp_path, capsys):
         path = smoke_scenario(tmp_path)
@@ -614,47 +641,65 @@ baseline = fixed:0.05
 
 class TestUnwritableOutputs:
     """A stage that cannot write an output exits 2 with one error line that
-    names the path, and leaves no temporary file and no child behind."""
+    names the path, and leaves no temporary file and no child behind; train
+    finds it before it trains."""
 
     @staticmethod
-    def fails(capsys, argv, path):
+    def fails(forks, capsys, argv, path):
         capsys.readouterr()
-        assert main(argv) == 2
-        err = capsys.readouterr().err
+        assert forks(lambda: main(argv))[0] == 2
+        captured = capsys.readouterr()
+        err = captured.err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"'{path}'" in err
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        assert "training on days" not in captured.out
 
     @pytest.mark.parametrize("stage,first_output", [("generate", ""), ("train", "checkpoints")])
-    def test_output_dir_names_a_file(self, tmp_path, capsys, stage, first_output):
+    def test_output_dir_names_a_file(self, forks, tmp_path, capsys, stage, first_output):
         # A directory where traces.csv goes is covered in test_traces.py.
         path = smoke_scenario(tmp_path)
         blocked = tmp_path / "file"
         blocked.write_text("")
-        self.fails(capsys, [stage, path, "--output-dir", str(blocked)],
+        self.fails(forks, capsys, [stage, path, "--output-dir", str(blocked)],
                    blocked / first_output)
 
     @pytest.mark.parametrize("name", ["checkpoints/agent_cpu.ckpt", "training_log.csv"])
-    def test_train_output_is_a_directory(self, tmp_path, capsys, name):
+    def test_train_output_is_a_directory(self, forks, tmp_path, capsys, name):
         path = smoke_scenario(tmp_path)
         out = tmp_path / "out"
         (out / name).mkdir(parents=True)
-        self.fails(capsys, ["train", path], out / name)
+        self.fails(forks, capsys, ["train", path], out / name)
         assert not list(out.rglob("*.tmp"))
+        # Checked before training: nothing else was created.
+        assert sorted(p.relative_to(out) for p in out.rglob("*")) == sorted(
+            {Path(name), *Path(name).parents} - {Path(".")})
 
-    def test_comparison_is_a_directory(self, tmp_path, capsys):
+    def test_train_output_in_a_read_only_directory(self, monkeypatch, forks, tmp_path,
+                                                   capsys):
+        path = smoke_scenario(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        # Root may write anywhere whatever the mode bits, so the directory
+        # reads as read-only to the check instead.
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda p, mode: Path(p) != out and access(p, mode))
+        self.fails(forks, capsys, ["train", path], out / "checkpoints")
+        assert list(out.iterdir()) == []
+
+    def test_comparison_is_a_directory(self, forks, tmp_path, capsys):
         path = smoke_scenario(tmp_path)
         assert main(["train", path]) == 0
         out = tmp_path / "out"
         (out / "comparison.csv").mkdir()
-        self.fails(capsys, ["evaluate", path], out / "comparison.csv")
+        self.fails(forks, capsys, ["evaluate", path], out / "comparison.csv")
         assert not list(out.rglob("*.tmp"))
 
 
 class TestForkedReports:
-    """With two usable cores evaluate writes its reports from two processes:
-    a forked child writes releaser and scavenger, this process fixed:0.05."""
+    """With two usable cores evaluate forks a child that encodes the error
+    CDFs while this process runs the strategies, then writes its reports
+    from two processes: a forked child writes releaser and scavenger, this
+    process fixed:0.05."""
 
     @pytest.fixture
     def scenario(self, tmp_path):
@@ -663,65 +708,48 @@ class TestForkedReports:
         return path
 
     @staticmethod
-    def evaluate(monkeypatch, scenario, out, cores):
+    def evaluate(forks, scenario, out, cores):
         """Exit code and forks of an evaluate into `out` with `cores` cores."""
-        monkeypatch.setattr(engine, "usable_cores", lambda: cores)
-        forks = []
-        fork = os.fork
-
-        def counting_fork():
-            forks.append(1)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counting_fork)
         checkpoints = str(Path(scenario).parent / "out" / "checkpoints")
-        cpus = os.sched_getaffinity(0)
-        try:
-            code = main(["evaluate", scenario, "--output-dir", str(out),
-                         "--checkpoint-dir", checkpoints])
-        finally:
-            monkeypatch.setattr(os, "fork", fork)
-            with pytest.raises(ChildProcessError):
-                os.waitpid(-1, os.WNOHANG)
-            assert os.sched_getaffinity(0) == cpus
-        return code, len(forks)
+        return forks(lambda: main(["evaluate", scenario, "--output-dir", str(out),
+                                   "--checkpoint-dir", checkpoints]), cores)
 
-    def test_forked_writers_match_one_writer(self, monkeypatch, tmp_path, scenario):
+    def test_forked_writers_match_one_writer(self, forks, tmp_path, scenario):
         two, one = tmp_path / "two", tmp_path / "one"
-        assert self.evaluate(monkeypatch, scenario, two, 2) == (0, 1)
-        assert self.evaluate(monkeypatch, scenario, one, 1) == (0, 0)
+        assert self.evaluate(forks, scenario, two, 2) == (0, 2)
+        assert self.evaluate(forks, scenario, one, 1) == (0, 0)
         files = sorted(p.relative_to(one) for p in one.rglob("*") if p.is_file())
         assert len(files) == 1 + 3 * 5
         assert sorted(p.relative_to(two) for p in two.rglob("*") if p.is_file()) == files
         for name in files:
             assert (two / name).read_bytes() == (one / name).read_bytes(), name
 
-    def test_one_report_forks_nothing(self, monkeypatch, tmp_path, scenario):
+    def test_one_report_forks_only_the_encoder(self, forks, tmp_path, scenario):
         one_spec = write_scenario(tmp_path / "one.cfg", Path(scenario).read_text().replace(
             "compare = releaser, fixed:0.05, scavenger", "compare = fixed:0.05"))
         out = tmp_path / "single"
-        assert self.evaluate(monkeypatch, one_spec, out, 2) == (0, 0)
+        assert self.evaluate(forks, one_spec, out, 2) == (0, 1)
         assert (out / "reports" / "fixed_0p05" / "report.json").is_file()
 
-    def failed_evaluate(self, monkeypatch, capsys, scenario, out, blocked):
+    def failed_evaluate(self, forks, capsys, scenario, out, blocked):
         """Evaluate with a file where report `blocked`'s directory goes:
         exits 2 with one error line naming it, and no comparison.csv."""
         (out / "reports").mkdir(parents=True, exist_ok=True)
         (out / "reports" / blocked).write_text("")
         capsys.readouterr()
-        assert self.evaluate(monkeypatch, scenario, out, 2) == (2, 1)
+        assert self.evaluate(forks, scenario, out, 2) == (2, 2)
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert not (out / "comparison.csv").exists()
         return err
 
-    def test_failing_child_share_exits_2(self, monkeypatch, capsys, tmp_path, scenario):
+    def test_failing_child_share_exits_2(self, forks, capsys, tmp_path, scenario):
         out = tmp_path / "child"
-        err = self.failed_evaluate(monkeypatch, capsys, scenario, out, "releaser")
+        err = self.failed_evaluate(forks, capsys, scenario, out, "releaser")
         assert err == (f"error: report writer process failed: FileExistsError: "
                        f"[Errno {errno.EEXIST}] File exists: '{out / 'reports' / 'releaser'}'\n")
 
-    def test_failing_parent_share_kills_the_child(self, monkeypatch, capsys, tmp_path,
+    def test_failing_parent_share_kills_the_child(self, monkeypatch, forks, capsys, tmp_path,
                                                   scenario):
         parent = os.getpid()
         write = cli.write_report_files
@@ -734,13 +762,13 @@ class TestForkedReports:
         monkeypatch.setattr(cli, "write_report_files", slow_in_child)
         out = tmp_path / "parent"
         began = time.monotonic()
-        err = self.failed_evaluate(monkeypatch, capsys, scenario, out, "fixed_0p05")
+        err = self.failed_evaluate(forks, capsys, scenario, out, "fixed_0p05")
         assert time.monotonic() - began < 30
         assert err == (f"error: cannot write reports: [Errno {errno.EEXIST}] File exists: "
                        f"'{out / 'reports' / 'fixed_0p05'}'\n")
 
-    def test_writer_killed_mid_file_leaves_no_temporary(self, monkeypatch, capsys, tmp_path,
-                                                        scenario):
+    def test_writer_killed_mid_file_leaves_no_temporary(self, monkeypatch, forks, capsys,
+                                                        tmp_path, scenario):
         parent = os.getpid()
         write = cli.write_report_files
         out = tmp_path / "held"
@@ -768,13 +796,14 @@ class TestForkedReports:
         for path in kept:
             path.parent.mkdir(parents=True)
             path.write_text("")
-        err = self.failed_evaluate(monkeypatch, capsys, scenario, out, "fixed_0p05")
+        err = self.failed_evaluate(forks, capsys, scenario, out, "fixed_0p05")
         assert held == [True]
         assert err == (f"error: cannot write reports: [Errno {errno.EEXIST}] File exists: "
                        f"'{reports / 'fixed_0p05'}'\n")
         assert sorted(reports.rglob("*.tmp")) == sorted(kept)
 
-    def test_killed_writer_names_the_signal(self, monkeypatch, capsys, tmp_path, scenario):
+    def test_killed_writer_names_the_signal(self, monkeypatch, forks, capsys, tmp_path,
+                                            scenario):
         parent = os.getpid()
 
         def killed_in_child(report, outdir):
@@ -783,22 +812,81 @@ class TestForkedReports:
 
         monkeypatch.setattr(cli, "write_report_files", killed_in_child)
         out = tmp_path / "killed"
-        assert self.evaluate(monkeypatch, scenario, out, 2) == (2, 1)
+        assert self.evaluate(forks, scenario, out, 2) == (2, 2)
         assert capsys.readouterr().err == (
             "error: report writer process failed: killed by SIGKILL\n")
         assert not (out / "comparison.csv").exists()
 
-    def test_failing_fork_leaks_no_descriptor(self, monkeypatch, capsys, tmp_path, scenario):
+    def test_failing_fork_leaks_no_descriptor(self, monkeypatch, forks, capsys, tmp_path,
+                                              scenario):
         def no_fork():
             raise OSError(errno.EAGAIN, "no more processes")
 
-        monkeypatch.setattr(engine, "usable_cores", lambda: 2)
         monkeypatch.setattr(os, "fork", no_fork)
+        out = tmp_path / "no_fork"
         before = sorted(os.listdir("/proc/self/fd"))
-        assert main(["evaluate", scenario]) == 2
+        assert self.evaluate(forks, scenario, out, 2) == (2, 1)
         assert sorted(os.listdir("/proc/self/fd")) == before
         assert capsys.readouterr().err == (
-            f"error: cannot write reports: [Errno {errno.EAGAIN}] no more processes\n")
+            f"error: cannot start the error CDF encoder: "
+            f"[Errno {errno.EAGAIN}] no more processes\n")
+        assert not (out / "reports").exists()
+
+
+class TestErrorCdfEncoder:
+    """The child that encodes the error CDFs while evaluate runs the
+    strategies: whatever fails, evaluate exits 2 with one error line, leaves
+    no child and writes no reports."""
+
+    @staticmethod
+    def scenario(tmp_path, compared):
+        """An evaluate of fixed:0.05 and `compared` on 1 host, 2 days of
+        3-minute steps: 960 steps."""
+        return write_scenario(tmp_path / "encoder.cfg", f"""
+[scenario]
+seed = 5
+output_dir = {tmp_path / "out"}
+[synthetic]
+num_hosts = 1
+num_days = 2
+[strategies]
+cpu = fixed:0.1
+ram = fixed:0.1
+compare = fixed:0.05, {compared}
+baseline = fixed:0.05
+""")
+
+    def test_failing_run_kills_the_live_encoder(self, monkeypatch, forks, capsys, tmp_path):
+        parent = os.getpid()
+        encode = reporting.encode_cdfs
+
+        def slow_in_child(by_metric):
+            if os.getpid() != parent:
+                time.sleep(60)
+            return encode(by_metric)
+
+        monkeypatch.setattr(reporting, "encode_cdfs", slow_in_child)
+        path = self.scenario(tmp_path, "scavenger:100000000")
+        began = time.monotonic()
+        assert forks(lambda: main(["evaluate", path]), 2) == (2, 1)
+        assert time.monotonic() - began < 30
+        assert capsys.readouterr().err == (
+            "error: strategy window 100000000 is longer than the trace's 960 steps\n")
+        assert not (tmp_path / "out" / "reports").exists()
+
+    def test_killed_encoder_names_the_signal(self, monkeypatch, forks, capsys, tmp_path):
+        parent = os.getpid()
+
+        def killed_in_child(by_metric):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(reporting, "encode_cdfs", killed_in_child)
+        path = self.scenario(tmp_path, "scavenger")
+        assert forks(lambda: main(["evaluate", path]), 2) == (2, 1)
+        assert capsys.readouterr().err == (
+            "error: error CDF encoder process failed: killed by SIGKILL\n")
+        assert not (tmp_path / "out" / "reports").exists()
 
 
 class TestSweepScript:

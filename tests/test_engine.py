@@ -25,7 +25,7 @@ from marginsim.costs import (
     containers_fitting,
     settle_day,
 )
-from marginsim import engine, reporting
+from marginsim import reporting
 from marginsim.engine import (
     METRICS,
     RunResult,
@@ -42,7 +42,9 @@ from marginsim.errors import DomainError, MarginSimError
 from marginsim.reporting import (
     REPORT_FILES,
     ErrorCdfs,
+    MarginSummary,
     build_report,
+    margin_summary,
     nearest_rank,
     write_report_files,
 )
@@ -725,32 +727,22 @@ class TestForkedLearning:
         return {m: LearnedMargin(build_pool(ddpg, m, scopes, 13, 0.01), explore=True)
                 for m in METRICS}
 
-    def run_days(self, monkeypatch, cores, per_host, capacity):
-        monkeypatch.setattr(engine, "usable_cores", lambda: cores)
-        forks = []
-        fork = os.fork
-
-        def counting_fork():
-            forks.append(1)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counting_fork)
+    def run_days(self, forks, cores, per_host, capacity):
         dc = self.trace()
         strategies = self.learners(dc, per_host, capacity)
-        cpus = os.sched_getaffinity(0)
-        results = [run(dc, CostModel(), SimulationConfig(seed=3, day_range=days), strategies)
-                   for days in ((0, 2), (2, 4))]
-        assert os.sched_getaffinity(0) == cpus
-        return results, strategies, len(forks)
+        results, made = forks(lambda: [
+            run(dc, CostModel(), SimulationConfig(seed=3, day_range=days), strategies)
+            for days in ((0, 2), (2, 4))], cores)
+        return results, strategies, made
 
     # A shared agent stores 45 rows a day and a per-host one 15, so each
     # capacity wraps the ring within a day, whole (12) or in part (20, 64).
     @pytest.mark.parametrize("per_host,capacity", [
         (False, 12), (False, 64), (True, 12), (True, 20)])
-    def test_forked_days_match_in_process_days(self, monkeypatch, per_host, capacity):
-        forked, forked_strats, forks = self.run_days(monkeypatch, 2, per_host, capacity)
-        local, local_strats, no_forks = self.run_days(monkeypatch, 1, per_host, capacity)
-        assert (forks, no_forks) == (4, 0)
+    def test_forked_days_match_in_process_days(self, forks, per_host, capacity):
+        forked, forked_strats, made = self.run_days(forks, 2, per_host, capacity)
+        local, local_strats, none_made = self.run_days(forks, 1, per_host, capacity)
+        assert (made, none_made) == (4, 0)
         for got, want in zip(forked, local):
             assert got.margins.tobytes() == want.margins.tobytes()
             assert got.ledgers == want.ledgers
@@ -783,47 +775,43 @@ class TestForkedLearningFailures:
     """The CPU learner learns in a forked child, the RAM learner here.  Any
     failure fails the run and leaves no child behind."""
 
-    def run_with(self, monkeypatch, cpu_fail=lambda: None, ram_fail=lambda: None):
-        monkeypatch.setattr(engine, "usable_cores", lambda: 2)
-        dc = TestForkedLearning.trace()
-        learners = TestForkedLearning.learners(dc, False, 64)
-        strategies = {CPU: FailingLearner(learners[CPU].pool, cpu_fail),
-                      RAM: FailingLearner(learners[RAM].pool, ram_fail)}
-        cpus = os.sched_getaffinity(0)
-        try:
-            run(dc, CostModel(), SimulationConfig(seed=3, day_range=(0, 1)), strategies)
-        finally:
-            with pytest.raises(ChildProcessError):
-                os.waitpid(-1, os.WNOHANG)
-            assert os.sched_getaffinity(0) == cpus
+    @pytest.fixture
+    def run_with(self, forks):
+        def run_failing(cpu_fail=lambda: None, ram_fail=lambda: None):
+            dc = TestForkedLearning.trace()
+            learners = TestForkedLearning.learners(dc, False, 64)
+            strategies = {CPU: FailingLearner(learners[CPU].pool, cpu_fail),
+                          RAM: FailingLearner(learners[RAM].pool, ram_fail)}
+            forks(lambda: run(dc, CostModel(), SimulationConfig(seed=3, day_range=(0, 1)),
+                              strategies), 2)
 
-    def test_child_error_names_its_metric(self, monkeypatch):
+        return run_failing
+
+    def test_child_error_names_its_metric(self, run_with):
         with pytest.raises(MarginSimError, match=r"^cpu learner .*RuntimeError: learner broke"):
-            self.run_with(monkeypatch, cpu_fail=raise_runtime_error)
+            run_with(cpu_fail=raise_runtime_error)
 
-    def test_killed_child_names_its_metric_and_signal(self, monkeypatch):
+    def test_killed_child_names_its_metric_and_signal(self, run_with):
         with pytest.raises(MarginSimError, match=r"^cpu learner .*SIGKILL"):
-            self.run_with(monkeypatch,
-                          cpu_fail=lambda: os.kill(os.getpid(), signal.SIGKILL))
+            run_with(cpu_fail=lambda: os.kill(os.getpid(), signal.SIGKILL))
 
-    def test_parent_failure_kills_the_child(self, monkeypatch):
+    def test_parent_failure_kills_the_child(self, run_with):
         began = time.monotonic()
         with pytest.raises(RuntimeError, match="learner broke"):
-            self.run_with(monkeypatch, cpu_fail=lambda: time.sleep(60),
-                          ram_fail=raise_runtime_error)
+            run_with(cpu_fail=lambda: time.sleep(60), ram_fail=raise_runtime_error)
         assert time.monotonic() - began < 30
 
-    def test_failing_fork_leaks_no_descriptor(self, monkeypatch):
+    def test_failing_fork_leaks_no_descriptor(self, monkeypatch, run_with):
         def no_fork():
             raise OSError(errno.EAGAIN, "no more processes")
 
         monkeypatch.setattr(os, "fork", no_fork)
         before = sorted(os.listdir("/proc/self/fd"))
         with pytest.raises(OSError, match="no more processes"):
-            self.run_with(monkeypatch)
+            run_with()
         assert sorted(os.listdir("/proc/self/fd")) == before
 
-    def test_child_leaves_by_os_exit(self, monkeypatch, tmp_path):
+    def test_child_leaves_by_os_exit(self, run_with, tmp_path):
         # SystemExit is no Exception, and exit handlers would run on a normal
         # interpreter exit: the child skips both.
         marker = tmp_path / "exit-handler-ran"
@@ -833,7 +821,7 @@ class TestForkedLearningFailures:
             raise SystemExit(0)
 
         with pytest.raises(MarginSimError, match=r"^cpu learner .*ended before"):
-            self.run_with(monkeypatch, cpu_fail=exit_child)
+            run_with(cpu_fail=exit_child)
         assert not marker.exists()
 
 
@@ -1244,6 +1232,51 @@ class TestErrorCdfsEncoding:
         point[column] = value
         with pytest.raises(DomainError, match="ram error CDF of host 'h1' is not finite"):
             ErrorCdfs({"cpu": {"h0": [(0.1, 1.0)]}, "ram": {"h1": [(0.1, 0.5), tuple(point)]}})
+
+
+def list_margin_summary(host_id, metric, margins: list[float]) -> MarginSummary:
+    """The straight-line summary: nearest ranks and fences over a sorted list."""
+    ordered = sorted(margins)
+    q1 = nearest_rank(ordered, 25)
+    q3 = nearest_rank(ordered, 75)
+    iqr = q3 - q1
+    lo_fence = q1 - 1.5 * iqr
+    hi_fence = q3 + 1.5 * iqr
+    outliers = [v for v in ordered if v < lo_fence or v > hi_fence]
+    return MarginSummary(host_id, metric, ordered[0], nearest_rank(ordered, 50), q3, outliers)
+
+
+# Few distinct values, so draws repeat values and mix the two zeros.
+summary_values = st.one_of(st.sampled_from([0.0, -0.0, 0.05, -0.05, 0.3, 1.0]),
+                           st.floats(-1e6, 1e6, allow_nan=False))
+
+
+class TestMarginSummary:
+    """margin_summary over an array against the sorted-list version, by repr,
+    so 0.0 and -0.0 and Python and numpy floats all differ."""
+
+    @given(st.lists(summary_values, min_size=1, max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_list_version(self, values):
+        got = margin_summary("h", CPU, np.array(values))
+        assert repr(got) == repr(list_margin_summary("h", CPU, values))
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 0.05, 1 / 3])
+    @pytest.mark.parametrize("n", [1, 2, 480])
+    def test_constant_series(self, value, n):
+        got = margin_summary("h", RAM, np.full(n, value))
+        assert repr(got) == repr(list_margin_summary("h", RAM, [value] * n))
+        assert got.outliers == []
+
+    @pytest.mark.parametrize("values", [[0.0] * 5 + [-0.0], [-0.0] + [0.0] * 5,
+                                        [0.05] * 9 + [0.5], [0.5] + [0.05] * 9])
+    def test_nearly_constant_series(self, values):
+        got = margin_summary("h", CPU, np.array(values))
+        assert repr(got) == repr(list_margin_summary("h", CPU, values))
+
+    def test_empty_series_is_rejected(self):
+        with pytest.raises(DomainError, match="empty"):
+            margin_summary("h", CPU, np.array([]))
 
 
 class TestNearestRank:

@@ -271,29 +271,6 @@ class TestForkedWriter:
     process appends; with one it writes them all here."""
 
     @staticmethod
-    def forks(monkeypatch, cores, call):
-        """`call()`'s result and the forks it made with `cores` usable cores;
-        it must leave no child, and this process's CPUs as they were."""
-        monkeypatch.setattr(engine, "usable_cores", lambda: cores)
-        made = []
-        fork = os.fork
-
-        def counting_fork():
-            made.append(1)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counting_fork)
-        cpus = os.sched_getaffinity(0)
-        try:
-            result = call()
-        finally:
-            monkeypatch.setattr(os, "fork", fork)
-            with pytest.raises(ChildProcessError):
-                os.waitpid(-1, os.WNOHANG)
-            assert os.sched_getaffinity(0) == cpus
-        return result, len(made)
-
-    @staticmethod
     def smoke_trace(tmp_path):
         return load_scenario(ROOT / "scenarios" / "smoke.cfg").build_datacenter()
 
@@ -309,50 +286,51 @@ class TestForkedWriter:
         return load_traces(tmp_path / "source.csv", load_capacities(tmp_path / "caps.csv"), 15)
 
     @pytest.mark.parametrize("trace", ["smoke_trace", "loaded_trace"])
-    def test_two_writers_match_one(self, monkeypatch, tmp_path, trace):
+    def test_two_writers_match_one(self, forks, tmp_path, trace):
         dc = getattr(self, trace)(tmp_path)
         two, one = tmp_path / "two.csv", tmp_path / "one.csv"
-        assert self.forks(monkeypatch, 2, lambda: write_traces(dc, two)) == (None, 1)
-        assert self.forks(monkeypatch, 1, lambda: write_traces(dc, one)) == (None, 0)
+        assert forks(lambda: write_traces(dc, two), 2) == (None, 1)
+        assert forks(lambda: write_traces(dc, one), 1) == (None, 0)
         assert two.read_bytes() == one.read_bytes() == reference_trace_csv(dc).encode()
         assert not [p for p in tmp_path.iterdir() if ".part" in p.name or ".tmp" in p.name]
 
-    def failed_generate(self, monkeypatch, capsys, out):
+    @staticmethod
+    def failed_generate(forks, capsys, out):
         """A two-core generate into `out` that fails: exit 2 with one error
         line, no part or temporary file left; returns the line and forks."""
         capsys.readouterr()
-        code, forks = self.forks(monkeypatch, 2, lambda: main(
-            ["generate", str(ROOT / "scenarios" / "smoke.cfg"), "--output-dir", str(out)]))
+        code, made = forks(lambda: main(
+            ["generate", str(ROOT / "scenarios" / "smoke.cfg"), "--output-dir", str(out)]), 2)
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not [p for p in out.iterdir()
                     if p.is_file() and (".part" in p.name or ".tmp" in p.name)]
-        return err, forks
+        return err, made
 
-    def test_failing_child_share_exits_2(self, monkeypatch, capsys, tmp_path):
+    def test_failing_child_share_exits_2(self, forks, capsys, tmp_path):
         out = tmp_path / "out"
         (out / "traces.csv.part1").mkdir(parents=True)
         (out / "traces.csv").write_text("old")
-        err, forks = self.failed_generate(monkeypatch, capsys, out)
-        assert forks == 1
+        err, made = self.failed_generate(forks, capsys, out)
+        assert made == 1
         assert err == (f"error: trace writer process failed: IsADirectoryError: "
                        f"[Errno {errno.EISDIR}] Is a directory: '{out / 'traces.csv.part1'}'\n")
         assert (out / "traces.csv").read_text() == "old"
         assert sorted(p.name for p in out.iterdir()) == ["traces.csv", "traces.csv.part1"]
 
-    def test_directory_at_the_trace_exits_2(self, monkeypatch, capsys, tmp_path):
+    def test_directory_at_the_trace_exits_2(self, forks, capsys, tmp_path):
         # Both shares are written and the part appended; only the replace fails.
         out = tmp_path / "out"
         (out / "traces.csv").mkdir(parents=True)
-        err, forks = self.failed_generate(monkeypatch, capsys, out)
-        assert forks == 1
+        err, made = self.failed_generate(forks, capsys, out)
+        assert made == 1
         trace = out / "traces.csv"
         assert err == (f"error: cannot write {trace}: [Errno {errno.EISDIR}] Is a directory: "
                        f"'{out / 'traces.csv.tmp'}' -> '{trace}'\n")
         assert list(out.iterdir()) == [trace]
 
-    def test_failing_fork_exits_2(self, monkeypatch, capsys, tmp_path):
+    def test_failing_fork_exits_2(self, monkeypatch, forks, capsys, tmp_path):
         def no_fork():
             raise OSError(errno.EAGAIN, "no more processes")
 
@@ -360,7 +338,7 @@ class TestForkedWriter:
         out = tmp_path / "out"
         out.mkdir()
         before = sorted(os.listdir("/proc/self/fd"))
-        err, forks = self.failed_generate(monkeypatch, capsys, out)
+        err, _ = self.failed_generate(forks, capsys, out)
         assert sorted(os.listdir("/proc/self/fd")) == before
         assert err == (f"error: cannot write {out / 'traces.csv'}: "
                        f"[Errno {errno.EAGAIN}] no more processes\n")
