@@ -177,8 +177,9 @@ def cmd_evaluate(cfg: ScenarioConfig, checkpoint_override: str | None) -> int:
     try:
         table = compare_strategies(dc, cfg.cost, sim, cfg.compare, pools=pools,
                                    baseline=cfg.baseline)
-    except OSError as exc:  # a failed fork names no path
-        raise MarginSimError(f"cannot start the error CDF encoder: {exc}") from exc
+    except OSError as exc:  # a failed fork or pipe names no path
+        raise MarginSimError(
+            f"cannot run the strategies and the error CDF encoder: {exc}") from exc
     reports_dir = cfg.output_dir / "reports"
 
     def write_share(specs):

@@ -416,7 +416,7 @@ def compare_strategies(dc: Datacenter, cost: CostModel, sim: SimulationConfig,
     if baseline not in labels:
         raise DomainError(f"baseline {baseline!r} is not among {labels}")
 
-    error_cdfs = ErrorCdfs.for_range(dc, sim.day_range, encode=False)
+    error_cdfs = ErrorCdfs.for_range(dc, sim.day_range)
 
     def run_all():
         reports = {}

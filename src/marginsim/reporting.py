@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -60,11 +60,9 @@ class ErrorCdfs:
     """Prediction-error CDFs over one day range: by metric value, then host.
 
     They depend only on the trace and the range, so one instance serves
-    every strategy's report of an evaluate run.  Its report.json member and
-    its cdf_*.csv bodies (`encode_cdfs`) are encoded when it is built, so
-    that evaluate's report writer processes inherit them rather than each
-    encoding them again; built with `encode=False`, it holds no text until
-    its builder sets both.  A non-finite CDF value raises DomainError.
+    every strategy's report of an evaluate run.  It is built from the CDF
+    points alone; `compare_strategies` then sets its report.json member and
+    its cdf_*.csv bodies from `encode_cdfs`, which the report writers read.
     """
 
     by_metric: dict[str, dict[str, list[tuple[float, float]]]]
@@ -74,24 +72,19 @@ class ErrorCdfs:
     json_member: str = field(init=False, repr=False)
     # cdf_<metric>.csv contents by metric value, hosts in sorted order.
     csv_bodies: dict[str, str] = field(init=False, repr=False)
-    encode: InitVar[bool] = True
 
     @classmethod
-    def for_range(cls, dc: Datacenter, day_range: tuple[int, int],
-                  encode: bool = True) -> "ErrorCdfs":
+    def for_range(cls, dc: Datacenter, day_range: tuple[int, int]) -> "ErrorCdfs":
         spd = dc.steps_per_day
         lo, hi = day_range
         return cls({m.value: error_cdf(dc, m, start_step=lo * spd, end_step=hi * spd)
-                    for m in METRICS}, encode)
-
-    def __post_init__(self, encode: bool):
-        if encode:
-            self.json_member, self.csv_bodies = encode_cdfs(self.by_metric)
+                    for m in METRICS})
 
 
 def encode_cdfs(by_metric: dict[str, dict[str, list[tuple[float, float]]]],
                 ) -> tuple[str, dict[str, str]]:
-    """`ErrorCdfs`' report.json member and cdf_*.csv bodies of `by_metric`."""
+    """`ErrorCdfs`' report.json member and cdf_*.csv bodies of `by_metric`.
+    A non-finite CDF value raises DomainError."""
     metrics, csv_bodies = [], {}
     for metric, by_host in by_metric.items():
         hosts, csv_rows = [], {}

@@ -828,9 +828,30 @@ class TestForkedReports:
         assert self.evaluate(forks, scenario, out, 2) == (2, 1)
         assert sorted(os.listdir("/proc/self/fd")) == before
         assert capsys.readouterr().err == (
-            f"error: cannot start the error CDF encoder: "
+            f"error: cannot run the strategies and the error CDF encoder: "
             f"[Errno {errno.EAGAIN}] no more processes\n")
         assert not (out / "reports").exists()
+
+    def test_failing_writer_fork_leaks_no_descriptor(self, monkeypatch, forks, capsys,
+                                                     tmp_path, scenario):
+        fork = os.fork
+        made = []
+
+        def second_fork_fails():
+            made.append(1)
+            if len(made) == 2:  # the report writer's: the encoder's fork came first
+                raise OSError(errno.EAGAIN, "no more processes")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fork_fails)
+        out = tmp_path / "no_writer_fork"
+        before = sorted(os.listdir("/proc/self/fd"))
+        assert self.evaluate(forks, scenario, out, 2) == (2, 2)
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        assert capsys.readouterr().err == (
+            f"error: cannot write reports: [Errno {errno.EAGAIN}] no more processes\n")
+        assert not (out / "comparison.csv").exists()
+        assert not list(out.rglob("*.tmp"))
 
 
 class TestErrorCdfEncoder:

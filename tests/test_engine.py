@@ -44,6 +44,7 @@ from marginsim.reporting import (
     ErrorCdfs,
     MarginSummary,
     build_report,
+    encode_cdfs,
     margin_summary,
     nearest_rank,
     write_report_files,
@@ -1015,6 +1016,8 @@ class TestReportIntegrity:
         sim = SimulationConfig(seed=6, day_range=(0, 2))
         result = run(dc, cost, sim, fixed(0.08))
         cdfs = ErrorCdfs.for_range(dc, sim.day_range)
+        # Encoded as compare_strategies encodes them, for the report writer.
+        cdfs.json_member, cdfs.csv_bodies = encode_cdfs(cdfs.by_metric)
         return dc, build_report("fixed:0.08", dc, sim, result, cdfs), result
 
     def test_totals_are_exact_sums(self):
@@ -1207,23 +1210,23 @@ cdf_points = st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False)
 
 
 class TestErrorCdfsEncoding:
-    """ErrorCdfs' encodings against json.dumps and csv.writer."""
+    """encode_cdfs' encodings against json.dumps and csv.writer."""
 
     @given(st.dictionaries(odd_text, st.dictionaries(odd_text, cdf_points, max_size=4),
                            max_size=3))
     @settings(max_examples=200, deadline=None)
     def test_encodings_match_reference_writers(self, by_metric):
-        cdfs = ErrorCdfs(by_metric)
+        json_member, csv_bodies = encode_cdfs(by_metric)
         # one level inside an object: without the '{\n ' before and '\n}' after
-        assert cdfs.json_member == json.dumps({"error_cdf": by_metric}, indent=1)[3:-2]
-        assert list(cdfs.csv_bodies) == list(by_metric)
+        assert json_member == json.dumps({"error_cdf": by_metric}, indent=1)[3:-2]
+        assert list(csv_bodies) == list(by_metric)
         for metric, by_host in by_metric.items():
             buf = io.StringIO()
             writer = csv.writer(buf)
             writer.writerow(["host", "error", "cum_prob"])
             for hid in sorted(by_host):
                 writer.writerows([hid, repr(err), repr(prob)] for err, prob in by_host[hid])
-            assert cdfs.csv_bodies[metric] == buf.getvalue()
+            assert csv_bodies[metric] == buf.getvalue()
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("column", [0, 1])
@@ -1231,7 +1234,7 @@ class TestErrorCdfsEncoding:
         point = [0.25, 0.5]
         point[column] = value
         with pytest.raises(DomainError, match="ram error CDF of host 'h1' is not finite"):
-            ErrorCdfs({"cpu": {"h0": [(0.1, 1.0)]}, "ram": {"h1": [(0.1, 0.5), tuple(point)]}})
+            encode_cdfs({"cpu": {"h0": [(0.1, 1.0)]}, "ram": {"h1": [(0.1, 0.5), tuple(point)]}})
 
 
 def list_margin_summary(host_id, metric, margins: list[float]) -> MarginSummary:
