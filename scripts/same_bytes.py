@@ -11,8 +11,9 @@ first working-tree run.  Each run writes into its own temporary output
 directory, and every output file is compared by sha256.  A scenario inside
 the repository is read from each side's own copy.
 
-Exit status: 0 when every tree is identical, 1 when a file differs or
-exists on one side only (each such file is named), 2 when a run fails.
+Exit status: 0 when every tree is identical, 1 when a file differs,
+exists on one side only, or is a temporary or part file that a run left
+in its tree (each such file is named), 2 when a run fails.
 
 Usage:
     python3 scripts/same_bytes.py HEAD~1 scenarios/smoke.cfg scenarios/benchmark.cfg
@@ -21,6 +22,7 @@ Usage:
 import argparse
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -57,6 +59,13 @@ def digests(out_dir: Path) -> dict[str, str]:
     """sha256 of every file under `out_dir`, by relative path."""
     return {str(p.relative_to(out_dir)): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in out_dir.rglob("*") if p.is_file()}
+
+
+def leftovers(out_dir: Path) -> list[str]:
+    """The `<name>.tmp` and `<name>.part<i>` files under `out_dir`, which a
+    stage writes only on the way to its outputs, by relative path."""
+    return sorted(str(p.relative_to(out_dir)) for p in out_dir.rglob("*")
+                  if re.search(r"\.(tmp|part\d+)$", p.name))
 
 
 def report(label: str, ours: dict[str, str], theirs: dict[str, str],
@@ -103,6 +112,9 @@ def main(argv=None) -> int:
                     print(f"{scenario}: the {side} run exited {exc.returncode}", file=sys.stderr)
                     return 2
                 trees[side] = digests(out_dir)
+                for name in leftovers(out_dir):
+                    print(f"{scenario}: the {side} run left {name}")
+                    differ = True
             differ |= report(scenario, trees["work"], trees["rev"],
                              "the working tree", args.rev)
             if "one-CPU work" in trees:

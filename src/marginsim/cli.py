@@ -28,7 +28,7 @@ from marginsim.engine import (
     train_test_split,
 )
 from marginsim.errors import CheckpointError, ConfigError, DomainError, MarginSimError
-from marginsim.fileio import check_writable, remove_temporaries
+from marginsim.fileio import output_guard
 from marginsim.reporting import (
     REPORT_FILES,
     render_comparison,
@@ -73,15 +73,16 @@ def main(argv=None) -> int:
 
 
 def cmd_generate(cfg: ScenarioConfig) -> int:
-    dc = cfg.build_datacenter()
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     trace_path = cfg.output_dir / "traces.csv"
     capacity_path = cfg.output_dir / "capacities.csv"
-    try:
-        write_traces(dc, trace_path)
-    except OSError as exc:  # a failed fork names no path
-        raise MarginSimError(f"cannot write {trace_path}: {exc}") from exc
-    write_capacities([h.spec for h in dc.hosts], capacity_path)
+    with output_guard([trace_path, capacity_path]):
+        dc = cfg.build_datacenter()
+        cfg.output_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            write_traces(dc, trace_path)
+        except OSError as exc:  # a failed fork names no path
+            raise MarginSimError(f"cannot write {trace_path}: {exc}") from exc
+        write_capacities([h.spec for h in dc.hosts], capacity_path)
     print(f"wrote {trace_path} and {capacity_path}")
     print(f"hosts: {len(dc.hosts)}  days: {dc.num_days()}  "
           f"step: {dc.step_minutes} min")
@@ -116,34 +117,34 @@ def cmd_train(cfg: ScenarioConfig) -> int:
     scale = reward_scale_for(dc, cfg.cost)
     scopes = agent_scopes(cfg, dc)
     log_path = cfg.output_dir / "training_log.csv"
-    check_writable([*(checkpoint_path(cfg.checkpoint_dir, m, scope)
-                      for m in learned for scope in scopes), log_path])
-    try:
-        pools = {m: build_pool(cfg.ddpg, m, scopes, cfg.seed, scale) for m in learned}
-    except DomainError:
-        raise
-    except (MemoryError, OSError, OverflowError, ValueError) as exc:
-        raise ConfigError(
-            f"{cfg.path}: cannot allocate the agents for [ddpg] window = {cfg.ddpg.window} "
-            f"and replay_capacity = {cfg.ddpg.replay_capacity}: {exc}") from exc
-    strategies = {
-        m: cfg.bindings[m].build(m, cfg.seed, pool=pools.get(m), explore=True)
-        for m in METRICS
-    }
-    sim = SimulationConfig(seed=cfg.seed, day_range=train_range,
-                           reward_attribution=cfg.reward_attribution)
-    print(f"training on days [{train_range[0]}, {train_range[1]}) "
-          f"({len(learned)} agent(s), {len(dc.hosts)} hosts); "
-          f"test split is [{test_range[0]}, {test_range[1]})")
-    result = run(dc, cfg.cost, sim, strategies)
+    with output_guard([*(checkpoint_path(cfg.checkpoint_dir, m, scope)
+                         for m in learned for scope in scopes), log_path]):
+        try:
+            pools = {m: build_pool(cfg.ddpg, m, scopes, cfg.seed, scale) for m in learned}
+        except DomainError:
+            raise
+        except (MemoryError, OSError, OverflowError, ValueError) as exc:
+            raise ConfigError(
+                f"{cfg.path}: cannot allocate the agents for [ddpg] window = {cfg.ddpg.window} "
+                f"and replay_capacity = {cfg.ddpg.replay_capacity}: {exc}") from exc
+        strategies = {
+            m: cfg.bindings[m].build(m, cfg.seed, pool=pools.get(m), explore=True)
+            for m in METRICS
+        }
+        sim = SimulationConfig(seed=cfg.seed, day_range=train_range,
+                               reward_attribution=cfg.reward_attribution)
+        print(f"training on days [{train_range[0]}, {train_range[1]}) "
+              f"({len(learned)} agent(s), {len(dc.hosts)} hosts); "
+              f"test split is [{test_range[0]}, {test_range[1]})")
+        result = run(dc, cfg.cost, sim, strategies)
 
-    cfg.checkpoint_dir.mkdir(parents=True, exist_ok=True)
-    for metric in learned:
-        for scope, agent in pools[metric].items():
-            path = checkpoint_path(cfg.checkpoint_dir, metric, scope)
-            agent.save(path)
-            print(f"wrote {path}")
-    write_training_log(result.step_log, log_path)
+        cfg.checkpoint_dir.mkdir(parents=True, exist_ok=True)
+        for metric in learned:
+            for scope, agent in pools[metric].items():
+                path = checkpoint_path(cfg.checkpoint_dir, metric, scope)
+                agent.save(path)
+                print(f"wrote {path}")
+        write_training_log(result.step_log, log_path)
     print(f"wrote {log_path} ({len(result.step_log)} steps)")
     net = sum(led.net_saving for led in result.ledgers)
     print(f"training-split net saving (exploring): {net:.4f}")
@@ -166,41 +167,38 @@ def load_pools(cfg: ScenarioConfig, checkpoint_dir: Path,
 
 
 def cmd_evaluate(cfg: ScenarioConfig, checkpoint_override: str | None) -> int:
-    dc = cfg.build_datacenter()
-    _, test_range = train_test_split(dc, cfg.train_fraction)
-    pools = None
-    if any(spec.kind == "releaser" for spec in cfg.compare):
-        checkpoint_dir = (Path(checkpoint_override) if checkpoint_override
-                          else cfg.checkpoint_dir)
-        pools = load_pools(cfg, checkpoint_dir, agent_scopes(cfg, dc))
-    sim = SimulationConfig(seed=cfg.seed, day_range=test_range)
-    try:
-        table = compare_strategies(dc, cfg.cost, sim, cfg.compare, pools=pools,
-                                   baseline=cfg.baseline)
-    except OSError as exc:  # a failed fork or pipe names no path
-        raise MarginSimError(
-            f"cannot run the strategies and the error CDF encoder: {exc}") from exc
     reports_dir = cfg.output_dir / "reports"
-
-    def write_share(specs):
-        for spec in specs:
-            write_report_files(table.reports[spec.label], reports_dir / spec.slug)
-
-    # No report depends on another, so they are dealt round robin to as
-    # many writer processes as there are usable cores.
-    width = processes_for(len(cfg.compare))
-    try:
-        side_by_side([cfg.compare[i::width] for i in range(width)], write_share,
-                     lambda specs: "report writer")
-    except BaseException as exc:
-        # Every writer is reaped by now; one killed mid-write left its temporary file.
-        remove_temporaries(reports_dir / spec.slug / name
-                           for spec in cfg.compare for name in REPORT_FILES)
-        if isinstance(exc, OSError):
-            raise MarginSimError(f"cannot write reports: {exc}") from exc
-        raise
     comparison_path = cfg.output_dir / "comparison.csv"
-    write_comparison(table, comparison_path)
+    with output_guard([*(reports_dir / spec.slug / name
+                         for spec in cfg.compare for name in REPORT_FILES), comparison_path]):
+        dc = cfg.build_datacenter()
+        _, test_range = train_test_split(dc, cfg.train_fraction)
+        pools = None
+        if any(spec.kind == "releaser" for spec in cfg.compare):
+            checkpoint_dir = (Path(checkpoint_override) if checkpoint_override
+                              else cfg.checkpoint_dir)
+            pools = load_pools(cfg, checkpoint_dir, agent_scopes(cfg, dc))
+        sim = SimulationConfig(seed=cfg.seed, day_range=test_range)
+        try:
+            table = compare_strategies(dc, cfg.cost, sim, cfg.compare, pools=pools,
+                                       baseline=cfg.baseline)
+        except OSError as exc:  # a failed fork or pipe names no path
+            raise MarginSimError(
+                f"cannot run the strategies and the error CDF encoder: {exc}") from exc
+
+        def write_share(specs):
+            for spec in specs:
+                write_report_files(table.reports[spec.label], reports_dir / spec.slug)
+
+        # No report depends on another, so they are dealt round robin to as
+        # many writer processes as there are usable cores.
+        width = processes_for(len(cfg.compare))
+        try:
+            side_by_side([cfg.compare[i::width] for i in range(width)], write_share,
+                         lambda specs: "report writer")
+        except OSError as exc:  # a failed fork names no path
+            raise MarginSimError(f"cannot write reports: {exc}") from exc
+        write_comparison(table, comparison_path)
     print(f"evaluated days [{test_range[0]}, {test_range[1]}) "
           f"on {len(dc.hosts)} hosts; reports in {reports_dir}")
     print(render_comparison(table))

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from marginsim.agent import DdpgConfig
 from marginsim.costs import CostModel
-from marginsim.engine import REWARD_ATTRIBUTIONS
+from marginsim.engine import REWARD_ATTRIBUTIONS, reward_scale_for
 from marginsim.errors import ConfigError, DomainError
 from marginsim.seeds import subseed
 from marginsim.strategies import StrategySpec
@@ -65,13 +65,19 @@ class ScenarioConfig:
         return [m for m, spec in self.bindings.items() if spec.kind == "releaser"]
 
     def build_datacenter(self) -> Datacenter:
-        """Materialize the trace this scenario describes."""
+        """Materialize the trace this scenario describes, if its earnings fit a float."""
         if self.synthetic is not None:
             dc = generate_synthetic(self.synthetic)
             dc.name = self.name
-            return dc
-        capacities = load_capacities(self.capacity_file)
-        return load_traces(self.trace_file, capacities, self.step_minutes, name=self.name)
+        else:
+            capacities = load_capacities(self.capacity_file)
+            dc = load_traces(self.trace_file, capacities, self.step_minutes, name=self.name)
+        # No ledger or total exceeds the roomiest host's earnings on every
+        # host-step; twice that leaves room for rounding.
+        if not math.isfinite(2 * reward_scale_for(dc, self.cost) * dc.num_steps() * len(dc.hosts)):
+            raise ConfigError(f"{self.path}: cost.price_per_hour = {self.cost.price_per_hour!r} "
+                              f"lets the trace's earnings overflow a float")
+        return dc
 
 
 # Sections read field by field from a dataclass: each field is one key,

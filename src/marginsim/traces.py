@@ -9,9 +9,9 @@ the step index.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import math
+import os
 import shutil
 from dataclasses import dataclass
 from enum import Enum
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from marginsim.errors import ConfigError, DomainError, TraceParseError, TraceSchemaError
-from marginsim.fileio import atomic_write, csv_prefix
+from marginsim.fileio import atomic_write, csv_prefix, part_path
 
 MINUTES_PER_DAY = 1440
 DEFAULT_STEP_MINUTES = 3  # every step_minutes default
@@ -178,6 +178,12 @@ class SyntheticConfig:
             raise DomainError(f"step_minutes {self.step_minutes} must divide {MINUTES_PER_DAY}")
         if self.smoothing_window < 1:
             raise DomainError("smoothing_window must be >= 1")
+        # Per host-step and metric, the series hold a float64 (usage, prediction) pair.
+        size = self.num_hosts * self.num_days * (MINUTES_PER_DAY // self.step_minutes) * 2 * 16
+        if hasattr(os, "sysconf") and size > (os.sysconf("SC_PAGE_SIZE")
+                                              * os.sysconf("SC_PHYS_PAGES")):
+            raise DomainError(f"num_hosts = {self.num_hosts} and num_days = {self.num_days} "
+                              f"need {size} bytes of series, more than this machine's memory")
         HostSpec("h", self.host_cpu_cores, self.host_ram_gb).validate()
 
 
@@ -234,7 +240,7 @@ def _prediction_series(config, usage, rng):
     # Trailing mean over the last `smoothing_window` samples strictly before
     # t, so predictions never peek at the step they predict.  The first step
     # has no history and falls back to the configured base load.
-    w = config.smoothing_window
+    w = min(config.smoothing_window, usage.size)  # a longer window acts alike
     sums = np.concatenate([[0.0], np.cumsum(usage)])
     smoothed = np.empty(usage.size)
     smoothed[0] = config.base_load
@@ -257,7 +263,7 @@ def write_traces(dc: Datacenter, path: str | Path) -> None:
     share per usable core and written `side_by_side`: each share i > 0 by a
     forked process into the sibling file `<name>.part<i>`, the header and
     share 0 by this process, which then appends the parts in share order.
-    No part file outlives the call.
+    Parts are removed once appended, a failed call's by `output_guard`.
     """
     from marginsim.engine import processes_for, side_by_side  # engine imports this module
 
@@ -266,7 +272,7 @@ def write_traces(dc: Datacenter, path: str | Path) -> None:
     blocks = [(host, metric) for host in sorted(dc.hosts, key=lambda h: h.spec.host_id)
               for metric in (MetricKind.CPU, MetricKind.RAM)]
     width = processes_for(len(blocks))
-    parts = [path.with_name(f"{path.name}.part{i}") for i in range(1, width)]
+    parts = [part_path(path, i) for i in range(1, width)]
 
     def write_share(i: int, fh) -> None:
         for host, metric in blocks[i * len(blocks) // width:(i + 1) * len(blocks) // width]:
@@ -280,22 +286,17 @@ def write_traces(dc: Datacenter, path: str | Path) -> None:
         with parts[i - 1].open("w", newline="") as part:
             write_share(i, part)
 
-    try:
-        with atomic_write(path) as fh:
-            csv.writer(fh).writerow(TRACE_HEADER)
-            # side_by_side runs its last task here: share 0.
-            side_by_side([*range(1, width), 0],
-                         lambda i: write_part(i) if i else write_share(0, fh),
-                         lambda i: "trace writer")
-            fh.flush()
-            for part in parts:
-                with part.open("rb") as src:
-                    shutil.copyfileobj(src, fh.buffer)
-    finally:
-        # Every writer is reaped by now.
+    with atomic_write(path) as fh:
+        csv.writer(fh).writerow(TRACE_HEADER)
+        # side_by_side runs its last task here: share 0.
+        side_by_side([*range(1, width), 0],
+                     lambda i: write_part(i) if i else write_share(0, fh),
+                     lambda i: "trace writer")
+        fh.flush()
         for part in parts:
-            with contextlib.suppress(FileNotFoundError, NotADirectoryError, IsADirectoryError):
-                part.unlink()
+            with part.open("rb") as src:
+                shutil.copyfileobj(src, fh.buffer)
+            part.unlink()
 
 
 def write_capacities(specs: list[HostSpec], path: str | Path) -> None:

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import sys
 
@@ -42,5 +43,28 @@ def forks(monkeypatch):
                 os.waitpid(-1, os.WNOHANG)
             assert os.sched_getaffinity(0) == cpus
         return result, len(made)
+
+    return watched
+
+
+def digests(root):
+    """sha256 of `root` and of every file under it, and None for each
+    directory, by path; empty when `root` does not exist."""
+    found = [root, *root.rglob("*")] if root.exists() else []
+    return {p: hashlib.sha256(p.read_bytes()).hexdigest() if p.is_file() else None
+            for p in found}
+
+
+@pytest.fixture
+def unchanged(forks):
+    """`unchanged(root, call, cores=None)` is `forks(call, cores)` that also
+    checks that `call()` left `root` as it found it: the same files and
+    directories, every file with the same sha256.  So no temporary or part
+    file is left under it either."""
+    def watched(root, call, cores=None):
+        before = digests(root)
+        result = forks(call, cores)
+        assert digests(root) == before
+        return result
 
     return watched

@@ -7,6 +7,7 @@ import inspect
 import math
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from marginsim import cli, reporting
+from marginsim import cli, config, reporting
 from marginsim.agent import DdpgConfig
 from marginsim.cli import main
 from marginsim.config import _SCHEMA, _section_fields, load_scenario
@@ -77,6 +78,17 @@ replay_capacity = 256
 learning_rate = 0.01
 {extra}
 """)
+
+
+@pytest.fixture(scope="module")
+def smoke_tree(tmp_path_factory):
+    """A smoke scenario's path, and the output directory its whole pipeline
+    wrote; copy the directory before changing it."""
+    root = tmp_path_factory.mktemp("smoke_tree")
+    path = smoke_scenario(root)
+    for stage in ("generate", "train", "evaluate"):
+        assert main([stage, path]) == 0
+    return path, root / "out"
 
 
 def comparison_rows(out_dir):
@@ -422,6 +434,48 @@ class TestNonFiniteNumbers:
                 assert not out.exists()
 
 
+class TestOversizedValues:
+    """Values that pass each key's own checks but that no stage could run
+    with: sums of money past a float, or series past physical memory."""
+
+    @pytest.mark.parametrize("key,value", [
+        ("price_per_hour", "1e308"),
+        ("num_days", "1000000000000"), ("num_days", str(10**30)),
+        ("num_hosts", "1000000000"), ("num_hosts", str(10**30)),
+    ])
+    def test_every_stage_fails_at_once(self, tmp_path, capsys, key, value):
+        trace = SMOKE_TRACE
+        if key == "price_per_hour":
+            trace += f"[cost]\nprice_per_hour = {value}\n"
+        else:
+            trace = re.sub(f"{key} = \\d+", f"{key} = {value}", trace)
+        path = smoke_scenario(tmp_path, trace=trace)
+        named = ["cost.price_per_hour"] if key == "price_per_hour" else ["num_hosts", "num_days"]
+        for stage in ("generate", "train", "evaluate"):
+            began = time.monotonic()
+            assert main([stage, path]) == 2
+            assert time.monotonic() - began < 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+            assert all(name in err for name in named), err
+            assert not (tmp_path / "out").exists()
+
+    def test_the_largest_price_keeps_comparison_finite(self, tmp_path, capsys):
+        # Smoke's 2 hosts fit 16 containers each for 384 15-minute steps, so
+        # twice the earnings bound is 6,144 x the price: 1e304 passes, 1e305 not.
+        fixed = "[strategies]\ncpu = fixed:0.1\nram = fixed:0.1\n"
+        body = (Path(smoke_scenario(tmp_path)).read_text().replace("[strategies]\n", fixed)
+                .replace("compare = releaser,", "compare ="))
+        for price, code in (("1e304", 0), ("1e305", 2)):
+            path = write_scenario(tmp_path / "s.cfg", body + f"[cost]\nprice_per_hour = {price}\n")
+            assert main(["evaluate", path]) == code
+        rows = comparison_rows(tmp_path / "out")
+        assert len(rows) == 2
+        assert all(math.isfinite(float(value)) for row in rows
+                   for key, value in row.items() if key != "strategy")
+        assert float(rows[0]["potential"]) > 1e300
+
+
 class TestGenerateCommand:
     def test_writes_trace_files(self, tmp_path, capsys):
         path = smoke_scenario(tmp_path)
@@ -654,9 +708,9 @@ class TestUnwritableOutputs:
         assert f"'{path}'" in err
         assert "training on days" not in captured.out
 
-    @pytest.mark.parametrize("stage,first_output", [("generate", ""), ("train", "checkpoints")])
+    @pytest.mark.parametrize("stage,first_output", [("generate", "traces.csv"),
+                                                    ("train", "checkpoints")])
     def test_output_dir_names_a_file(self, forks, tmp_path, capsys, stage, first_output):
-        # A directory where traces.csv goes is covered in test_traces.py.
         path = smoke_scenario(tmp_path)
         blocked = tmp_path / "file"
         blocked.write_text("")
@@ -693,6 +747,41 @@ class TestUnwritableOutputs:
         (out / "comparison.csv").mkdir()
         self.fails(forks, capsys, ["evaluate", path], out / "comparison.csv")
         assert not list(out.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("stage,blocked", [
+        *(("generate", name) for name in ("traces.csv", "capacities.csv", "")),
+        *(("train", name) for name in ("checkpoints/agent_cpu.ckpt", "checkpoints/agent_ram.ckpt",
+                                       "training_log.csv", "checkpoints", "")),
+        *(("evaluate", f"reports/releaser/{name}") for name in reporting.REPORT_FILES),
+        *(("evaluate", name) for name in ("comparison.csv", "reports/scavenger", "reports", "")),
+    ])
+    def test_blocked_output_fails_before_work(self, monkeypatch, unchanged, smoke_tree,
+                                              tmp_path, capsys, stage, blocked):
+        """A directory where an output file goes, or a file where an output
+        directory goes, fails the stage before it builds the trace (train
+        before it trains) and leaves the previous tree as it was."""
+        scenario, built = smoke_tree
+        out = tmp_path / "previous" / "out"
+        shutil.copytree(built, out)
+        target = out / blocked
+        if target.is_file():
+            target.unlink()
+            target.mkdir()
+            named = f"[Errno {errno.EISDIR}] Is a directory: '{target}'\n"
+        else:
+            shutil.rmtree(target)
+            target.write_text("")
+            named = f"[Errno {errno.ENOTDIR}] Not a directory: '{target}/"
+        if stage != "train":
+            monkeypatch.setattr(config, "generate_synthetic",
+                                lambda recipe: pytest.fail("the trace was built"))
+        capsys.readouterr()
+        argv = [stage, scenario, "--output-dir", str(out)]
+        assert unchanged(tmp_path / "previous", lambda: main(argv), 2) == (2, 0)
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert named in captured.err
+        assert "training on days" not in captured.out
 
 
 class TestForkedReports:
@@ -731,21 +820,32 @@ class TestForkedReports:
         assert self.evaluate(forks, one_spec, out, 2) == (0, 1)
         assert (out / "reports" / "fixed_0p05" / "report.json").is_file()
 
-    def failed_evaluate(self, forks, capsys, scenario, out, blocked):
-        """Evaluate with a file where report `blocked`'s directory goes:
-        exits 2 with one error line naming it, and no comparison.csv."""
-        (out / "reports").mkdir(parents=True, exist_ok=True)
-        (out / "reports" / blocked).write_text("")
+    def failed_evaluate(self, monkeypatch, forks, capsys, scenario, out, blocked):
+        """Evaluate with a file put where report `blocked`'s directory goes
+        once evaluate has checked its outputs, just before that report is
+        written: exits 2 with one error line naming it, no comparison.csv
+        and no temporary file but those that were there before."""
+        write = cli.write_report_files
+        temporaries = sorted(out.rglob("*.tmp"))
+
+        def blocked_write(report, outdir):
+            if outdir.name == blocked:
+                outdir.parent.mkdir(parents=True, exist_ok=True)
+                outdir.write_text("")
+            return write(report, outdir)
+
+        monkeypatch.setattr(cli, "write_report_files", blocked_write)
         capsys.readouterr()
         assert self.evaluate(forks, scenario, out, 2) == (2, 2)
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert not (out / "comparison.csv").exists()
+        assert sorted(out.rglob("*.tmp")) == temporaries
         return err
 
-    def test_failing_child_share_exits_2(self, forks, capsys, tmp_path, scenario):
+    def test_failing_child_share_exits_2(self, monkeypatch, forks, capsys, tmp_path, scenario):
         out = tmp_path / "child"
-        err = self.failed_evaluate(forks, capsys, scenario, out, "releaser")
+        err = self.failed_evaluate(monkeypatch, forks, capsys, scenario, out, "releaser")
         assert err == (f"error: report writer process failed: FileExistsError: "
                        f"[Errno {errno.EEXIST}] File exists: '{out / 'reports' / 'releaser'}'\n")
 
@@ -762,7 +862,7 @@ class TestForkedReports:
         monkeypatch.setattr(cli, "write_report_files", slow_in_child)
         out = tmp_path / "parent"
         began = time.monotonic()
-        err = self.failed_evaluate(forks, capsys, scenario, out, "fixed_0p05")
+        err = self.failed_evaluate(monkeypatch, forks, capsys, scenario, out, "fixed_0p05")
         assert time.monotonic() - began < 30
         assert err == (f"error: cannot write reports: [Errno {errno.EEXIST}] File exists: "
                        f"'{out / 'reports' / 'fixed_0p05'}'\n")
@@ -796,7 +896,7 @@ class TestForkedReports:
         for path in kept:
             path.parent.mkdir(parents=True)
             path.write_text("")
-        err = self.failed_evaluate(forks, capsys, scenario, out, "fixed_0p05")
+        err = self.failed_evaluate(monkeypatch, forks, capsys, scenario, out, "fixed_0p05")
         assert held == [True]
         assert err == (f"error: cannot write reports: [Errno {errno.EEXIST}] File exists: "
                        f"'{reports / 'fixed_0p05'}'\n")
@@ -931,6 +1031,19 @@ class TestSweepScript:
         assert [(m, float(p), float(c), float(n)) for m, p, c, n in rows] == [
             (margin, row.potential, row.penalty, row.net)
             for margin, row in zip(("0", "0.01", "0.02"), table.rows)]
+
+
+class TestSameBytesScript:
+    def test_leftovers_are_temporaries_and_parts(self, tmp_path):
+        path = ROOT / "scripts" / "same_bytes.py"
+        spec = importlib.util.spec_from_file_location("same_bytes", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        for name in ("traces.csv", "traces.csv.part1", "notes.partial", "reports/a/report.json",
+                     "reports/a/margins.csv.tmp"):
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name).write_text("")
+        assert module.leftovers(tmp_path) == ["reports/a/margins.csv.tmp", "traces.csv.part1"]
 
 
 class TestStageRssScript:

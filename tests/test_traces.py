@@ -6,6 +6,8 @@ import io
 import math
 import os
 import random
+import signal
+import time
 from pathlib import Path
 from unittest.mock import patch
 
@@ -159,6 +161,15 @@ class TestSynthetic:
         ])
         assert abs(errors.std() - 0.05) / 0.05 < 0.15
 
+    def test_window_past_the_series_is_the_series_length(self):
+        # 2 days of 15-minute steps: 192 per series.
+        a, b = (generate_synthetic(SyntheticConfig(seed=4, num_hosts=2, num_days=2,
+                                                   step_minutes=15, smoothing_window=w))
+                for w in (10**29, 192))
+        for ha, hb in zip(a.hosts, b.hosts):
+            for m in MetricKind:
+                assert ha.series[m].tobytes() == hb.series[m].tobytes()
+
     def test_bad_config_rejected(self):
         with pytest.raises(DomainError):
             SyntheticConfig(seed=1, num_hosts=0, num_days=1).validate()
@@ -295,42 +306,64 @@ class TestForkedWriter:
         assert not [p for p in tmp_path.iterdir() if ".part" in p.name or ".tmp" in p.name]
 
     @staticmethod
-    def failed_generate(forks, capsys, out):
+    def failed_generate(unchanged, capsys, out):
         """A two-core generate into `out` that fails: exit 2 with one error
-        line, no part or temporary file left; returns the line and forks."""
+        line, and `out` left as it was, so no part or temporary file either;
+        returns the line and forks."""
         capsys.readouterr()
-        code, made = forks(lambda: main(
+        code, made = unchanged(out, lambda: main(
             ["generate", str(ROOT / "scenarios" / "smoke.cfg"), "--output-dir", str(out)]), 2)
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert not [p for p in out.iterdir()
-                    if p.is_file() and (".part" in p.name or ".tmp" in p.name)]
         return err, made
 
-    def test_failing_child_share_exits_2(self, forks, capsys, tmp_path):
+    def test_failing_child_share_exits_2(self, unchanged, capsys, tmp_path):
         out = tmp_path / "out"
         (out / "traces.csv.part1").mkdir(parents=True)
         (out / "traces.csv").write_text("old")
-        err, made = self.failed_generate(forks, capsys, out)
+        err, made = self.failed_generate(unchanged, capsys, out)
         assert made == 1
         assert err == (f"error: trace writer process failed: IsADirectoryError: "
                        f"[Errno {errno.EISDIR}] Is a directory: '{out / 'traces.csv.part1'}'\n")
-        assert (out / "traces.csv").read_text() == "old"
-        assert sorted(p.name for p in out.iterdir()) == ["traces.csv", "traces.csv.part1"]
 
-    def test_directory_at_the_trace_exits_2(self, forks, capsys, tmp_path):
-        # Both shares are written and the part appended; only the replace fails.
+    def test_directory_at_the_trace_exits_2(self, unchanged, capsys, tmp_path):
+        # Found before the trace is built.
         out = tmp_path / "out"
         (out / "traces.csv").mkdir(parents=True)
-        err, made = self.failed_generate(forks, capsys, out)
-        assert made == 1
-        trace = out / "traces.csv"
-        assert err == (f"error: cannot write {trace}: [Errno {errno.EISDIR}] Is a directory: "
-                       f"'{out / 'traces.csv.tmp'}' -> '{trace}'\n")
-        assert list(out.iterdir()) == [trace]
+        err, made = self.failed_generate(unchanged, capsys, out)
+        assert made == 0
+        assert err == (f"error: [Errno {errno.EISDIR}] Is a directory: "
+                       f"'{out / 'traces.csv'}'\n")
 
-    def test_failing_fork_exits_2(self, monkeypatch, forks, capsys, tmp_path):
+    @pytest.mark.parametrize("share", ["child", "parent"])
+    def test_failed_share_leaves_no_part(self, monkeypatch, unchanged, capsys, tmp_path, share):
+        # The child's share is killed, or this process's share fails once
+        # the child has opened its part file.
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "traces.csv").write_text("old")
+        parent, prefix = os.getpid(), traces.csv_prefix
+
+        def failing_prefix(fields):
+            if share == "child" and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            if share == "parent" and os.getpid() == parent:
+                deadline = time.monotonic() + 30
+                while not (out / "traces.csv.part1").exists() and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return prefix(fields)
+
+        monkeypatch.setattr(traces, "csv_prefix", failing_prefix)
+        err, made = self.failed_generate(unchanged, capsys, out)
+        assert made == 1
+        assert err == {
+            "child": "error: trace writer process failed: killed by SIGKILL\n",
+            "parent": f"error: cannot write {out / 'traces.csv'}: "
+                      f"[Errno {errno.ENOSPC}] No space left on device\n"}[share]
+
+    def test_failing_fork_exits_2(self, monkeypatch, unchanged, capsys, tmp_path):
         def no_fork():
             raise OSError(errno.EAGAIN, "no more processes")
 
@@ -338,11 +371,10 @@ class TestForkedWriter:
         out = tmp_path / "out"
         out.mkdir()
         before = sorted(os.listdir("/proc/self/fd"))
-        err, _ = self.failed_generate(forks, capsys, out)
+        err, _ = self.failed_generate(unchanged, capsys, out)
         assert sorted(os.listdir("/proc/self/fd")) == before
         assert err == (f"error: cannot write {out / 'traces.csv'}: "
                        f"[Errno {errno.EAGAIN}] no more processes\n")
-        assert list(out.iterdir()) == []
 
 
 class TestCsvRoundTrip:
